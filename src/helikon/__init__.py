@@ -1,5 +1,3 @@
 """helikon: a numerical laboratory for minimal surfaces from Weierstrass data."""
 
 __version__ = "0.1.0"
-
-from .kernels import BACKEND  # noqa: F401

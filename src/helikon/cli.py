@@ -381,11 +381,6 @@ def main(argv=None):
     parser.add_argument("--obj", action="store_true", help="write OBJ output")
     args = parser.parse_args(argv)
 
-    threads = os.environ.get("HELIKON_THREADS")
-    if threads is not None:
-        # cap any numeric-library parallelism; computations here are serial
-        os.environ.setdefault("OMP_NUM_THREADS", threads)
-
     flags = {
         "out": args.out,
         "tol": args.tol,

@@ -10,7 +10,13 @@ import cmath
 from dataclasses import dataclass, field
 
 from .errors import InvalidModulus
-from .kernels import _backend
+from .kernels import (
+    reduce_to_cell,
+    theta1,
+    theta1_prime,
+    theta1_triple_prime0,
+    wp_raw,
+)
 
 MIN_IM_TAU = 0.05
 
@@ -34,14 +40,14 @@ class Lattice:
         q = cmath.exp(1j * cmath.pi * tau)
         tol = self.series_tol
         # eta1 = -pi^2/3 * theta1'''(0)/theta1'(0) for half-period 1/2
-        t1p0 = _backend.theta1_prime(0j, q, tol)
-        t1ppp0 = _backend.theta1_triple_prime0(q, tol)
+        t1p0 = theta1_prime(0j, q, tol)
+        t1ppp0 = theta1_triple_prime0(q, tol)
         eta1 = -(cmath.pi ** 2) / 3.0 * t1ppp0 / t1p0
         # eta2 = 2*zeta(tau/2), evaluated from the theta series directly so
         # the Legendre relation stays a genuine consistency check
         v = cmath.pi * tau / 2.0
-        eta2 = eta1 * tau + 2.0 * cmath.pi * _backend.theta1_prime(v, q, tol) \
-            / _backend.theta1(v, q, tol)
+        eta2 = eta1 * tau + 2.0 * cmath.pi * theta1_prime(v, q, tol) \
+            / theta1(v, q, tol)
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "eta1", eta1)
@@ -54,7 +60,7 @@ class Lattice:
     def g2(self):
         """Elliptic invariant g2, from the half-period values of wp."""
         es = [
-            _backend.wp_raw(w, self.tau, self.q, self.eta1, self.series_tol)
+            wp_raw(w, self.tau, self.q, self.eta1, self.series_tol)
             for w in self.half_periods()
         ]
         return 2.0 * sum(e * e for e in es)
@@ -65,7 +71,7 @@ class Lattice:
 
     def contains(self, u, tol=1e-9):
         """True if u is a lattice point to within tol."""
-        u0, _, _ = _backend.reduce_to_cell(complex(u), self.tau)
+        u0, _, _ = reduce_to_cell(complex(u), self.tau)
         return abs(u0) < tol
 
     def same_point(self, a, b, tol=1e-9):

@@ -20,8 +20,7 @@ from .errors import (
     PoleAt,
     ThresholdOrder,
 )
-from .expr import eval_expr
-from .paths import Line, PathSpec, integrate_path, polyline
+from .paths import Line, PathSpec, polyline
 from .surface import (
     conformal_factor,
     gauss_normal,
@@ -29,6 +28,8 @@ from .surface import (
     is_vertical_flux,
     lopez_ros,
     period_report,
+    period_triple,
+    recombine,
     straight_route,
 )
 
@@ -141,12 +142,9 @@ def build_mesh(data, spec, tol=1e-10):
     """
     mask = spec.inclusion_mask()
     _check_connected(mask)
-    c1, c2, c3 = data.integrand_coeffs()
 
     def edge_delta(a, b):
-        seg = polyline([a, b])
-        vals = [integrate_path(lambda z: eval_expr(c, z), seg, tol)
-                for c in (c1, c2, c3)]
+        vals = recombine(*period_triple(data, polyline([a, b]), tol))
         return np.array([v.real for v in vals])
 
     index = -np.ones(mask.shape, dtype=int)

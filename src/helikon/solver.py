@@ -38,7 +38,7 @@ from .expr import (
 from .kernels import reduce_to_cell
 from .lattice import Lattice
 from .paths import integrate_path, polyline
-from .surface import CycleBasis, WeierstrassData, period_report
+from .surface import CycleBasis, WeierstrassData, integrate_form, period_report
 
 FD_STEP = 1e-6
 
@@ -57,11 +57,9 @@ class HorizontalPeriod:
     target: complex = 0.0
 
     def evaluate(self, data, tol):
-        g, ginv, h = data.g, data.g_inv(), data.dh.coeff
-        p_plus = integrate_path(lambda z: eval_expr(g * h, z), self.cycle, tol)
-        p_minus = integrate_path(
-            lambda z: eval_expr(ginv * h, z), self.cycle, tol
-        )
+        plus, minus, _ = data.period_forms
+        p_plus = integrate_form(plus, self.cycle, tol)
+        p_minus = integrate_form(minus, self.cycle, tol)
         r = p_plus - p_minus.conjugate() - self.target
         return [r.real, r.imag]
 

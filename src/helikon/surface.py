@@ -12,6 +12,7 @@ has zero real part; flux is the imaginary part of the same triple.
 import cmath
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .expr import (
     Const,
     Expr,
     FormExpr,
-    div,
     eval_expr,
     log_derivative,
     mul,
@@ -52,27 +52,14 @@ class WeierstrassData:
     def domain(self):
         return self.g.domain
 
-    def g_inv(self):
-        return self.g.reciprocal()
+    @cached_property
+    def period_forms(self):
+        """Coefficients of the period forms (g dh, dh/g, dh).
 
-    def integrand_coeffs(self):
-        """The three holomorphic integrand functions (coefficients of du)."""
-        g, h = self.g.node, self.dh.coeff.node
-        ginv = div(Const(1), g)
-        c1 = mul(Const(0.5), mul(self._sub(ginv, g), h))
-        c2 = mul(Const(0.5j), mul(self._add(ginv, g), h))
-        dom = self.g.domain
-        return (Expr(c1, dom), Expr(c2, dom), Expr(h, dom))
-
-    @staticmethod
-    def _sub(a, b):
-        from .expr import sub
-        return sub(a, b)
-
-    @staticmethod
-    def _add(a, b):
-        from .expr import add
-        return add(a, b)
+        The Lopez-Ros deformation g -> lam*g scales them by (lam, 1/lam, 1).
+        """
+        g, h = self.g, self.dh.coeff
+        return (g * h, g.reciprocal() * h, h)
 
     def log_gauss_form(self):
         """dg/g as a one-form."""
@@ -148,11 +135,26 @@ class FluxVector:
         return iter(self.components)
 
 
-def _integrate_form(coeff_expr, path, tol):
+def integrate_form(coeff_expr, path, tol):
+    """Integral of the one-form coeff_expr du along path."""
     try:
         return integrate_path(lambda z: eval_expr(coeff_expr, z), path, tol)
     except PoleAt as exc:
         raise PathThroughPole(str(exc)) from exc
+
+
+def period_triple(data, path, tol=1e-10):
+    """Integrals (P+, P-, P3) of (g dh, dh/g, dh) along path."""
+    return tuple(integrate_form(c, path, tol) for c in data.period_forms)
+
+
+def recombine(p_plus, p_minus, p_three):
+    """(1/2 (P- - P+), (i/2)(P- + P+), P3) from a period triple.
+
+    Its real part is the immersion increment along the path; over a closed
+    cycle its imaginary part is the flux.
+    """
+    return (0.5 * (p_minus - p_plus), 0.5j * (p_minus + p_plus), p_three)
 
 
 def immerse(data, p, route=None, tol=1e-10):
@@ -163,8 +165,7 @@ def immerse(data, p, route=None, tol=1e-10):
         raise ValueError("route must start at the basepoint")
     if abs(route.last - complex(p)) > 1e-9:
         raise ValueError("route must end at p")
-    c1, c2, c3 = data.integrand_coeffs()
-    vals = [_integrate_form(c, route, tol) for c in (c1, c2, c3)]
+    vals = recombine(*period_triple(data, route, tol))
     return np.array([v.real for v in vals])
 
 
@@ -194,26 +195,17 @@ def conformal_factor(data, p):
 
 def period_report(data, basis, tol=1e-10):
     """All three period integrals per basis cycle plus closure residuals."""
-    g, ginv, h = data.g, data.g_inv(), data.dh.coeff
-    entries = []
-    for label, cyc in basis.items():
-        p_plus = _integrate_form(g * h, cyc, tol)
-        p_minus = _integrate_form(ginv * h, cyc, tol)
-        p_three = _integrate_form(h, cyc, tol)
-        entries.append(CyclePeriods(label, p_plus, p_minus, p_three))
+    entries = [
+        CyclePeriods(label, *period_triple(data, cyc, tol))
+        for label, cyc in basis.items()
+    ]
     return PeriodReport(entries=entries, tol=tol)
 
 
 def flux(data, cycle, tol=1e-10):
     """Flux vector of one closed cycle: Im of the three period integrals."""
-    g, ginv, h = data.g, data.g_inv(), data.dh.coeff
-    p_plus = _integrate_form(g * h, cycle, tol)
-    p_minus = _integrate_form(ginv * h, cycle, tol)
-    p_three = _integrate_form(h, cycle, tol)
-    f1 = (0.5 * (p_minus - p_plus)).imag
-    f2 = (0.5j * (p_minus + p_plus)).imag
-    f3 = p_three.imag
-    return FluxVector((f1, f2, f3))
+    vals = recombine(*period_triple(data, cycle, tol))
+    return FluxVector(tuple(v.imag for v in vals))
 
 
 @dataclass
@@ -378,11 +370,11 @@ class ExactnessReport:
 
 def exactness_check(data, basis, tol=1e-10):
     """True iff g dh and (1/g) dh integrate to ~0 over every basis cycle."""
-    g, ginv, h = data.g, data.g_inv(), data.dh.coeff
+    plus, minus, _ = data.period_forms
     mags = {}
     for label, cyc in basis.items():
-        a = abs(_integrate_form(g * h, cyc, tol * 1e-2))
-        b = abs(_integrate_form(ginv * h, cyc, tol * 1e-2))
+        a = abs(integrate_form(plus, cyc, tol * 1e-2))
+        b = abs(integrate_form(minus, cyc, tol * 1e-2))
         mags[label] = max(a, b)
     vacuous = not mags
     return ExactnessReport(

@@ -1,4 +1,4 @@
-"""Kernel-level checks: identities, oracles, and backend agreement.
+"""Kernel-level checks: identities and oracles.
 
 The brute-force Eisenstein oracle recomputes wp by paired lattice sums with
 Richardson extrapolation — an implementation path disjoint from the theta
@@ -11,7 +11,6 @@ import math
 import numpy as np
 import pytest
 
-from helikon import _kernels_py
 from helikon.errors import InvalidModulus, PoleAt
 from helikon.kernels import reduce_to_cell, sigma_w, wp, wp_prime, zeta_w
 from helikon.lattice import Lattice
@@ -164,24 +163,3 @@ class TestPoles:
         assert (m, n) == (4, -3)
         assert abs(u0 + m + n * tau - u) < 1e-12
 
-
-class TestBackends:
-    def test_cython_twin_matches_python(self):
-        kc = pytest.importorskip("helikon._kernels_cy")
-        lat = Lattice(TAU_GENERIC)
-        q, tau = lat.q, lat.tau
-        for u in (0.31 + 0.17j, -1.2 + 2.7j, 0.45 - 0.3j):
-            a = _kernels_py.wp_raw(u, tau, q, lat.eta1, 1e-14)
-            b = kc.wp_raw(u, tau, q, lat.eta1, 1e-14)
-            assert abs(a - b) < 1e-10 * max(1.0, abs(a))
-            a = _kernels_py.sigma_raw(u, tau, q, lat.eta1, lat.eta2, 1e-14)
-            b = kc.sigma_raw(u, tau, q, lat.eta1, lat.eta2, 1e-14)
-            assert abs(a - b) < 1e-12 * max(1.0, abs(a))
-            a = _kernels_py.zeta_raw(u, tau, q, lat.eta1, lat.eta2, 1e-14)
-            b = kc.zeta_raw(u, tau, q, lat.eta1, lat.eta2, 1e-14)
-            assert abs(a - b) < 1e-12 * max(1.0, abs(a))
-
-    def test_backend_exported(self):
-        import helikon
-
-        assert helikon.BACKEND in ("python", "cython")

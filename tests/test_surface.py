@@ -20,7 +20,9 @@ from helikon.surface import (
     is_vertical_flux,
     lopez_ros,
     period_report,
+    period_triple,
     pole_zero_pairing,
+    recombine,
     straight_route,
     symmetry_verify,
 )
@@ -125,6 +127,25 @@ class TestPeriodsAndFlux:
         data = catenoid()
         basis = CycleBasis([circle(0, 1.0)], ["neck"])
         assert exactness_check(data, basis).exact
+
+
+class TestPeriodTriple:
+    """flux, immerse and period_report all read the same period triple."""
+
+    # both cycles start and end at the basepoint, so immerse can walk them
+    @pytest.mark.parametrize(
+        "data, cycle",
+        [(catenoid(), circle(0, 1.0)), (helicoid(), circle(-0.7, 0.7))],
+        ids=["catenoid-neck", "helicoid-loop"],
+    )
+    def test_reports_share_the_triple(self, data, cycle):
+        triple = period_triple(data, cycle)
+        vec = recombine(*triple)
+        assert tuple(flux(data, cycle)) == tuple(v.imag for v in vec)
+        closed = immerse(data, data.basepoint, route=cycle)
+        assert list(closed) == [v.real for v in vec]
+        entry, = period_report(data, CycleBasis([cycle], ["c"])).entries
+        assert (entry.p_plus, entry.p_minus, entry.p_three) == triple
 
 
 class TestLopezRos:
