@@ -5,7 +5,10 @@ import math
 
 import pytest
 
+from helikon import paths
+from helikon.divisor import residue
 from helikon.errors import NonFiniteSample
+from helikon.expr import PuncturedPlane, parse_expr
 from helikon.paths import (
     Arc,
     Line,
@@ -101,3 +104,17 @@ class TestQuadrature:
         lat = Lattice(1j)
         val = integrate_path(lambda z: zeta_w(z, lat), circle(0, 0.3), 1e-12)
         assert abs(val - TWO_PI_I) < 1e-11
+
+
+class TestGaussKronrodRule:
+    def test_weights_integrate_constants(self):
+        # each rule integrates 1 over [-1, 1] exactly
+        for weights in (paths._WK, paths._WG):
+            assert abs(math.fsum(weights) - 2.0) <= 4 * math.ulp(2.0)
+
+    def test_large_integrand_reaches_tol(self, monkeypatch):
+        # |1/u^3| = 8000 on r = 0.05: weights off by 6e-15 leave a K-G gap
+        # on every panel that no subdivision brings under tol 1e-12
+        monkeypatch.setattr(paths, "PANEL_BUDGET", 64)
+        w = parse_expr("1/u^3 du", PuncturedPlane((0,)))
+        assert abs(residue(w, 0.0, 0.05, tol=1e-12)) < 1e-12
