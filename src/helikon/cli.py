@@ -221,6 +221,13 @@ def cmd_classify_fixed(scene, flags):
 
 
 def cmd_solve(scene, flags):
+    # the [solve] section sets up standard_g1h_family, the only family
+    # solve knows; without it the scene's own data would be ignored
+    if "solve" not in scene.settings:
+        raise HelikonError(
+            f"scene {scene.name!r} has no [solve] section; solve runs the"
+            " standard genus-one family it configures"
+        )
     opts = _settings(scene, "solve")
     tau = scene.lattice.tau if scene.lattice else parse_complex(opts.get("tau", "i"))
     shift = parse_complex(opts["shift"]) if "shift" in opts else None

@@ -110,11 +110,10 @@ def reduce_to_cell(u, tau):
     return u0, m, n
 
 
-def sigma_raw(u, tau, q, eta1, eta2, tol):
-    """Weierstrass sigma(u) on the lattice <1, tau>."""
+def sigma_raw(u, tau, q, eta1, eta2, t1p0, tol):
+    """Weierstrass sigma(u) on the lattice <1, tau>; t1p0 = theta1'(0, q)."""
     pi = cmath.pi
     u0, m, n = reduce_to_cell(u, tau)
-    t1p0 = theta1_prime(0.0 + 0.0j, q, tol)
     s0 = cmath.exp(0.5 * eta1 * u0 * u0) * theta1(pi * u0, q, tol) / (pi * t1p0)
     if m == 0 and n == 0:
         return s0
@@ -144,11 +143,11 @@ def wp_raw(u, tau, q, eta1, tol):
     return -eta1 + pi * pi * (t1p * t1p - t1pp * t1) / (t1 * t1)
 
 
-def wp_prime_raw(u, tau, q, eta1, eta2, tol):
+def wp_prime_raw(u, tau, q, eta1, eta2, t1p0, tol):
     """Derivative of the p-function, via sigma(2u) = -wp'(u) sigma(u)^4."""
     u0, _, _ = reduce_to_cell(u, tau)
-    s1 = sigma_raw(u0, tau, q, eta1, eta2, tol)
-    s2 = sigma_raw(2.0 * u0, tau, q, eta1, eta2, tol)
+    s1 = sigma_raw(u0, tau, q, eta1, eta2, t1p0, tol)
+    s2 = sigma_raw(2.0 * u0, tau, q, eta1, eta2, t1p0, tol)
     return -s2 / (s1 ** 4)
 
 
@@ -169,7 +168,8 @@ def wp_prime(u, lat):
     """Derivative of the p-function."""
     _check_pole(u, lat.tau)
     return wp_prime_raw(
-        complex(u), lat.tau, lat.q, lat.eta1, lat.eta2, lat.series_tol
+        complex(u), lat.tau, lat.q, lat.eta1, lat.eta2, lat.t1p0,
+        lat.series_tol,
     )
 
 
@@ -184,5 +184,6 @@ def zeta_w(u, lat):
 def sigma_w(u, lat):
     """Weierstrass sigma function (entire)."""
     return sigma_raw(
-        complex(u), lat.tau, lat.q, lat.eta1, lat.eta2, lat.series_tol
+        complex(u), lat.tau, lat.q, lat.eta1, lat.eta2, lat.t1p0,
+        lat.series_tol,
     )

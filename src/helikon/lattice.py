@@ -30,6 +30,7 @@ class Lattice:
     q: complex = field(init=False)
     eta1: complex = field(init=False)
     eta2: complex = field(init=False)
+    t1p0: complex = field(init=False)  # theta1'(0, q), sigma's normalizer
 
     def __post_init__(self):
         tau = complex(self.tau)
@@ -52,6 +53,7 @@ class Lattice:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "eta1", eta1)
         object.__setattr__(self, "eta2", eta2)
+        object.__setattr__(self, "t1p0", t1p0)
 
     def half_periods(self):
         """The three nonzero half-period representatives."""

@@ -1,7 +1,8 @@
 """Mesh discretization, OBJ export, and the embeddedness probe.
 
 Vertices are immersed once each by cumulative integration over a spanning
-tree of grid edges, so an n x m mesh costs O(nm) quadratures.  The
+tree of grid edges, so an n x m mesh costs O(nm) quadratures; a lambda
+sweep pays them once and recombines them for every lambda.  The
 self-intersection probe pairs a spatial hash (extrinsic nearness) with
 shortest paths on the mesh edge graph (intrinsic separation) — the
 discretized form of a near-pair with large intrinsic distance.
@@ -11,6 +12,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,11 +22,9 @@ from .errors import (
     PoleAt,
     ThresholdOrder,
 )
+from .expr import eval_expr
 from .paths import Line, PathSpec, polyline
 from .surface import (
-    conformal_factor,
-    gauss_normal,
-    immerse,
     is_vertical_flux,
     lopez_ros,
     period_report,
@@ -119,33 +119,59 @@ class SurfaceMesh:
 _GK_T = np.polynomial.legendre.leggauss(8)
 
 
-def _edge_arclength(data, a, b):
-    """Intrinsic length of the immersed straight edge a -> b (8-pt Gauss)."""
+def _edge_gauss_sums(data, a, b):
+    """(A, B) = 8-point Gauss sums of |g| |dh| and |dh| / |g| on a -> b.
+
+    The edge's intrinsic length under lopez_ros(data, lam) is
+    |b - a| (lam A + B / lam) / 4; A is inf where that length is infinite
+    (a pole of g, or a zero of g where dh does not vanish).
+    """
     nodes, weights = _GK_T
-    total = 0.0
-    h = abs(b - a)
+    sum_a = sum_b = 0.0
     for t, w in zip(nodes, weights):
         u = a + 0.5 * (t + 1.0) * (b - a)
-        lam = conformal_factor(data, u)
-        if not math.isfinite(lam):
-            return math.inf
-        total += w * lam
-    return 0.5 * h * total
+        h = abs(eval_expr(data.dh.coeff, u))
+        try:
+            m = abs(eval_expr(data.g, u))
+        except PoleAt:
+            return math.inf, 0.0
+        if m == 0:
+            if h > 0:
+                return math.inf, 0.0
+            continue
+        sum_a += w * m * h
+        sum_b += w * h / m
+    return sum_a, sum_b
 
 
-def build_mesh(data, spec, tol=1e-10):
-    """Discretize the immersion over the sampling rectangle.
+class _MeshIntegrals(NamedTuple):
+    """The lambda-independent part of a mesh: one pass of quadrature.
 
-    The basepoint connects to the nearest included grid vertex by the route
-    policy; all other vertices follow by cumulative integration along grid
-    edges (breadth-first spanning tree).
+    Row 0 of triples is the period triple of the route from the basepoint to
+    the root vertex (zero when the root is the basepoint); row k > 0 is that
+    of the spanning-tree edge parent[k] -> child[k], in breadth-first order.
+    """
+
+    verts: list  # of u per vertex
+    faces: list
+    child: list
+    parent: list
+    triples: np.ndarray  # complex, one (P+, P-, P3) row per tree edge
+    g_values: np.ndarray  # complex g per vertex, nan at poles
+    edges: np.ndarray  # (i, j) vertex index pairs of the grid edges
+    edge_du: np.ndarray  # |u_j - u_i|
+    edge_sums: np.ndarray  # (A, B) of _edge_gauss_sums per grid edge
+
+
+def _mesh_integrals(data, spec, tol=1e-10):
+    """Every quadrature and expression evaluation a mesh of data needs.
+
+    The root is the included vertex nearest the basepoint, reached by the
+    route policy; the other vertices hang off a breadth-first spanning tree
+    of grid edges.
     """
     mask = spec.inclusion_mask()
     _check_connected(mask)
-
-    def edge_delta(a, b):
-        vals = recombine(*period_triple(data, polyline([a, b]), tol))
-        return np.array([v.real for v in vals])
 
     index = -np.ones(mask.shape, dtype=int)
     verts = []
@@ -156,19 +182,17 @@ def build_mesh(data, spec, tol=1e-10):
         index[i, j] = len(verts)
         verts.append(spec.grid_point(i, j))
 
-    # root = included vertex nearest the basepoint, immersed via the route
     root_ij = min(order, key=lambda ij: abs(spec.grid_point(*ij) - data.basepoint))
     root_u = spec.grid_point(*root_ij)
-    positions = [None] * len(verts)
     if abs(root_u - data.basepoint) < 1e-13:
-        positions[index[root_ij]] = np.zeros(3)
+        triples = [(0j, 0j, 0j)]
     else:
         route = straight_route(data, root_u)
-        positions[index[root_ij]] = immerse(data, root_u, route=route, tol=tol)
+        triples = [period_triple(data, route, tol)]
+    child, parent = [index[root_ij]], [-1]
 
     seen = {root_ij}
     q = deque([root_ij])
-    tree_edges = []
     while q:
         i, j = q.popleft()
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
@@ -178,15 +202,19 @@ def build_mesh(data, spec, tol=1e-10):
                 and mask[a, b] and (a, b) not in seen
             ):
                 seen.add((a, b))
-                tree_edges.append(((i, j), (a, b)))
                 q.append((a, b))
-    for (i, j), (a, b) in tree_edges:
-        u0, u1 = spec.grid_point(i, j), spec.grid_point(a, b)
-        positions[index[a, b]] = positions[index[i, j]] + edge_delta(u0, u1)
+                child.append(index[a, b])
+                parent.append(index[i, j])
+    for k in range(1, len(child)):
+        path = polyline([verts[parent[k]], verts[child[k]]])
+        triples.append(period_triple(data, path, tol))
 
-    vertices = []
+    g_values = np.empty(len(verts), dtype=complex)
     for k, u in enumerate(verts):
-        vertices.append((u, positions[k], gauss_normal(data, u)))
+        try:
+            g_values[k] = eval_expr(data.g, u)
+        except PoleAt:
+            g_values[k] = complex(math.nan, math.nan)
 
     faces = []
     for i in range(spec.nx - 1):
@@ -198,7 +226,7 @@ def build_mesh(data, spec, tol=1e-10):
             faces.append((a, b, c))
             faces.append((a, c, d))
 
-    edges = []
+    edges, edge_du, edge_sums = [], [], []
     for i in range(spec.nx):
         for j in range(spec.ny):
             if not mask[i, j]:
@@ -207,18 +235,84 @@ def build_mesh(data, spec, tol=1e-10):
                 a, b = i + di, j + dj
                 if a < spec.nx and b < spec.ny and mask[a, b]:
                     u0, u1 = spec.grid_point(i, j), spec.grid_point(a, b)
-                    length = _edge_arclength(data, u0, u1)
-                    chord = float(
-                        np.linalg.norm(
-                            positions[index[a, b]] - positions[index[i, j]]
-                        )
-                    )
-                    # intrinsic arc length can never undercut the chord
-                    edges.append((index[i, j], index[a, b], max(length, chord)))
+                    edges.append((index[i, j], index[a, b]))
+                    edge_du.append(abs(u1 - u0))
+                    edge_sums.append(_edge_gauss_sums(data, u0, u1))
+
+    return _MeshIntegrals(
+        verts=verts,
+        faces=faces,
+        child=child,
+        parent=parent,
+        triples=np.array(triples, dtype=complex).reshape(-1, 3),
+        g_values=g_values,
+        edges=np.array(edges, dtype=int).reshape(-1, 2),
+        edge_du=np.array(edge_du, dtype=float),
+        edge_sums=np.array(edge_sums, dtype=float).reshape(-1, 2),
+    )
+
+
+def _gauss_normals(g_values):
+    """surface.gauss_normal for an array of g values (nan marks a pole)."""
+    m2 = np.abs(g_values) ** 2
+    normals = np.zeros((len(g_values), 3))
+    normals[:, 2] = 1.0
+    ok = np.isfinite(m2) & (m2 <= 1e16)
+    g = g_values[ok]
+    normals[ok] = np.stack(
+        [2.0 * g.real, 2.0 * g.imag, m2[ok] - 1.0], axis=1
+    ) / (m2[ok] + 1.0)[:, None]
+    return normals
+
+
+def _assemble_mesh(integrals, lam, label):
+    """The mesh of lopez_ros(data, lam) from data's _mesh_integrals.
+
+    The deformation g -> lam g scales the period forms (g dh, dh/g, dh) by
+    (lam, 1/lam, 1) and the edge Gauss sums (A, B) likewise, so no quadrature
+    is repeated (Lopez & Ros, J. Differential Geom. 33, 1991).
+    """
+    triples, g_values = integrals.triples, integrals.g_values
+    sum_a, sum_b = integrals.edge_sums.T
+    if lam != 1.0:
+        triples = triples.copy()
+        triples[:, 0] *= lam
+        triples[:, 1] /= lam
+        g_values = complex(lam) * g_values
+    deltas = np.array(recombine(*triples.T)).real.T
+
+    positions = np.empty((len(integrals.verts), 3))
+    child, parent = integrals.child, integrals.parent
+    positions[child[0]] = deltas[0]
+    for k in range(1, len(child)):
+        positions[child[k]] = positions[parent[k]] + deltas[k]
+
+    normals = _gauss_normals(g_values)
+    vertices = list(zip(integrals.verts, positions, normals))
+
+    ia, ib = integrals.edges.T
+    length = 0.25 * integrals.edge_du * (lam * sum_a + sum_b / lam)
+    chord = np.linalg.norm(positions[ib] - positions[ia], axis=1)
+    # intrinsic arc length can never undercut the chord
+    length = np.maximum(length, chord)
+    edges = list(zip(ia.tolist(), ib.tolist(), length.tolist()))
 
     return SurfaceMesh(
-        vertices=vertices, faces=faces, edges=edges, label=data.label
+        vertices=vertices,
+        faces=integrals.faces,
+        edges=edges,
+        label=label,
     )
+
+
+def build_mesh(data, spec, tol=1e-10):
+    """Discretize the immersion over the sampling rectangle.
+
+    The basepoint connects to the nearest included grid vertex by the route
+    policy; all other vertices follow by cumulative integration along grid
+    edges (breadth-first spanning tree).
+    """
+    return _assemble_mesh(_mesh_integrals(data, spec, tol), 1.0, data.label)
 
 
 def export_mesh(mesh, fmt="obj"):
@@ -248,7 +342,7 @@ class ProbeReport:
 def _spatial_hash_pairs(positions, cell):
     """Candidate index pairs at extrinsic distance < cell."""
     grid = {}
-    keys = np.floor(positions / cell).astype(int)
+    keys = np.floor(positions / cell).astype(int).tolist()
     for idx, key in enumerate(map(tuple, keys)):
         grid.setdefault(key, []).append(idx)
     out = []
@@ -272,21 +366,31 @@ def _spatial_hash_pairs(positions, cell):
     return out
 
 
-def _graph_distance(n_vertices, adjacency, source, cutoff):
-    """Dijkstra from source, early exit beyond cutoff; returns dist array."""
-    dist = np.full(n_vertices, np.inf)
-    dist[source] = 0.0
+def _graph_distance(adjacency, source, targets, cutoff):
+    """Dijkstra from source, stopped once every target is settled or the
+    smallest heap entry exceeds cutoff; returns the targets' distances.
+
+    A settled target's distance is final.  An unsettled one keeps its
+    tentative value (inf if never reached), which is what a search run to
+    exhaustion with the same cutoff would hold: every later pop is above
+    the cutoff or stale, so it relaxes nothing.
+    """
+    dist = {source: 0.0}
+    pending = set(targets)
     heap = [(0.0, source)]
-    while heap:
+    while pending and heap and heap[0][0] <= cutoff:
         d, v = heapq.heappop(heap)
-        if d > dist[v] or d > cutoff:
+        if d > dist[v]:
             continue
+        pending.discard(v)
+        if not pending:
+            break
         for w, length in adjacency[v]:
             nd = d + length
-            if nd < dist[w]:
+            if nd < dist.get(w, math.inf):
                 dist[w] = nd
                 heapq.heappush(heap, (nd, w))
-    return dist
+    return [dist.get(t, math.inf) for t in targets]
 
 
 def default_thresholds(mesh):
@@ -320,14 +424,17 @@ def probe_self_intersection(mesh, delta_ext=None, delta_int=None):
         adjacency[a].append((b, length))
         adjacency[b].append((a, length))
 
+    targets = {}
+    for a, b, _ in candidates:
+        targets.setdefault(a, []).append(b)
+    dist_to = {
+        a: dict(zip(bs, _graph_distance(adjacency, a, bs, eff_int * 1.01)))
+        for a, bs in targets.items()
+    }
+
     pairs = []
-    dist_cache = {}
     for a, b, d in candidates:
-        if a not in dist_cache:
-            dist_cache[a] = _graph_distance(
-                len(mesh.vertices), adjacency, a, eff_int * 1.01
-            )
-        intrinsic = dist_cache[a][b]
+        intrinsic = dist_to[a][b]
         if intrinsic > eff_int:
             pairs.append((a, b, d, float(intrinsic)))
     pairs.sort(key=lambda t: t[2])
@@ -359,7 +466,9 @@ def lambda_sweep(
     embedded/non-embedded transition by bisection.
 
     Requires vertical flux (closure must survive the deformation); period
-    residuals are re-verified per lambda when a cycle basis is given.
+    residuals are re-verified per lambda when a cycle basis is given.  The
+    mesh quadrature runs once, for data; every lambda's mesh is recombined
+    from it.
     """
     if basis is not None:
         vf = is_vertical_flux(data, basis)
@@ -368,12 +477,17 @@ def lambda_sweep(
                 f"horizontal flux magnitudes {vf.horizontal_magnitudes}"
             )
 
+    integrals = None
+
     def verdict(lam):
+        nonlocal integrals
         deformed = lopez_ros(data, lam)
         resid = 0.0
         if basis is not None:
             resid = period_report(deformed, basis, tol=tol).max_residual
-        m = build_mesh(deformed, spec)
+        if integrals is None:
+            integrals = _mesh_integrals(data, spec)
+        m = _assemble_mesh(integrals, lam, deformed.label)
         report = probe_self_intersection(m, delta_ext, delta_int)
         return report.embedded, resid
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -165,6 +166,15 @@ class TestMain:
         code = main(["periods", "--scene", str(bad), "--no-json"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_solve_needs_solve_section(self, capsys):
+        # the catenoid has no [solve] section: refuse at once instead of
+        # solving an unrelated genus-one family
+        t0 = time.perf_counter()
+        code = main(["solve", "--scene", scene_path("catenoid.scene")])
+        assert code == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert "[solve]" in capsys.readouterr().err
 
     def test_verdict_failure_exit_code(self, tmp_path, capsys):
         # periods of (g = u + 2, dh = du/u) do not close over the loop

@@ -1,5 +1,6 @@
 """Mesh construction, OBJ export, the embeddedness probe, and the sweep."""
 
+import heapq
 import math
 
 import numpy as np
@@ -11,8 +12,12 @@ from helikon.errors import (
     ThresholdOrder,
 )
 from helikon.expr import Plane, PuncturedPlane, parse_expr
+from helikon import mesh as mesh_module
 from helikon.mesh import (
+    INTRINSIC_SLACK,
     SamplingSpec,
+    _graph_distance,
+    _spatial_hash_pairs,
     build_mesh,
     default_thresholds,
     export_mesh,
@@ -20,7 +25,13 @@ from helikon.mesh import (
     probe_self_intersection,
 )
 from helikon.paths import circle
-from helikon.surface import CycleBasis, WeierstrassData
+from helikon.surface import (
+    CycleBasis,
+    WeierstrassData,
+    conformal_factor,
+    gauss_normal,
+    lopez_ros,
+)
 
 PLANE = Plane()
 PUNCTURED = PuncturedPlane((0,))
@@ -199,6 +210,159 @@ class TestProbe:
         d_ext, d_int = default_thresholds(mesh)
         assert abs(d_ext - 0.02 * mesh.bounding_box_diagonal()) < 1e-12
         assert abs(d_int - 20.0 * d_ext) < 1e-12
+
+
+def exhaustive_dijkstra(adjacency, source, cutoff=math.inf):
+    """Reference: Dijkstra that pops every heap entry and relaxes only from
+    those within cutoff; with no cutoff it is the plain full search."""
+    dist = np.full(len(adjacency), np.inf)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v] or d > cutoff:
+            continue
+        for w, length in adjacency[v]:
+            nd = d + length
+            if nd < dist[w]:
+                dist[w] = nd
+                heapq.heappush(heap, (nd, w))
+    return dist
+
+
+class TestBoundedSearch:
+    """The probe's bounded Dijkstra against searches run to exhaustion."""
+
+    @pytest.mark.parametrize(
+        "data, spec, delta_ext, delta_int",
+        [
+            (enneper(), SamplingSpec(-2.2, 2.2, -2.2, 2.2, nx=24, ny=24),
+             0.15, 2.0),
+            (helicoid(), SamplingSpec(-math.pi, math.pi, -1.0, 1.0,
+                                      nx=24, ny=24), 0.3, 1.5),
+        ],
+        ids=["enneper", "helicoid"],
+    )
+    def test_matches_full_search(self, data, spec, delta_ext, delta_int):
+        mesh = build_mesh(data, spec)
+        adjacency = [[] for _ in mesh.vertices]
+        for a, b, length in mesh.edges:
+            adjacency[a].append((b, length))
+            adjacency[b].append((a, length))
+        eff_int = INTRINSIC_SLACK * delta_int
+        cutoff = eff_int * 1.01
+        candidates = _spatial_hash_pairs(mesh.positions(), delta_ext)
+        targets = {}
+        for a, b, _ in candidates:
+            targets.setdefault(a, []).append(b)
+        assert targets
+
+        full = {a: exhaustive_dijkstra(adjacency, a) for a in targets}
+        settled = 0
+        for a, bs in targets.items():
+            got = _graph_distance(adjacency, a, bs, cutoff)
+            # every target holds what the search run to exhaustion with the
+            # same cutoff holds; one settled within the cutoff is final
+            assert got == list(exhaustive_dijkstra(adjacency, a, cutoff)[bs])
+            for b, d in zip(bs, got):
+                if full[a][b] <= cutoff:
+                    assert d == full[a][b]
+                    settled += 1
+                else:
+                    assert d > cutoff
+        assert settled
+
+        # the probe reports exactly the candidates intrinsically beyond
+        # the effective threshold
+        want = [(a, b, d) for a, b, d in candidates if full[a][b] > eff_int]
+        want.sort(key=lambda t: t[2])
+        rep = probe_self_intersection(mesh, delta_ext, delta_int)
+        assert [(a, b, d) for a, b, d, _ in rep.pairs] == want
+        for a, b, _, intrinsic in rep.pairs:
+            assert intrinsic >= full[a][b]
+        assert bool(want) == (data.label == "enneper")
+
+        # every vertex as a target, at cutoffs inside the mesh
+        every = list(range(len(mesh.vertices)))
+        for source in (0, len(every) // 2):
+            for c in (0.5, 1.0, 2.0):
+                got = _graph_distance(adjacency, source, every, c)
+                assert got == list(exhaustive_dijkstra(adjacency, source, c))
+
+    def test_stops_at_cutoff(self):
+        # a path graph 0 - 1 - 2 - 3 with unit edges: the search from 0
+        # pops nothing past the cutoff, so 3 keeps its tentative value (or
+        # inf when the search stops before reaching it)
+        adjacency = [[(1, 1.0)], [(0, 1.0), (2, 1.0)],
+                     [(1, 1.0), (3, 1.0)], [(2, 1.0)]]
+        assert _graph_distance(adjacency, 0, [1, 3], 2.5) == [1.0, 3.0]
+        assert _graph_distance(adjacency, 0, [3], 1.5) == [math.inf]
+        assert _graph_distance(adjacency, 0, [2, 3], 10.0) == [2.0, 3.0]
+
+
+class TestLambdaReuse:
+    """Every swept mesh against a full rebuild of the deformed data."""
+
+    @pytest.mark.parametrize(
+        "data, spec",
+        [
+            (catenoid(), catenoid_spec(16)),
+            (enneper(), SamplingSpec(-2, 2, -2, 2, nx=16, ny=16)),
+        ],
+        ids=["catenoid", "enneper"],
+    )
+    def test_swept_mesh_matches_rebuild(self, data, spec, monkeypatch):
+        swept = {}
+        probe = mesh_module.probe_self_intersection
+
+        def capture(m, delta_ext, delta_int):
+            lam = float(m.label.rsplit("=", 1)[1]) if "=" in m.label else 1.0
+            swept[lam] = m
+            return probe(m, delta_ext, delta_int)
+
+        monkeypatch.setattr(mesh_module, "probe_self_intersection", capture)
+        # 0.5 and 2 scale the integrals exactly; 1.3 rounds
+        lambda_sweep(
+            data, [0.5, 1.3, 2.0], spec, delta_ext=0.05, delta_int=5.0
+        )
+        assert {0.5, 1.3, 2.0} <= set(swept)
+
+        for lam, got in swept.items():
+            deformed = lopez_ros(data, lam)
+            want = build_mesh(deformed, spec)
+            assert got.label == want.label == deformed.label
+            assert got.faces == want.faces
+            pos, ref = got.positions(), want.positions()
+            assert np.abs(pos - ref).max() <= 1e-12 * np.abs(ref).max()
+            for (a, b, length), (a2, b2, ref_length) in zip(
+                got.edges, want.edges
+            ):
+                assert (a, b) == (a2, b2)
+                assert abs(length - ref_length) <= 1e-12 * ref_length
+            for (u, _, n), (u2, _, n2) in zip(got.vertices, want.vertices):
+                assert u == u2
+                assert np.abs(n - n2).max() <= 1e-14
+                assert np.abs(n - gauss_normal(deformed, u)).max() <= 1e-14
+
+    def test_edge_length_is_conformal_arclength(self):
+        # the (A, B) Gauss sums reproduce the 8-point Gauss quadrature of
+        # the conformal factor along each edge, at lambda = 1 and deformed
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        spec = catenoid_spec(10)
+        for lam in (1.0, 0.5):
+            deformed = lopez_ros(catenoid(), lam)
+            mesh = build_mesh(deformed, spec)
+            pos = mesh.positions()
+            us = [u for u, _, _ in mesh.vertices]
+            for a, b, length in mesh.edges:
+                u0, u1 = us[a], us[b]
+                total = sum(
+                    w * conformal_factor(deformed, u0 + 0.5 * (t + 1) * (u1 - u0))
+                    for t, w in zip(nodes, weights)
+                )
+                ref = max(0.5 * abs(u1 - u0) * total,
+                          float(np.linalg.norm(pos[b] - pos[a])))
+                assert abs(length - ref) <= 1e-12 * ref
 
 
 class TestSweep:
