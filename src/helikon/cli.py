@@ -104,6 +104,18 @@ def _sampling_spec(opts, flags):
     )
 
 
+def _mesh_spec(scene, data, opts, flags):
+    """The sampling spec of [mesh], overridden by opts and flags."""
+    # a torus mesh needs its rectangle and the exclusion disks about the
+    # punctures; the plane default (-1..1, none) runs into them
+    if data.domain.lattice is not None and "mesh" not in scene.settings:
+        raise HelikonError(
+            f"scene {scene.name!r} has no [mesh] section; a torus mesh needs"
+            " its rect and the exclusions around the punctures"
+        )
+    return _sampling_spec({**_settings(scene, "mesh"), **opts}, flags)
+
+
 def cmd_periods(scene, flags):
     opts = _settings(scene, "periods")
     data = _pick_data(scene, opts)
@@ -256,7 +268,7 @@ def cmd_solve(scene, flags):
 def cmd_mesh(scene, flags):
     opts = _settings(scene, "mesh")
     data = _pick_data(scene, opts)
-    spec = _sampling_spec(opts, flags)
+    spec = _mesh_spec(scene, data, opts, flags)
     m = build_mesh(data, spec)
     report = {
         "results": {
@@ -283,7 +295,7 @@ def cmd_mesh(scene, flags):
 def cmd_probe(scene, flags):
     opts = _settings(scene, "probe")
     data = _pick_data(scene, opts)
-    spec = _sampling_spec({**_settings(scene, "mesh"), **opts}, flags)
+    spec = _mesh_spec(scene, data, opts, flags)
     m = build_mesh(data, spec)
     d_ext = float(opts["delta_ext"]) if "delta_ext" in opts else None
     d_int = float(opts["delta_int"]) if "delta_int" in opts else None
@@ -312,7 +324,7 @@ def cmd_probe(scene, flags):
 def cmd_sweep(scene, flags):
     opts = _settings(scene, "sweep")
     data = _pick_data(scene, opts)
-    spec = _sampling_spec({**_settings(scene, "mesh"), **opts}, flags)
+    spec = _mesh_spec(scene, data, opts, flags)
     lambdas = flags.get("lambdas") or [
         float(v) for v in opts.get("lambdas", "0.5,1,2").split(",")
     ]

@@ -18,8 +18,9 @@ A one-form is written "<expr> du" ("dz" is accepted as a synonym on plane
 domains).
 """
 
-import cmath
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import kernels
 from .errors import DomainError, DomainViolation, ExprSyntaxError, PoleAt
@@ -245,7 +246,15 @@ def power(base, n):
 # ---------------------------------------------------------------------------
 # node-level operations
 
+def _pole_check(u, small):
+    # count_nonzero: the cheapest numpy "any" for a bool and for an array
+    if np.count_nonzero(small):
+        raise PoleAt(kernels.first_where(u, small))
+
+
 def _eval_node(node, u, lat):
+    """Value of node at u: a complex scalar, or an ndarray of points (the
+    result then broadcasts against u)."""
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
@@ -258,18 +267,17 @@ def _eval_node(node, u, lat):
         return _eval_node(node.a, u, lat) * _eval_node(node.b, u, lat)
     if isinstance(node, Div):
         den = _eval_node(node.b, u, lat)
-        if abs(den) < _DIV_FLOOR:
-            raise PoleAt(u)
+        _pole_check(u, abs(den) < _DIV_FLOOR)
         return _eval_node(node.a, u, lat) / den
     if isinstance(node, Neg):
         return -_eval_node(node.a, u, lat)
     if isinstance(node, Pow):
         base = _eval_node(node.base, u, lat)
-        if node.n < 0 and abs(base) < _DIV_FLOOR:
-            raise PoleAt(u)
+        if node.n < 0:
+            _pole_check(u, abs(base) < _DIV_FLOOR)
         return base ** node.n
     if isinstance(node, Exp):
-        return cmath.exp(_eval_node(node.arg, u, lat))
+        return np.exp(_eval_node(node.arg, u, lat))
     if isinstance(node, WpB):
         return kernels.wp(u - node.shift, lat)
     if isinstance(node, WppB):
@@ -519,14 +527,29 @@ class FormExpr:
 
 
 def eval_expr(e, u):
-    """Value of the expression at u; raises PoleAt/DomainViolation."""
+    """Value of the expression at u; raises PoleAt/DomainViolation.
+
+    A complex for a scalar u; for an ndarray u, an array of its shape (and
+    the errors name the first offending point).
+    """
     node = e.coeff.node if isinstance(e, FormExpr) else e.node
     domain = e.domain
-    u = complex(u)
-    for p in domain.punctures:
-        if domain.same_point(u, p, 1e-10):
-            raise DomainViolation(f"u = {u} is a declared puncture")
-    return _eval_node(node, u, domain.lattice)
+    scalar = np.ndim(u) == 0
+    u = complex(u) if scalar else np.asarray(u, dtype=complex)
+    if domain.punctures:
+        # every point (a row) against every puncture (a column) at once,
+        # modulo the lattice on a torus
+        points = np.asarray(u)[..., None]
+        hit = domain.same_point(points, np.array(domain.punctures), 1e-10)
+        hit = hit.any(axis=-1)
+        if np.count_nonzero(hit):
+            raise DomainViolation(
+                f"u = {kernels.first_where(u, hit)} is a declared puncture"
+            )
+    val = _eval_node(node, u, domain.lattice)
+    if scalar:
+        return complex(val)
+    return np.full(u.shape, val) if np.ndim(val) == 0 else val
 
 
 def differentiate(e):

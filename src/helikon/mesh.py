@@ -116,7 +116,8 @@ class SurfaceMesh:
         return max((l for _, _, l in self.edges), default=0.0)
 
 
-_GK_T = np.polynomial.legendre.leggauss(8)
+_GK_T, _GK_W = np.polynomial.legendre.leggauss(8)
+_GK_S = 0.5 * (_GK_T + 1.0)  # the nodes as fractions of an edge
 
 
 def _edge_gauss_sums(data, a, b):
@@ -124,24 +125,22 @@ def _edge_gauss_sums(data, a, b):
 
     The edge's intrinsic length under lopez_ros(data, lam) is
     |b - a| (lam A + B / lam) / 4; A is inf where that length is infinite
-    (a pole of g, or a zero of g where dh does not vanish).
+    (a pole of g, or a zero of g where dh does not vanish).  Nodes where g
+    and dh both vanish add nothing.
     """
-    nodes, weights = _GK_T
-    sum_a = sum_b = 0.0
-    for t, w in zip(nodes, weights):
-        u = a + 0.5 * (t + 1.0) * (b - a)
-        h = abs(eval_expr(data.dh.coeff, u))
-        try:
-            m = abs(eval_expr(data.g, u))
-        except PoleAt:
+    u = a + _GK_S * (b - a)
+    h = np.abs(eval_expr(data.dh.coeff, u))
+    try:
+        m = np.abs(eval_expr(data.g, u))
+    except PoleAt:
+        return math.inf, 0.0
+    weights = _GK_W
+    zero = m == 0
+    if np.count_nonzero(zero):
+        if np.count_nonzero(h[zero] > 0):
             return math.inf, 0.0
-        if m == 0:
-            if h > 0:
-                return math.inf, 0.0
-            continue
-        sum_a += w * m * h
-        sum_b += w * h / m
-    return sum_a, sum_b
+        weights, m, h = weights[~zero], m[~zero], h[~zero]
+    return float(weights @ (m * h)), float(weights @ (h / m))
 
 
 class _MeshIntegrals(NamedTuple):
@@ -254,14 +253,16 @@ def _mesh_integrals(data, spec, tol=1e-10):
 
 def _gauss_normals(g_values):
     """surface.gauss_normal for an array of g values (nan marks a pole)."""
-    m2 = np.abs(g_values) ** 2
+    # |g| <= 1e8 (so |g|^2 <= 1e16) is tested before squaring, which
+    # would overflow for |g| above about 1.3e154; nan fails it too
+    ok = np.abs(g_values) <= 1e8
     normals = np.zeros((len(g_values), 3))
     normals[:, 2] = 1.0
-    ok = np.isfinite(m2) & (m2 <= 1e16)
     g = g_values[ok]
+    m2 = np.abs(g) ** 2
     normals[ok] = np.stack(
-        [2.0 * g.real, 2.0 * g.imag, m2[ok] - 1.0], axis=1
-    ) / (m2[ok] + 1.0)[:, None]
+        [2.0 * g.real, 2.0 * g.imag, m2 - 1.0], axis=1
+    ) / (m2 + 1.0)[:, None]
     return normals
 
 

@@ -2,12 +2,16 @@
 
 Paths are ordered lists of line segments and circular arcs.  Integration is
 adaptive bisection with a Gauss-Kronrod (7, 15) pair per panel; the panel
-budget is 2**20.
+budget is 2**20.  An integrand maps an ndarray of points to an ndarray of
+values (or to a scalar, which broadcasts); each panel calls it once, on its
+15 nodes.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NoConvergence, NonFiniteSample
 
@@ -59,6 +63,11 @@ _WG = (
     0.279705391489276667901467771423780,
     0.129484966168869693270611432679082,
 )
+_XK_ARRAY = np.array(_XK)
+# row 0: the Kronrod weights; row 1: the Gauss weights on the odd nodes
+_WEIGHTS = np.zeros((2, 15), dtype=complex)
+_WEIGHTS[0] = _WK
+_WEIGHTS[1, 1::2] = _WG
 
 
 @dataclass(frozen=True)
@@ -90,11 +99,11 @@ class Arc:
 
     def point(self, t):
         a = self.angle0 + t * (self.angle1 - self.angle0)
-        return self.center + self.radius * cmath.exp(1j * a)
+        return self.center + self.radius * np.exp(1j * a)
 
     def velocity(self, t):
         a = self.angle0 + t * (self.angle1 - self.angle0)
-        return self.radius * 1j * (self.angle1 - self.angle0) * cmath.exp(1j * a)
+        return self.radius * 1j * (self.angle1 - self.angle0) * np.exp(1j * a)
 
     @property
     def first(self):
@@ -176,20 +185,24 @@ def rectangle(corner, width, height, orientation=1):
 
 
 def _gk_panel(f, seg, t0, t1):
-    """Gauss-Kronrod (7,15) on one parameter panel; returns (value, err)."""
+    """Gauss-Kronrod (7,15) on one parameter panel; returns (value, err).
+
+    f is called once, on the array of the 15 nodes.
+    """
     mid = 0.5 * (t0 + t1)
     half = 0.5 * (t1 - t0)
-    k_sum = 0.0 + 0.0j
-    g_sum = 0.0 + 0.0j
-    for i in range(15):
-        t = mid + half * _XK[i]
-        z = seg.point(t)
+    t = mid + half * _XK_ARRAY
+    z = seg.point(t)
+    with np.errstate(all="ignore"):
         fv = f(z) * seg.velocity(t)
-        if not (math.isfinite(fv.real) and math.isfinite(fv.imag)):
-            raise NonFiniteSample(f"integrand non-finite at z = {z}")
-        k_sum += _WK[i] * fv
-        if i % 2 == 1:
-            g_sum += _WG[i // 2] * fv
+        if np.ndim(fv) == 0:
+            fv = np.full(t.shape, fv)
+        k_sum, g_sum = (_WEIGHTS @ fv).tolist()
+    # every Kronrod weight is positive, so a nan or inf sample (or an
+    # overflowing sum) leaves the Kronrod sum non-finite
+    if not cmath.isfinite(k_sum):
+        bad = z[np.argmin(np.isfinite(fv))]
+        raise NonFiniteSample(f"integrand non-finite near z = {bad}")
     k_sum *= half
     g_sum *= half
     return k_sum, abs(k_sum - g_sum)

@@ -175,9 +175,11 @@ def gauss_normal(data, p):
         gv = eval_expr(data.g, p)
     except PoleAt:
         return np.array([0.0, 0.0, 1.0])
-    m2 = abs(gv) ** 2
-    if not math.isfinite(m2) or m2 > 1e16:
+    # |g| > 1e8 is the north pole (|g|^2 > 1e16); tested before squaring,
+    # which overflows for |g| above about 1.3e154; nan fails it too
+    if not abs(gv) <= 1e8:
         return np.array([0.0, 0.0, 1.0])
+    m2 = abs(gv) ** 2
     return np.array([2.0 * gv.real, 2.0 * gv.imag, m2 - 1.0]) / (m2 + 1.0)
 
 

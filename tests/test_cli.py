@@ -176,6 +176,16 @@ class TestMain:
         assert time.perf_counter() - t0 < 1.0
         assert "[solve]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["mesh", "probe", "sweep"])
+    def test_torus_mesh_needs_mesh_section(self, command, capsys):
+        # the candidate torus has no [mesh] section: the plane default rect
+        # has no exclusions about the punctures, so refuse at once
+        t0 = time.perf_counter()
+        code = main([command, "--scene", scene_path("periodic-candidate.scene")])
+        assert code == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert "[mesh]" in capsys.readouterr().err
+
     def test_verdict_failure_exit_code(self, tmp_path, capsys):
         # periods of (g = u + 2, dh = du/u) do not close over the loop
         open_scene = tmp_path / "open.scene"

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from helikon.errors import (
@@ -122,6 +123,35 @@ class TestEvaluation:
         e = (u_e * u_e + two) / (u_e - two)
         z = 3.0 + 1.0j
         assert abs(e(z) - (z * z + 2) / (z - 2)) < 1e-13
+
+
+class TestArrayEvaluation:
+    POINTS = np.array([0.31 + 0.17j, -0.42 + 0.28j, 0.05 - 0.61j, 1.2 + 0.9j])
+
+    @pytest.mark.parametrize(
+        "text",
+        ["exp(i*u) * u^-2", "sigma(u - 0.3*i) / sigma(u + 0.3*i)",
+         "wpp(u - 0.1) - zeta(u)^2", "2 + i"],
+    )
+    def test_array_matches_points(self, text):
+        e = parse_expr(text, torus(0.3 + 0.8j))
+        values = eval_expr(e, self.POINTS)
+        assert values.shape == self.POINTS.shape
+        for u, v in zip(self.POINTS, values):
+            one = eval_expr(e, u)
+            assert type(one) is complex
+            assert abs(v - one) <= 1e-14 * max(1.0, abs(one))
+
+    def test_pole_at_one_point(self):
+        e = parse_expr("1/(u - 0.05 + 0.61*i)", PLANE)
+        with pytest.raises(PoleAt, match="0.05-0.61j"):
+            eval_expr(e, self.POINTS)
+
+    def test_puncture_at_one_point_mod_lattice(self):
+        dom = torus(1j, (0.3j,))
+        points = np.array([0.1 + 0.1j, 0.3j + 2 - 1j, 0.2 + 0.4j])
+        with pytest.raises(DomainViolation):
+            eval_expr(parse_expr("u", dom), points)
 
 
 class TestCalculus:

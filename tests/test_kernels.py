@@ -2,18 +2,22 @@
 
 The brute-force Eisenstein oracle recomputes wp by paired lattice sums with
 Richardson extrapolation — an implementation path disjoint from the theta
-series, used to pin absolute values.
+series, used to pin absolute values.  The mpmath oracle evaluates the same
+theta formulas (DLMF 23.6) at 30 digits, with no cell reduction and no
+truncation of its own choosing.
 """
 
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from helikon.errors import InvalidModulus, PoleAt
+from helikon.expr import Torus
 from helikon.kernels import reduce_to_cell, sigma_w, wp, wp_prime, zeta_w
-from helikon.lattice import Lattice
+from helikon.lattice import MIN_IM_TAU, Lattice
 
 TAU_SQUARE = 1j
 TAU_GENERIC = 0.31 + 1.17j
@@ -163,3 +167,84 @@ class TestPoles:
         assert (m, n) == (4, -3)
         assert abs(u0 + m + n * tau - u) < 1e-12
 
+
+
+ORACLE_TAUS = (1j, 0.3 + 0.8j, 0.2 + 0.05j)  # the last at the MIN_IM_TAU floor
+KERNELS = (sigma_w, zeta_w, wp, wp_prime)
+
+
+def mpmath_kernels(tau, u, dps=30):
+    """(sigma, zeta, wp, wp') at u from mpmath.jtheta, at dps digits."""
+    with mpmath.workdps(dps):
+        tau = mpmath.mpc(tau.real, tau.imag)
+        u = mpmath.mpc(u.real, u.imag)
+        q = mpmath.exp(1j * mpmath.pi * tau)
+        pi = mpmath.pi
+        t1p0 = mpmath.jtheta(1, 0, q, 1)
+        eta1 = -pi**2 / 3 * mpmath.jtheta(1, 0, q, 3) / t1p0
+        t0, t1, t2, t3 = (mpmath.jtheta(1, pi * u, q, k) for k in range(4))
+        values = (
+            mpmath.exp(eta1 * u * u / 2) * t0 / (pi * t1p0),
+            eta1 * u + pi * t1 / t0,
+            -eta1 - pi**2 * (t2 * t0 - t1**2) / t0**2,
+            -pi**3 * (t3 * t0**2 - 3 * t0 * t1 * t2 + 2 * t1**3) / t0**3,
+        )
+        return [complex(v) for v in values]
+
+
+def oracle_points(tau):
+    """Points of the cell and their translates into eight other cells."""
+    base = (0.17 + 0.11j, -0.31 + 0.23j * tau.imag, 0.42 - 0.05j, 0.05 + 0.4 * tau)
+    return [b + m + n * tau for b in base for m in (-1, 0, 2) for n in (-1, 0, 1)]
+
+
+class TestMpmathOracle:
+    @pytest.mark.parametrize("tau", ORACLE_TAUS)
+    def test_kernels_match_jtheta(self, tau):
+        lat = Lattice(tau)
+        points = oracle_points(tau)
+        on_array = [f(np.array(points), lat) for f in KERNELS]
+        for i, u in enumerate(points):
+            for f, values, ref in zip(KERNELS, on_array, mpmath_kernels(tau, u)):
+                scalar = f(u, lat)
+                assert type(scalar) is complex
+                bound = 1e-13 * max(1.0, abs(ref))
+                assert abs(scalar - ref) <= bound, (f.__name__, tau, u)
+                assert abs(values[i] - ref) <= bound, (f.__name__, tau, u)
+
+    def test_array_shape_is_kept(self, lat_g):
+        u = np.array([[0.1 + 0.2j, 0.3 - 0.1j], [-0.2 + 0.4j, 0.45 + 0.05j]])
+        for f in KERNELS:
+            out = f(u, lat_g)
+            assert out.shape == u.shape
+            one = f(u[1, 0], lat_g)
+            # the contraction may round differently for one point and many
+            assert abs(out[1, 0] - one) <= 1e-15 * abs(one)
+
+    def test_pole_anywhere_in_array(self, lat_g):
+        u = np.array([0.1 + 0.2j, 2.0 - lat_g.tau, 0.3 + 0.1j])
+        for f in (wp, wp_prime, zeta_w):
+            with pytest.raises(PoleAt):
+                f(u, lat_g)
+
+    def test_legendre_defect_at_min_im_tau(self):
+        lat = Lattice(0.2 + MIN_IM_TAU * 1j)
+        assert lat.legendre_defect() <= 10 * lat.series_tol
+
+    @pytest.mark.parametrize("tau", ORACLE_TAUS + (0.1 + 0.2j,))
+    def test_first_omitted_term_below_series_tol(self, tau):
+        # the n = N term of theta_1^(j), j <= 3, on the reduced cell
+        # (|Im v| <= pi Im(tau) / 2), relative to the leading scale 2|q|^(1/4)
+        lat = Lattice(tau)
+        n = lat.n_terms
+        assert len(lat.c0) == len(lat.c1) == len(lat.c2) == n
+        k = 2 * n + 1
+        a = tau.imag
+        term = k**3 * abs(lat.q) ** ((n + 0.5) ** 2) * math.cosh(k * math.pi * a / 2)
+        assert term / abs(lat.q) ** 0.25 < lat.series_tol
+
+    def test_series_arrays_stay_out_of_equality(self):
+        a, b = Lattice(0.3 + 0.8j), Lattice(0.3 + 0.8j)
+        assert a == b and hash(a) == hash(b)
+        assert "c0" not in repr(a)
+        assert Torus(a, (0.1,)) == Torus(b, (0.1,))

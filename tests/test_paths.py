@@ -1,14 +1,14 @@
 """Contour quadrature checks against closed-form integrals."""
 
-import cmath
 import math
 
+import numpy as np
 import pytest
 
 from helikon import paths
 from helikon.divisor import residue
-from helikon.errors import NonFiniteSample
-from helikon.expr import PuncturedPlane, parse_expr
+from helikon.errors import NonFiniteSample, PathThroughPole
+from helikon.expr import Plane, PuncturedPlane, parse_expr, torus
 from helikon.paths import (
     Arc,
     Line,
@@ -18,6 +18,7 @@ from helikon.paths import (
     polyline,
     rectangle,
 )
+from helikon.surface import WeierstrassData, period_triple
 
 TWO_PI_I = 2j * math.pi
 
@@ -69,7 +70,7 @@ class TestQuadrature:
 
     def test_entire_function_closed_path(self):
         val = integrate_path(
-            lambda z: cmath.exp(z) * z**3, rectangle(-1 - 1j, 2, 2j), 1e-13
+            lambda z: np.exp(z) * z**3, rectangle(-1 - 1j, 2, 2j), 1e-13
         )
         assert abs(val) < 1e-12
 
@@ -118,3 +119,53 @@ class TestGaussKronrodRule:
         monkeypatch.setattr(paths, "PANEL_BUDGET", 64)
         w = parse_expr("1/u^3 du", PuncturedPlane((0,)))
         assert abs(residue(w, 0.0, 0.05, tol=1e-12)) < 1e-12
+
+
+class TestPanelContract:
+    """Each panel calls the integrand once, on the array of its 15 nodes."""
+
+    def test_one_integrand_call_per_panel(self, monkeypatch):
+        panels = []
+        shapes = []
+
+        def counted(*args):
+            panels.append(args[2:])
+            return gk_panel(*args)
+
+        def f(z):
+            shapes.append(np.shape(z))
+            return 1.0 / (z**2 + 1e-4)
+
+        gk_panel = paths._gk_panel
+        monkeypatch.setattr(paths, "_gk_panel", counted)
+        integrate_path(f, polyline([-1, 1]), 1e-12)
+        assert len(panels) > 1
+        assert len(shapes) == len(panels)
+        assert set(shapes) == {(15,)}
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_one_non_finite_node(self, bad):
+        def f(z):
+            out = np.ones_like(z)
+            out[3] = bad
+            return out
+
+        with pytest.raises(NonFiniteSample):
+            integrate_path(f, polyline([0, 1]), 1e-10)
+
+    @pytest.mark.parametrize(
+        "domain, g, path",
+        [
+            # the middle node of [0, 1] is 0.5 exactly
+            (Plane(), "1/(u - 0.5)", polyline([0, 1])),
+            # and that of [-0.5, 0.5] is the lattice point 0
+            (torus(1j), "wp(u)", polyline([-0.5, 0.5])),
+        ],
+    )
+    def test_node_on_pole(self, domain, g, path):
+        data = WeierstrassData(
+            g=parse_expr(g, domain), dh=parse_expr("1 du", domain),
+            basepoint=path.first,
+        )
+        with pytest.raises(PathThroughPole):
+            period_triple(data, path)

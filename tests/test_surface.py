@@ -89,6 +89,15 @@ class TestImmersion:
         big = gauss_normal(data, 1e9)
         assert np.linalg.norm(big - np.array([0.0, 0.0, 1.0])) < 1e-6
 
+    def test_gauss_normal_huge_g(self):
+        # |g| = e^400 ~ 5e173: squaring it would overflow a float
+        data = WeierstrassData(
+            g=parse_expr("exp(u)", PLANE), dh=parse_expr("1 du", PLANE),
+            basepoint=0.0,
+        )
+        n = gauss_normal(data, 400.0)
+        assert np.array_equal(n, np.array([0.0, 0.0, 1.0]))
+
     def test_conformal_factor(self):
         data = helicoid()
         # lambda = (|g| + 1/|g|)/2 * |dh/du| = cosh(-y)
