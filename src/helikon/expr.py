@@ -552,6 +552,13 @@ def eval_expr(e, u):
     return np.full(u.shape, val) if np.ndim(val) == 0 else val
 
 
+def reciprocal_values(values, u):
+    """1 / values, where values were taken at the points u; raises PoleAt
+    where a value vanishes, as evaluating a quotient does."""
+    _pole_check(u, abs(values) < _DIV_FLOOR)
+    return 1 / values
+
+
 def differentiate(e):
     """Formal derivative d/du as a new Expr (or coefficientwise for forms)."""
     if isinstance(e, FormExpr):

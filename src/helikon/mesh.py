@@ -1,8 +1,11 @@
 """Mesh discretization, OBJ export, and the embeddedness probe.
 
 Vertices are immersed once each by cumulative integration over a spanning
-tree of grid edges, so an n x m mesh costs O(nm) quadratures; a lambda
-sweep pays them once and recombines them for every lambda.  The
+tree of grid edges.  The period triples of all the tree edges come from one
+level-synchronous quadrature run, and g at the vertices and at the edge
+length nodes from blocked array evaluations, so an n x m mesh costs O(nm)
+work in O(nm / paths.BLOCK_PANELS) array calls; a lambda sweep pays them
+once and recombines them for every lambda.  The
 self-intersection probe pairs a spatial hash (extrinsic nearness) with
 shortest paths on the mesh edge graph (intrinsic separation) — the
 discretized form of a near-pair with large intrinsic distance.
@@ -23,12 +26,12 @@ from .errors import (
     ThresholdOrder,
 )
 from .expr import eval_expr
-from .paths import Line, PathSpec, polyline
+from .paths import BLOCK_PANELS, polyline
 from .surface import (
     is_vertical_flux,
     lopez_ros,
     period_report,
-    period_triple,
+    period_triples,
     recombine,
     straight_route,
 )
@@ -64,38 +67,22 @@ class SamplingSpec:
             self.vmin + t * (self.vmax - self.vmin),
         )
 
-    def included(self, u):
-        return all(abs(u - complex(c)) > r for c, r in self.exclusions)
+    def grid_points(self):
+        """Every grid point as an (nx, ny) complex array: [i, j] holds
+        grid_point(i, j), with the same arithmetic."""
+        s = np.arange(self.nx) / max(self.nx - 1, 1)
+        t = np.arange(self.ny) / max(self.ny - 1, 1)
+        u = np.empty((self.nx, self.ny), dtype=complex)
+        u.real = (self.umin + s * (self.umax - self.umin))[:, None]
+        u.imag = (self.vmin + t * (self.vmax - self.vmin))[None, :]
+        return u
 
     def inclusion_mask(self):
-        mask = np.zeros((self.nx, self.ny), dtype=bool)
-        for i in range(self.nx):
-            for j in range(self.ny):
-                mask[i, j] = self.included(self.grid_point(i, j))
+        u = self.grid_points()
+        mask = np.ones(u.shape, dtype=bool)
+        for c, r in self.exclusions:
+            mask &= np.abs(u - complex(c)) > r
         return mask
-
-
-def _check_connected(mask):
-    """Flood fill over the included grid vertices (4-neighborhood)."""
-    nx, ny = mask.shape
-    seeds = np.argwhere(mask)
-    if seeds.size == 0:
-        raise DisconnectedSampling("every grid vertex is excluded")
-    seen = np.zeros_like(mask)
-    q = deque([tuple(seeds[0])])
-    seen[tuple(seeds[0])] = True
-    while q:
-        i, j = q.popleft()
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            a, b = i + di, j + dj
-            if 0 <= a < nx and 0 <= b < ny and mask[a, b] and not seen[a, b]:
-                seen[a, b] = True
-                q.append((a, b))
-    if seen.sum() != mask.sum():
-        raise DisconnectedSampling(
-            f"exclusion disks split the region: {int(mask.sum() - seen.sum())}"
-            " vertices unreachable"
-        )
 
 
 @dataclass
@@ -116,31 +103,57 @@ class SurfaceMesh:
         return max((l for _, _, l in self.edges), default=0.0)
 
 
-_GK_T, _GK_W = np.polynomial.legendre.leggauss(8)
-_GK_S = 0.5 * (_GK_T + 1.0)  # the nodes as fractions of an edge
+# points per expression evaluation, the node count of one integrand call
+_BLOCK = 15 * BLOCK_PANELS
+
+# the 8-point Gauss-Legendre rule of the edge lengths, its nodes as
+# fractions of an edge
+_GL_T, _GL_W = np.polynomial.legendre.leggauss(8)
+_GL_S = 0.5 * (_GL_T + 1.0)
 
 
-def _edge_gauss_sums(data, a, b):
-    """(A, B) = 8-point Gauss sums of |g| |dh| and |dh| / |g| on a -> b.
+def _values_or_nan(expr, u):
+    """expr at the points u, nan at its poles: a block that meets a pole is
+    bisected until the poles are single points."""
+    try:
+        return eval_expr(expr, u)
+    except PoleAt:
+        if u.size == 1:
+            return np.full(1, complex(math.nan, math.nan))
+        half = u.size // 2
+        return np.concatenate(
+            [_values_or_nan(expr, u[:half]), _values_or_nan(expr, u[half:])]
+        )
+
+
+def _edge_sums(data, u0, u1):
+    """(A, B) = 8-point Gauss sums of |g| |dh| and |dh| / |g| on every edge
+    u0[k] -> u1[k], one row per edge.
 
     The edge's intrinsic length under lopez_ros(data, lam) is
-    |b - a| (lam A + B / lam) / 4; A is inf where that length is infinite
+    |u1 - u0| (lam A + B / lam) / 4; A is inf where that length is infinite
     (a pole of g, or a zero of g where dh does not vanish).  Nodes where g
     and dh both vanish add nothing.
     """
-    u = a + _GK_S * (b - a)
-    h = np.abs(eval_expr(data.dh.coeff, u))
-    try:
-        m = np.abs(eval_expr(data.g, u))
-    except PoleAt:
-        return math.inf, 0.0
-    weights = _GK_W
-    zero = m == 0
-    if np.count_nonzero(zero):
-        if np.count_nonzero(h[zero] > 0):
-            return math.inf, 0.0
-        weights, m, h = weights[~zero], m[~zero], h[~zero]
-    return float(weights @ (m * h)), float(weights @ (h / m))
+    out = np.empty((len(u0), 2))
+    per_block = _BLOCK // len(_GL_S)
+    for s in range(0, len(u0), per_block):
+        a = u0[s:s + per_block, None]
+        b = u1[s:s + per_block, None]
+        u = (a + _GL_S * (b - a)).ravel()
+        h = np.abs(eval_expr(data.dh.coeff, u)).reshape(-1, len(_GL_S))
+        m = np.abs(_values_or_nan(data.g, u)).reshape(h.shape)
+        zero = m == 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sums = np.stack(
+                [np.vecdot(m * h, _GL_W),
+                 np.vecdot(np.where(zero, 0.0, h / m), _GL_W)],
+                axis=1,
+            )
+        infinite = np.isnan(m) | (zero & (h > 0))
+        sums[infinite.any(axis=1)] = (math.inf, 0.0)
+        out[s:s + per_block] = sums
+    return out
 
 
 class _MeshIntegrals(NamedTuple):
@@ -159,7 +172,7 @@ class _MeshIntegrals(NamedTuple):
     g_values: np.ndarray  # complex g per vertex, nan at poles
     edges: np.ndarray  # (i, j) vertex index pairs of the grid edges
     edge_du: np.ndarray  # |u_j - u_i|
-    edge_sums: np.ndarray  # (A, B) of _edge_gauss_sums per grid edge
+    edge_sums: np.ndarray  # (A, B) of _edge_sums per grid edge
 
 
 def _mesh_integrals(data, spec, tol=1e-10):
@@ -167,29 +180,22 @@ def _mesh_integrals(data, spec, tol=1e-10):
 
     The root is the included vertex nearest the basepoint, reached by the
     route policy; the other vertices hang off a breadth-first spanning tree
-    of grid edges.
+    of grid edges, which must reach every included vertex.  Vertices are
+    numbered, and faces and grid edges listed, in row-major (i, j) order.
     """
     mask = spec.inclusion_mask()
-    _check_connected(mask)
+    if not np.count_nonzero(mask):
+        raise DisconnectedSampling("every grid vertex is excluded")
 
+    grid = spec.grid_points()
     index = -np.ones(mask.shape, dtype=int)
-    verts = []
-    order = [
-        (i, j) for i in range(spec.nx) for j in range(spec.ny) if mask[i, j]
-    ]
-    for i, j in order:
-        index[i, j] = len(verts)
-        verts.append(spec.grid_point(i, j))
+    index[mask] = np.arange(np.count_nonzero(mask))
+    points = grid[mask]
+    verts = points.tolist()
 
-    root_ij = min(order, key=lambda ij: abs(spec.grid_point(*ij) - data.basepoint))
-    root_u = spec.grid_point(*root_ij)
-    if abs(root_u - data.basepoint) < 1e-13:
-        triples = [(0j, 0j, 0j)]
-    else:
-        route = straight_route(data, root_u)
-        triples = [period_triple(data, route, tol)]
-    child, parent = [index[root_ij]], [-1]
-
+    root = int(np.argmin(np.abs(points - data.basepoint)))
+    root_ij = tuple(np.argwhere(mask)[root].tolist())
+    child, parent = [root], [-1]
     seen = {root_ij}
     q = deque([root_ij])
     while q:
@@ -204,50 +210,57 @@ def _mesh_integrals(data, spec, tol=1e-10):
                 q.append((a, b))
                 child.append(index[a, b])
                 parent.append(index[i, j])
-    for k in range(1, len(child)):
-        path = polyline([verts[parent[k]], verts[child[k]]])
-        triples.append(period_triple(data, path, tol))
+    if len(child) < len(verts):
+        raise DisconnectedSampling(
+            f"exclusion disks split the region: {len(verts) - len(child)}"
+            " vertices unreachable"
+        )
 
-    g_values = np.empty(len(verts), dtype=complex)
-    for k, u in enumerate(verts):
-        try:
-            g_values[k] = eval_expr(data.g, u)
-        except PoleAt:
-            g_values[k] = complex(math.nan, math.nan)
+    paths = [
+        polyline([verts[a], verts[b]]) for a, b in zip(parent[1:], child[1:])
+    ]
+    root_u = verts[root]
+    if abs(root_u - data.basepoint) < 1e-13:
+        triples = np.concatenate(
+            [np.zeros((1, 3), dtype=complex), period_triples(data, paths, tol)]
+        )
+    else:
+        route = straight_route(data, root_u)
+        triples = period_triples(data, [route] + paths, tol)
 
-    faces = []
-    for i in range(spec.nx - 1):
-        for j in range(spec.ny - 1):
-            corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-            if not all(mask[ij] for ij in corners):
-                continue
-            a, b, c, d = (index[ij] for ij in corners)
-            faces.append((a, b, c))
-            faces.append((a, c, d))
+    g_values = np.concatenate([
+        _values_or_nan(data.g, points[s:s + _BLOCK])
+        for s in range(0, len(points), _BLOCK)
+    ])
 
-    edges, edge_du, edge_sums = [], [], []
-    for i in range(spec.nx):
-        for j in range(spec.ny):
-            if not mask[i, j]:
-                continue
-            for di, dj in ((1, 0), (0, 1)):
-                a, b = i + di, j + dj
-                if a < spec.nx and b < spec.ny and mask[a, b]:
-                    u0, u1 = spec.grid_point(i, j), spec.grid_point(a, b)
-                    edges.append((index[i, j], index[a, b]))
-                    edge_du.append(abs(u1 - u0))
-                    edge_sums.append(_edge_gauss_sums(data, u0, u1))
+    quad = mask[:-1, :-1] & mask[1:, :-1] & mask[1:, 1:] & mask[:-1, 1:]
+    i, j = np.nonzero(quad)
+    corners = (
+        index[i, j], index[i + 1, j], index[i + 1, j + 1], index[i, j + 1]
+    )
+    faces = [
+        face
+        for a, b, c, d in zip(*(k.tolist() for k in corners))
+        for face in ((a, b, c), (a, c, d))
+    ]
+
+    # grid edge (i, j) -> (i + 1 - e, j + e), listed by (i, j, e)
+    step = np.zeros(mask.shape + (2,), dtype=bool)
+    step[:-1, :, 0] = mask[:-1, :] & mask[1:, :]
+    step[:, :-1, 1] = mask[:, :-1] & mask[:, 1:]
+    i, j, e = np.nonzero(step)
+    u0, u1 = grid[i, j], grid[i + 1 - e, j + e]
 
     return _MeshIntegrals(
         verts=verts,
         faces=faces,
         child=child,
         parent=parent,
-        triples=np.array(triples, dtype=complex).reshape(-1, 3),
+        triples=triples,
         g_values=g_values,
-        edges=np.array(edges, dtype=int).reshape(-1, 2),
-        edge_du=np.array(edge_du, dtype=float),
-        edge_sums=np.array(edge_sums, dtype=float).reshape(-1, 2),
+        edges=np.stack([index[i, j], index[i + 1 - e, j + e]], axis=1),
+        edge_du=np.abs(u1 - u0),
+        edge_sums=_edge_sums(data, u0, u1),
     )
 
 
@@ -340,31 +353,72 @@ class ProbeReport:
     embedded: bool
 
 
+# the 13 neighbour cell offsets after (0, 0, 0) in lexicographic order, so
+# that each pair of neighbouring cells is visited once
+_FORWARD = [
+    (dx, dy, dz)
+    for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
+    if (dx, dy, dz) > (0, 0, 0)
+]
+
+
+def _all_pairs(start_a, count_a, start_b, count_b):
+    """Positions (i, j) of every pair with i in [start_a[k], start_a[k] +
+    count_a[k]) and j in [start_b[k], ...) over all k, in that order."""
+    n = count_a * count_b
+    k = np.repeat(np.arange(len(n)), n)
+    r = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
+    return start_a[k] + r // count_b[k], start_b[k] + r % count_b[k]
+
+
 def _spatial_hash_pairs(positions, cell):
-    """Candidate index pairs at extrinsic distance < cell."""
-    grid = {}
-    keys = np.floor(positions / cell).astype(int).tolist()
-    for idx, key in enumerate(map(tuple, keys)):
-        grid.setdefault(key, []).append(idx)
-    out = []
-    offsets = [
-        (dx, dy, dz)
-        for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
-    ]
-    for key, members in grid.items():
-        for dx, dy, dz in offsets:
-            other = (key[0] + dx, key[1] + dy, key[2] + dz)
-            if other < key or other not in grid:
-                continue
-            targets = grid[other]
-            for a in members:
-                for b in targets:
-                    if (other == key and b <= a):
-                        continue
-                    d = float(np.linalg.norm(positions[a] - positions[b]))
-                    if d < cell:
-                        out.append((a, b, d))
-    return out
+    """Candidate index pairs (a, b, d) at extrinsic distance d < cell,
+    sorted by (a, b).
+
+    Vertices are binned into cubes of side cell by integer key, and a pair
+    is tested when its cubes are equal or neighbours; a is the vertex of the
+    cube whose key comes first (the smaller index within one cube).
+    """
+    keys = np.floor(positions / cell).astype(np.int64).reshape(-1, 3)
+    # one integer code per cube: each axis numbers its keys and their
+    # neighbours by rank, so that codes cannot overflow; rank[axis][o + 1]
+    # holds the ranks of every vertex's key + o
+    rank, count = [], []
+    for k in keys.T:
+        values, inverse = np.unique(
+            np.concatenate([k - 1, k, k + 1]), return_inverse=True
+        )
+        rank.append(inverse.reshape(3, -1))
+        count.append(len(values))
+
+    def code(vertices, offset):
+        r = [rank[axis][o + 1, vertices] for axis, o in enumerate(offset)]
+        return (r[0] * count[1] + r[1]) * count[2] + r[2]
+
+    own = code(slice(None), (0, 0, 0))
+    order = np.argsort(own, kind="stable")  # by cube, then by index
+    first = np.flatnonzero(np.diff(own[order], prepend=-1))
+    size = np.diff(first, append=order.size)
+    head = order[first]  # one vertex of each cube
+    cubes = own[head]  # sorted
+
+    i, j = _all_pairs(first, size, first, size)
+    keep = i < j
+    ia, ib = [order[i[keep]]], [order[j[keep]]]
+    for offset in _FORWARD:
+        other = code(head, offset)
+        at = np.searchsorted(cubes, other)
+        hit = np.flatnonzero(at < len(cubes))
+        hit = hit[cubes[at[hit]] == other[hit]]
+        i, j = _all_pairs(first[hit], size[hit], first[at[hit]], size[at[hit]])
+        ia.append(order[i])
+        ib.append(order[j])
+    a, b = np.concatenate(ia), np.concatenate(ib)
+    diff = positions[a] - positions[b]
+    d = np.sqrt(np.vecdot(diff, diff))  # the arithmetic of np.linalg.norm
+    near = np.flatnonzero(d < cell)
+    near = near[np.lexsort((b[near], a[near]))]
+    return list(zip(a[near].tolist(), b[near].tolist(), d[near].tolist()))
 
 
 def _graph_distance(adjacency, source, targets, cutoff):
@@ -438,7 +492,8 @@ def probe_self_intersection(mesh, delta_ext=None, delta_int=None):
         intrinsic = dist_to[a][b]
         if intrinsic > eff_int:
             pairs.append((a, b, d, float(intrinsic)))
-    pairs.sort(key=lambda t: t[2])
+    # mirror-image pairs tie in exact arithmetic: the indices break ties
+    pairs.sort(key=lambda t: (t[2], t[0], t[1]))
     return ProbeReport(
         pairs=pairs,
         delta_ext=delta_ext,

@@ -1,13 +1,15 @@
 """Complex integration paths and adaptive contour quadrature.
 
 Paths are ordered lists of line segments and circular arcs.  Integration is
-adaptive bisection with a Gauss-Kronrod (7, 15) pair per panel; the panel
-budget is 2**20.  An integrand maps an ndarray of points to an ndarray of
-values (or to a scalar, which broadcasts); each panel calls it once, on its
-15 nodes.
+adaptive bisection with a Gauss-Kronrod (7, 15) pair per panel, run
+level-synchronously over many paths at once: each bisection level calls the
+integrand on the nodes of every active panel, in blocks of at most
+BLOCK_PANELS panels, accepts panels with one vector test and bisects only
+the ones that fail.  The panel budget is 2**20 per path.  An integrand maps
+a flat ndarray of points to an ndarray of values of the same length (or to
+a scalar, which broadcasts), or to a (k, n) array for k forms at once.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -17,6 +19,9 @@ from .errors import NoConvergence, NonFiniteSample
 
 ENDPOINT_TOL = 1e-12
 PANEL_BUDGET = 2 ** 20
+# panels per integrand call: bounds the node arrays of one call (15 nodes
+# per panel, times the number of forms)
+BLOCK_PANELS = 512
 
 # Kronrod 15-point nodes on [-1, 1] (odd indices are the embedded Gauss-7
 # nodes) and the two weight sets, to the full QUADPACK digits (qk15.f).
@@ -184,55 +189,162 @@ def rectangle(corner, width, height, orientation=1):
     return polyline(pts, closed=True)
 
 
-def _gk_panel(f, seg, t0, t1):
-    """Gauss-Kronrod (7,15) on one parameter panel; returns (value, err).
+class _Segments:
+    """The segments of many paths as flat arrays, so that a block of panels
+    on any mix of Lines and Arcs builds its nodes with array arithmetic (the
+    same arithmetic as Line.point/velocity and Arc.point/velocity)."""
 
-    f is called once, on the array of the 15 nodes.
+    def __init__(self, segments):
+        arc = [isinstance(seg, Arc) for seg in segments]
+        self.arc = np.array(arc, dtype=bool)
+        # a Line's start and end - start; an Arc's center and velocity
+        # factor radius * i * (angle1 - angle0)
+        self.base = np.array(
+            [s.center if a else s.start for s, a in zip(segments, arc)],
+            dtype=complex,
+        )
+        self.step = np.array(
+            [
+                s.radius * 1j * (s.angle1 - s.angle0) if a else s.end - s.start
+                for s, a in zip(segments, arc)
+            ],
+            dtype=complex,
+        )
+        arcs = [s for s, a in zip(segments, arc) if a]
+        self.radius = np.array([s.radius for s in arcs], dtype=float)
+        self.angle0 = np.array([s.angle0 for s in arcs], dtype=float)
+        self.dangle = np.array(
+            [s.angle1 - s.angle0 for s in arcs], dtype=float
+        )
+        # the row of each Arc in the three arrays above
+        self.arc_row = np.cumsum(self.arc) - 1
+
+    def nodes(self, idx, t):
+        """Points and velocities at the parameters t (one row per panel) of
+        the segments idx."""
+        base, step = self.base[idx, None], self.step[idx, None]
+        arc = self.arc[idx]
+        if not np.count_nonzero(arc):
+            return base + t * step, np.broadcast_to(step, t.shape)
+        z = np.empty(t.shape, dtype=complex)
+        v = np.empty(t.shape, dtype=complex)
+        line = ~arc
+        z[line] = base[line] + t[line] * step[line]
+        v[line] = step[line]
+        k = self.arc_row[idx[arc], None]
+        e = np.exp(1j * (self.angle0[k] + t[arc] * self.dangle[k]))
+        z[arc] = base[arc] + self.radius[k] * e
+        v[arc] = step[arc] * e
+        return z, v
+
+
+def _gk_panel(f, segments, idx, t0, t1):
+    """Gauss-Kronrod (7, 15) on a block of panels [t0, t1] of the segments
+    idx; returns (values, errors) with one row per panel.
+
+    f is called once, on the flat array of the block's 15 m nodes.  For a
+    (k, n) integrand a panel's values hold the k forms and its error is the
+    largest of theirs.
     """
     mid = 0.5 * (t0 + t1)
     half = 0.5 * (t1 - t0)
-    t = mid + half * _XK_ARRAY
-    z = seg.point(t)
+    t = mid[:, None] + half[:, None] * _XK_ARRAY
+    z, v = segments.nodes(idx, t)
     with np.errstate(all="ignore"):
-        fv = f(z) * seg.velocity(t)
-        if np.ndim(fv) == 0:
-            fv = np.full(t.shape, fv)
-        k_sum, g_sum = (_WEIGHTS @ fv).tolist()
+        fz = np.asarray(f(z.ravel()))
+        fv = (fz.reshape(fz.shape[:-1] + t.shape) if fz.ndim else fz) * v
+        # one (2, 15) x (15,) product per panel and form: a panel's sums
+        # round the same whatever the block's shape
+        sums = np.matmul(_WEIGHTS, fv[..., None])[..., 0]
+        k_sum, g_sum = np.moveaxis(sums, -1, 0)
     # every Kronrod weight is positive, so a nan or inf sample (or an
     # overflowing sum) leaves the Kronrod sum non-finite
-    if not cmath.isfinite(k_sum):
-        bad = z[np.argmin(np.isfinite(fv))]
+    finite = np.isfinite(k_sum).reshape(-1, len(idx)).all(axis=0)
+    if not finite.all():
+        p = int(np.argmin(finite))
+        nodes_ok = np.isfinite(fv[..., p, :]).reshape(-1, 15).all(axis=0)
+        bad = z[p, np.argmin(nodes_ok)]
         raise NonFiniteSample(f"integrand non-finite near z = {bad}")
-    k_sum *= half
-    g_sum *= half
-    return k_sum, abs(k_sum - g_sum)
+    k_sum = k_sum * half
+    g_sum = g_sum * half
+    err = np.abs(k_sum - g_sum).reshape(-1, len(idx)).max(axis=0)
+    return np.moveaxis(k_sum, -1, 0), err
 
 
-def integrate_path(f, path, tol=1e-12):
-    """Adaptive estimate of the contour integral of f along path.
+def _ordered_sums(group, values, n):
+    """For each group g < n, the sum of its rows of values, one addition at
+    a time from zero in row order; group is sorted."""
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    sizes = np.diff(starts, append=group.size)
+    out = np.zeros((n,) + values.shape[1:], dtype=complex)
+    live = np.arange(starts.size)
+    r = 0
+    while live.size:
+        rows = starts[live] + r
+        out[group[rows]] += values[rows]  # one row per group
+        r += 1
+        live = live[sizes[live] > r]
+    return out
 
-    The estimated absolute error is kept below tol; deterministic for fixed
-    inputs (worklist processed in a fixed order).
+
+def integrate_paths(f, paths, tol=1e-12):
+    """Adaptive estimates of the contour integrals of f along every path.
+
+    Returns one row per path: a complex for an integrand with values of
+    shape (n,), k of them for one of shape (k, n).  A panel of a path with s
+    segments is accepted when its error estimate is at most tol / s times
+    its parameter length, or at most 1e-16; the estimated absolute error of
+    each path is then below tol.  A path may bisect PANEL_BUDGET / 2 panels.
+    Each segment's accepted panels are summed in increasing parameter and a
+    path's segments in order, so the result is deterministic.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    total = 0.0 + 0.0j
-    budget = PANEL_BUDGET
-    seg_tol = tol / len(path.segments)
-    for seg in path.segments:
-        stack = [(0.0, 1.0)]
-        acc = 0.0 + 0.0j
-        while stack:
-            t0, t1 = stack.pop()
-            val, err = _gk_panel(f, seg, t0, t1)
-            if err <= seg_tol * (t1 - t0) or err <= 1e-16:
-                acc += val
-            else:
-                if budget <= 0:
-                    raise NoConvergence("panel budget exhausted")
-                budget -= 2
-                tm = 0.5 * (t0 + t1)
-                stack.append((tm, t1))
-                stack.append((t0, tm))
-        total += acc
-    return total
+    if not paths:
+        return np.zeros(0, dtype=complex)
+    segments = [seg for path in paths for seg in path.segments]
+    counts = [len(path.segments) for path in paths]
+    path_of = np.repeat(np.arange(len(paths)), counts)
+    seg_tol = np.repeat([tol / c for c in counts], counts)
+    geometry = _Segments(segments)
+
+    idx = np.arange(len(segments))
+    t0 = np.zeros(len(segments))
+    t1 = np.ones(len(segments))
+    bisected = np.zeros(len(paths), dtype=int)
+    accepted = []  # (segment, t0, values) per level
+    while True:
+        blocks = [
+            _gk_panel(f, geometry, idx[b], t0[b], t1[b])
+            for b in (
+                slice(s, s + BLOCK_PANELS)
+                for s in range(0, idx.size, BLOCK_PANELS)
+            )
+        ]
+        values = np.concatenate([vals for vals, _ in blocks])
+        err = np.concatenate([e for _, e in blocks])
+        ok = (err <= seg_tol[idx] * (t1 - t0)) | (err <= 1e-16)
+        accepted.append((idx[ok], t0[ok], values[ok]))
+        fail = ~ok
+        if not np.count_nonzero(fail):
+            break
+        bisected += np.bincount(path_of[idx[fail]], minlength=len(paths))
+        if np.count_nonzero(2 * bisected > PANEL_BUDGET):
+            raise NoConvergence("panel budget exhausted")
+        lo, hi = t0[fail], t1[fail]
+        tm = 0.5 * (lo + hi)
+        idx = np.repeat(idx[fail], 2)
+        t0 = np.stack([lo, tm], axis=1).ravel()
+        t1 = np.stack([tm, hi], axis=1).ravel()
+
+    seg, start, values = (np.concatenate(parts) for parts in zip(*accepted))
+    order = np.lexsort((start, seg))
+    per_segment = _ordered_sums(seg[order], values[order], len(segments))
+    return _ordered_sums(path_of, per_segment, len(paths))
+
+
+def integrate_path(f, path, tol=1e-12):
+    """Adaptive estimate of the contour integral of f along path: the
+    one-path case of integrate_paths, for an integrand with values of shape
+    (n,)."""
+    return complex(integrate_paths(f, [path], tol)[0])

@@ -33,8 +33,16 @@ from .expr import (
     log_derivative,
     mul,
     pullback,
+    reciprocal_values,
 )
-from .paths import Arc, Line, PathSpec, integrate_path, polyline
+from .paths import (
+    Arc,
+    Line,
+    PathSpec,
+    integrate_path,
+    integrate_paths,
+    polyline,
+)
 
 
 @dataclass(frozen=True)
@@ -60,6 +68,17 @@ class WeierstrassData:
         """
         g, h = self.g, self.dh.coeff
         return (g * h, g.reciprocal() * h, h)
+
+    def period_values(self, u):
+        """The period forms' coefficients at the points u, as a (3, n)
+        array, from one evaluation of g and one of dh.
+
+        Raises PoleAt where g or dh has a pole or g vanishes, as evaluating
+        period_forms would.
+        """
+        g = eval_expr(self.g, u)
+        h = eval_expr(self.dh.coeff, u)
+        return np.stack([g * h, reciprocal_values(g, u) * h, h])
 
     def log_gauss_form(self):
         """dg/g as a one-form."""
@@ -143,9 +162,19 @@ def integrate_form(coeff_expr, path, tol):
         raise PathThroughPole(str(exc)) from exc
 
 
+def period_triples(data, paths, tol=1e-10):
+    """Integrals (P+, P-, P3) of (g dh, dh/g, dh) along every path, one row
+    per path, from one adaptive run whose error test is joint over the three
+    forms."""
+    try:
+        return integrate_paths(data.period_values, paths, tol).reshape(-1, 3)
+    except PoleAt as exc:
+        raise PathThroughPole(str(exc)) from exc
+
+
 def period_triple(data, path, tol=1e-10):
     """Integrals (P+, P-, P3) of (g dh, dh/g, dh) along path."""
-    return tuple(integrate_form(c, path, tol) for c in data.period_forms)
+    return tuple(period_triples(data, [path], tol)[0].tolist())
 
 
 def recombine(p_plus, p_minus, p_three):
@@ -197,10 +226,8 @@ def conformal_factor(data, p):
 
 def period_report(data, basis, tol=1e-10):
     """All three period integrals per basis cycle plus closure residuals."""
-    entries = [
-        CyclePeriods(label, *period_triple(data, cyc, tol))
-        for label, cyc in basis.items()
-    ]
+    rows = period_triples(data, basis.cycles, tol).tolist()
+    entries = [CyclePeriods(l, *row) for l, row in zip(basis.labels, rows)]
     return PeriodReport(entries=entries, tol=tol)
 
 

@@ -9,13 +9,23 @@ import pytest
 from helikon.errors import (
     DisconnectedSampling,
     NotVerticalFlux,
+    PathThroughPole,
     ThresholdOrder,
 )
-from helikon.expr import Plane, PuncturedPlane, parse_expr
+from helikon.expr import (
+    FormExpr,
+    Plane,
+    PuncturedPlane,
+    coordinate,
+    parse_expr,
+)
 from helikon import mesh as mesh_module
+from helikon import surface as surface_module
 from helikon.mesh import (
     INTRINSIC_SLACK,
     SamplingSpec,
+    SurfaceMesh,
+    _mesh_integrals,
     _graph_distance,
     _spatial_hash_pairs,
     build_mesh,
@@ -96,6 +106,60 @@ class TestSamplingSpec:
         assert mask[0, 0]
 
 
+def reference_grid(spec):
+    """Vertices, faces and grid edges of spec by loops over (i, j)."""
+    nx, ny = spec.nx, spec.ny
+    mask = np.zeros((nx, ny), dtype=bool)
+    for i in range(nx):
+        for j in range(ny):
+            u = spec.grid_point(i, j)
+            mask[i, j] = all(
+                abs(u - complex(c)) > r for c, r in spec.exclusions
+            )
+    index, verts = {}, []
+    for i in range(nx):
+        for j in range(ny):
+            if mask[i, j]:
+                index[i, j] = len(verts)
+                verts.append(spec.grid_point(i, j))
+    faces = []
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+            if all(mask[ij] for ij in corners):
+                a, b, c, d = (index[ij] for ij in corners)
+                faces += [(a, b, c), (a, c, d)]
+    edges = []
+    for i in range(nx):
+        for j in range(ny):
+            for a, b in ((i + 1, j), (i, j + 1)):
+                if mask[i, j] and a < nx and b < ny and mask[a, b]:
+                    edges.append((index[i, j], index[a, b]))
+    return mask, verts, faces, edges
+
+
+class TestGridEnumeration:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SamplingSpec(-2, 2, -1.5, 2.5, nx=23, ny=17,
+                         exclusions=((0, 0.45), (1.2 + 1j, 0.3))),
+            SamplingSpec(-math.pi, math.pi, -1.0, 1.0, nx=7, ny=1),
+        ],
+        ids=["two-disks", "one-row"],
+    )
+    def test_matches_loops(self, spec):
+        mask, verts, faces, edges = reference_grid(spec)
+        assert np.array_equal(spec.inclusion_mask(), mask)
+        got = _mesh_integrals(helicoid(), spec)
+        assert got.verts == verts
+        assert got.faces == faces
+        assert got.edges.tolist() == [list(e) for e in edges]
+        assert np.array_equal(
+            got.edge_du, [abs(verts[b] - verts[a]) for a, b in edges]
+        )
+
+
 class TestBuildMesh:
     def test_helicoid_vertices_closed_form(self):
         # 21x21 over [-pi, pi] x [-1, 1] puts pi/2 + i and the basepoint 0
@@ -137,6 +201,64 @@ class TestBuildMesh:
         spec = SamplingSpec(-1, 1, -1, 1, nx=5, ny=5, exclusions=((0, 9.0),))
         with pytest.raises(DisconnectedSampling):
             build_mesh(helicoid(), spec)
+
+
+    def test_poles_off_the_tree(self):
+        # g = 1/u + 1/(u - p) with dh = u (u - p) du: the period forms stay
+        # regular, g has a pole at the vertex 0 and at p, a Gauss node of a
+        # grid edge off the spanning tree
+        spec = SamplingSpec(-1, 1, -1, 1, nx=5, ny=5)
+        first = _mesh_integrals(enneper(), spec)
+        tree = {frozenset(e) for e in zip(first.parent[1:], first.child[1:])}
+        k = next(k for k, e in enumerate(first.edges.tolist())
+                 if frozenset(e) not in tree)
+        a, b = first.edges[k]
+        u0, u1 = first.verts[a], first.verts[b]
+        p = complex((u0 + mesh_module._GL_S * (u1 - u0))[3])
+        u = coordinate(PLANE)
+        data = WeierstrassData(
+            g=u.reciprocal() + (u - p).reciprocal(),
+            dh=FormExpr(u * (u - p)),
+            basepoint=0.0,
+        )
+        mesh = build_mesh(data, spec)
+        lengths = [length for _, _, length in mesh.edges]
+        assert lengths[k] == math.inf
+        assert all(math.isfinite(x) for i, x in enumerate(lengths) if i != k)
+        origin = first.verts.index(0j)
+        for v, (u, _, normal) in enumerate(mesh.vertices):
+            if v == origin:
+                assert normal.tolist() == [0.0, 0.0, 1.0]
+            else:
+                assert np.abs(normal - gauss_normal(data, u)).max() <= 1e-14
+
+    def test_node_on_tree_edge_pole(self):
+        # the middle Kronrod node of the tree edge 0 -> 0.5 is 0.25
+        spec = SamplingSpec(0, 1, 0, 1, nx=3, ny=3)
+        data = WeierstrassData(
+            g=parse_expr("1/(u - 0.25)", PLANE),
+            dh=parse_expr("1 du", PLANE),
+            basepoint=0.0,
+        )
+        with pytest.raises(PathThroughPole):
+            build_mesh(data, spec)
+
+    def test_expression_evaluations_per_mesh(self, monkeypatch):
+        # every quadrature and evaluation of a mesh runs in blocks: the
+        # 48x48 catenoid, with about 4,300 grid edges, evaluates g and dh
+        # in at most one call per 100 grid edges
+        calls = []
+        for module in (mesh_module, surface_module):
+            evaluate = module.eval_expr
+
+            def counted(e, u, evaluate=evaluate):
+                calls.append(np.size(u))
+                return evaluate(e, u)
+
+            monkeypatch.setattr(module, "eval_expr", counted)
+        mesh = build_mesh(catenoid(), catenoid_spec(48))
+        assert len(mesh.edges) > 4000
+        assert 0 < len(calls) <= len(mesh.edges) / 100
 
 
 class TestExport:
@@ -198,6 +320,26 @@ class TestProbe:
             assert d < 0.05
             assert intrinsic > rep.delta_int
 
+    def test_ties_sorted_by_index(self):
+        # two mirror-image pairs at exactly the same distance, with no mesh
+        # edges between them; vertex 0 shares a cube with the pair (3, 4)
+        # but is farther than delta_ext from both
+        points = [
+            (10.001, 10.001, 10.001),
+            (-10.049, -10.049, -10.04),
+            (-10.049, -10.049, -10.049),
+            (10.049, 10.049, 10.04),
+            (10.049, 10.049, 10.049),
+        ]
+        mesh = SurfaceMesh(
+            vertices=[(0j, np.array(p), np.zeros(3)) for p in points],
+            faces=[],
+            edges=[],
+        )
+        rep = probe_self_intersection(mesh, delta_ext=0.05, delta_int=1.0)
+        assert [(a, b) for a, b, _, _ in rep.pairs] == [(1, 2), (3, 4)]
+        assert rep.pairs[0][2] == rep.pairs[1][2]
+
     def test_threshold_order_guard(self):
         spec = SamplingSpec(-math.pi, math.pi, -1.0, 1.0, nx=10, ny=10)
         mesh = build_mesh(helicoid(), spec)
@@ -228,6 +370,43 @@ def exhaustive_dijkstra(adjacency, source, cutoff=math.inf):
                 dist[w] = nd
                 heapq.heappush(heap, (nd, w))
     return dist
+
+
+def brute_force_pairs(positions, cell):
+    """Every pair at distance < cell, oriented as _spatial_hash_pairs
+    orients them: from the smaller cube key, or the smaller index."""
+    keys = [tuple(k) for k in np.floor(positions / cell).astype(int).tolist()]
+    out = []
+    for a in range(len(positions)):
+        for b in range(a + 1, len(positions)):
+            d = float(np.linalg.norm(positions[a] - positions[b]))
+            if d < cell:
+                out.append((b, a, d) if keys[b] < keys[a] else (a, b, d))
+    return sorted(out)
+
+
+class TestSpatialHash:
+    @pytest.mark.parametrize("cell", [0.05, 0.2, 0.5])
+    def test_random_cloud(self, cell):
+        positions = np.random.default_rng(7).uniform(-1, 1, size=(600, 3))
+        got = _spatial_hash_pairs(positions, cell)
+        assert got == sorted(got)
+        assert got == brute_force_pairs(positions, cell)
+
+    def test_enneper_mesh(self):
+        spec = SamplingSpec(-2.2, 2.2, -2.2, 2.2, nx=24, ny=24)
+        positions = build_mesh(enneper(), spec).positions()
+        for cell in (0.15, 0.4):
+            got = _spatial_hash_pairs(positions, cell)
+            assert got and got == brute_force_pairs(positions, cell)
+
+    def test_tiny_cell_and_few_points(self):
+        positions = np.random.default_rng(8).uniform(-1e3, 1e3, size=(50, 3))
+        positions[7] = positions[3] + 1e-13
+        assert _spatial_hash_pairs(positions, 1e-12) == brute_force_pairs(
+            positions, 1e-12
+        )
+        assert _spatial_hash_pairs(positions[:1], 0.1) == []
 
 
 class TestBoundedSearch:

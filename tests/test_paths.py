@@ -7,7 +7,7 @@ import pytest
 
 from helikon import paths
 from helikon.divisor import residue
-from helikon.errors import NonFiniteSample, PathThroughPole
+from helikon.errors import NoConvergence, NonFiniteSample, PathThroughPole
 from helikon.expr import Plane, PuncturedPlane, parse_expr, torus
 from helikon.paths import (
     Arc,
@@ -15,6 +15,7 @@ from helikon.paths import (
     PathSpec,
     circle,
     integrate_path,
+    integrate_paths,
     polyline,
     rectangle,
 )
@@ -121,27 +122,171 @@ class TestGaussKronrodRule:
         assert abs(residue(w, 0.0, 0.05, tol=1e-12)) < 1e-12
 
 
+def reference_panel(f, seg, t0, t1):
+    """Gauss-Kronrod (7, 15) on one panel, one integrand call on its 15
+    nodes: (value, error)."""
+    half = 0.5 * (t1 - t0)
+    t = 0.5 * (t0 + t1) + half * paths._XK_ARRAY
+    fv = f(seg.point(t)) * seg.velocity(t)
+    k_sum, g_sum = (paths._WEIGHTS @ fv).tolist()
+    k_sum *= half
+    g_sum *= half
+    return k_sum, abs(k_sum - g_sum)
+
+
+def reference_integrate(f, path, tol):
+    """Depth-first adaptive Gauss-Kronrod with the engine's acceptance rule;
+    returns the integral and every panel evaluated, as (segment, t0, t1)."""
+    seg_tol = tol / len(path.segments)
+    total, evaluated = 0j, []
+    for k, seg in enumerate(path.segments):
+        stack, acc = [(0.0, 1.0)], 0j
+        while stack:
+            t0, t1 = stack.pop()
+            evaluated.append((k, t0, t1))
+            val, err = reference_panel(f, seg, t0, t1)
+            if err <= seg_tol * (t1 - t0) or err <= 1e-16:
+                acc += val
+            else:
+                tm = 0.5 * (t0 + t1)
+                stack += [(tm, t1), (t0, tm)]
+        total += acc
+    return total, evaluated
+
+
+def engine_panels(monkeypatch):
+    """Record every panel the engine evaluates, as (segment, t0, t1)."""
+    seen = []
+    gk_panel = paths._gk_panel
+
+    def recorded(f, segments, idx, t0, t1):
+        seen.extend(zip(idx.tolist(), t0.tolist(), t1.tolist()))
+        return gk_panel(f, segments, idx, t0, t1)
+
+    monkeypatch.setattr(paths, "_gk_panel", recorded)
+    return seen
+
+
+def runge(z):
+    return 1.0 / (z**2 + 1e-4)
+
+
+# a mix of Lines and Arcs, closed and open, one and several segments
+MIXED_PATHS = [
+    polyline([-1 - 0.2j, 1 + 0.1j]),
+    circle(0.3, 0.5),
+    PathSpec([Line(1.0, 2.0), Arc(0.0, 2.0, 0.0, math.pi / 2), Line(2j, 1j)]),
+    rectangle(-1 - 1j, 2, 2j),
+    circle(0, 0.05, -1),
+]
+
+
+def mixed(z):
+    return 1.0 / z**3 + np.exp(z) / (z - 0.3) + 1.0 / (z**2 + 1e-3)
+
+
+class TestEngine:
+    """integrate_paths against per-path runs and a depth-first reference."""
+
+    def test_matches_per_path_runs(self):
+        together = integrate_paths(mixed, MIXED_PATHS, 1e-11)
+        assert together.shape == (len(MIXED_PATHS),)
+        for path, value in zip(MIXED_PATHS, together):
+            # each path keeps its own panels, sums and order
+            assert value == integrate_path(mixed, path, 1e-11)
+
+    @pytest.mark.parametrize(
+        "f, path",
+        [(runge, polyline([-1, 1])), (mixed, MIXED_PATHS[2]),
+         (mixed, MIXED_PATHS[4])],
+        ids=["runge", "line-arc-line", "small-circle"],
+    )
+    def test_same_panels_as_depth_first(self, f, path, monkeypatch):
+        want, want_panels = reference_integrate(f, path, 1e-11)
+        seen = engine_panels(monkeypatch)
+        got = integrate_path(f, path, 1e-11)
+        assert len(want_panels) > 3
+        assert sorted(seen) == sorted(want_panels)
+        assert got == want
+
+    def test_bounded_blocks(self, monkeypatch):
+        sizes = []
+
+        def f(z):
+            sizes.append(z.shape)
+            return mixed(z)
+
+        want = integrate_paths(mixed, MIXED_PATHS, 1e-11)
+        monkeypatch.setattr(paths, "BLOCK_PANELS", 4)
+        got = integrate_paths(f, MIXED_PATHS, 1e-11)
+        assert np.array_equal(got, want)
+        assert max(sizes) == (60,)
+        assert all(len(s) == 1 and s[0] % 15 == 0 for s in sizes)
+
+    def test_budget_is_per_path(self, monkeypatch):
+        path = polyline([-1, 1])
+        _, panels = reference_integrate(runge, path, 1e-12)
+        bisections = (len(panels) - 1) // 2
+        want = integrate_path(runge, path, 1e-12)
+        # two paths at the limit each: together they bisect twice as often
+        monkeypatch.setattr(paths, "PANEL_BUDGET", 2 * bisections)
+        got = integrate_paths(runge, [path, polyline([0, 2]), path], 1e-12)
+        assert got[0] == got[2] == want
+        monkeypatch.setattr(paths, "PANEL_BUDGET", 2 * bisections - 2)
+        with pytest.raises(NoConvergence):
+            integrate_paths(runge, [polyline([0, 2]), path], 1e-12)
+
+    def test_vector_integrand_joint_error_test(self, monkeypatch):
+        # two peaks on either side of 0: a form alone refines around its
+        # own peak, the pair around both
+        left = lambda z: 1.0 / ((z + 0.5) ** 2 + 1e-4)
+        right = lambda z: 1.0 / ((z - 0.5) ** 2 + 1e-4)
+        path = polyline([-1, 1])
+        tol = 1e-11
+        single = []
+        for f in (left, right):
+            seen = engine_panels(monkeypatch)
+            single.append((integrate_path(f, path, tol), set(seen)))
+            monkeypatch.undo()
+        seen = engine_panels(monkeypatch)
+        pair = lambda z: np.stack([left(z), right(z)])
+        both = integrate_paths(pair, [path], tol)
+        assert both.shape == (1, 2)
+        # one run over the union of the two refinements
+        assert set(seen) == single[0][1] | single[1][1]
+        assert len(seen) == len(set(seen))
+        for got, (want, _) in zip(both[0], single):
+            assert abs(got - want) <= tol
+
+    def test_no_paths(self):
+        assert integrate_paths(runge, [], 1e-10).shape == (0,)
+
+
 class TestPanelContract:
-    """Each panel calls the integrand once, on the array of its 15 nodes."""
+    """The integrand is called once per bisection level and block, on the
+    flat array of the 15 nodes of every active panel."""
 
-    def test_one_integrand_call_per_panel(self, monkeypatch):
-        panels = []
+    def test_one_integrand_call_per_level(self, monkeypatch):
+        path = polyline([-1, 1])
+        _, want_panels = reference_integrate(runge, path, 1e-12)
+        # panels per level: a panel of length 2**-d is on level d
+        per_level = {}
+        for _, t0, t1 in want_panels:
+            level = round(-math.log2(t1 - t0))
+            per_level[level] = per_level.get(level, 0) + 1
+        assert max(per_level.values()) <= paths.BLOCK_PANELS
+
         shapes = []
-
-        def counted(*args):
-            panels.append(args[2:])
-            return gk_panel(*args)
 
         def f(z):
             shapes.append(np.shape(z))
-            return 1.0 / (z**2 + 1e-4)
+            return runge(z)
 
-        gk_panel = paths._gk_panel
-        monkeypatch.setattr(paths, "_gk_panel", counted)
-        integrate_path(f, polyline([-1, 1]), 1e-12)
-        assert len(panels) > 1
-        assert len(shapes) == len(panels)
-        assert set(shapes) == {(15,)}
+        seen = engine_panels(monkeypatch)
+        integrate_path(f, path, 1e-12)
+        assert len(shapes) == len(per_level) > 1
+        assert shapes == [(15 * per_level[d],) for d in sorted(per_level)]
+        assert sorted(seen) == sorted(want_panels)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_one_non_finite_node(self, bad):
