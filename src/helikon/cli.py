@@ -15,7 +15,7 @@ import sys
 from .divisor import (
     classify_fixed_point,
     divisor_audit,
-    residue,
+    residues,
 )
 from .errors import HelikonError
 from .mesh import (
@@ -29,7 +29,7 @@ from .scene import load_scene, parse_complex, _parse_complex_list
 from .solver import solve, standard_g1h_family
 from .surface import (
     _generic_samples,
-    flux,
+    fluxes,
     involution_report,
     period_report,
     straight_route,
@@ -145,10 +145,10 @@ def cmd_flux(scene, flags):
     data = _pick_data(scene, opts)
     tol = flags.get("tol") or float(opts.get("tol", DEFAULT_TOL))
     basis = _pick_basis(scene, opts)
-    results = []
-    for label, cyc in basis.items():
-        f = flux(data, cyc, tol=tol)
-        results.append({"cycle": label, "flux": list(f)})
+    results = [
+        {"cycle": label, "flux": list(f)}
+        for label, f in zip(basis.labels, fluxes(data, basis.cycles, tol=tol))
+    ]
     return {"results": results, "verdict": True, "settings": {"tol": tol}}
 
 
@@ -198,9 +198,10 @@ def cmd_residues(scene, flags):
     points = _parse_complex_list(opts.get("points", ""))
     if not points:
         points = list(data.domain.punctures)
-    results = []
-    for p in points:
-        results.append({"point": p, "residue": residue(data.dh, p, radius)})
+    results = [
+        {"point": p, "residue": r}
+        for p, r in zip(points, residues(data.dh, points, radius))
+    ]
     return {"results": results, "verdict": True, "settings": {"radius": radius}}
 
 

@@ -2,12 +2,16 @@
 
 Zeros and poles are located by the argument principle on a jittered grid of
 parallelogram cells covering the fundamental domain, then polished by
-Newton iteration using the exact AST derivative.  Winding integrals only
-need to distinguish integers, so they run at loose quadrature tolerance.
+Newton iteration using the exact AST derivative.  The winding integrals of
+a whole grid come from one quadrature run, and those of each refinement
+round (every subcell of every hot cell) from one more.  They only need to
+distinguish integers, so they run at loose quadrature tolerance.
 """
 
 import cmath
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     AbelViolation,
@@ -19,16 +23,22 @@ from .errors import (
     ZeroOnContour,
 )
 from .expr import FormExpr, differentiate, eval_expr, pullback
-from .paths import circle, integrate_path, polyline
+from .paths import circle, integrate_path, integrate_paths, polyline
 
 TWO_PI_I = 2j * cmath.pi
 
 
+def residues(w, points, radius, tol=1e-12):
+    """(1/2*pi*i) times the integral of w over the circle of radius about
+    each point, from one quadrature run."""
+    paths = [circle(complex(p), float(radius)) for p in points]
+    vals = integrate_paths(lambda z: eval_expr(w, z), paths, tol)
+    return [complex(v) / TWO_PI_I for v in vals]
+
+
 def residue(w, p, radius, tol=1e-12):
     """(1/2*pi*i) times the integral of w over the circle of radius about p."""
-    path = circle(complex(p), float(radius))
-    val = integrate_path(lambda z: eval_expr(w, z), path, tol)
-    return val / TWO_PI_I
+    return residues(w, [p], radius, tol)[0]
 
 
 def laurent_coefficient(w, p, k, radius=0.05, tol=1e-12):
@@ -66,15 +76,16 @@ def _coefficient(obj):
     return obj.coeff if isinstance(obj, FormExpr) else obj
 
 
-def _winding(f, fp, contour, tol=2e-3):
-    """Net number of zeros minus poles inside the contour."""
+def _windings(f, fp, contours, tol=2e-3):
+    """Net number of zeros minus poles inside each contour, from one
+    quadrature run; ZeroOnContour if any contour fails."""
 
     def integrand(z):
         den = eval_expr(f, z)
         return eval_expr(fp, z) / den
 
     try:
-        val = integrate_path(integrand, contour, tol)
+        vals = integrate_paths(integrand, contours, tol)
     except (
         NonFiniteSample,
         NoConvergence,
@@ -83,11 +94,12 @@ def _winding(f, fp, contour, tol=2e-3):
         ZeroDivisionError,
     ) as exc:
         raise ZeroOnContour(str(exc)) from exc
-    w = (val / TWO_PI_I).real
-    k = round(w)
-    if abs(w - k) > 0.2:
-        raise ZeroOnContour(f"non-integer winding {w:.3f}")
-    return k
+    w = (vals / TWO_PI_I).real
+    k = np.round(w)
+    off = np.abs(w - k) > 0.2
+    if np.count_nonzero(off):
+        raise ZeroOnContour(f"non-integer winding {w[off][0]:.3f}")
+    return k.astype(int).tolist()
 
 
 def _cell_contour(base, e1, e2, s0, t0, s1, t1):
@@ -147,36 +159,36 @@ def locate_divisor(obj, grid=8, jitter_tries=5, genus=1):
     )
 
 
+def _cell_windings(f, fp, base, e1, e2, cells):
+    """The winding of every cell (s0, t0, s1, t1), from one quadrature run."""
+    return _windings(f, fp, [_cell_contour(base, e1, e2, *c) for c in cells])
+
+
 def _locate_with_base(f, fp, lat, base, grid, genus):
     tau = lat.tau
     e1, e2 = 1.0 + 0.0j, tau
-    hot = []
-    for iy in range(grid):
-        for ix in range(grid):
-            s0, s1 = ix / grid, (ix + 1) / grid
-            t0, t1 = iy / grid, (iy + 1) / grid
-            k = _winding(f, fp, _cell_contour(base, e1, e2, s0, t0, s1, t1))
-            if k != 0:
-                hot.append((s0, t0, s1, t1, k))
+    cells = [
+        (ix / grid, iy / grid, (ix + 1) / grid, (iy + 1) / grid)
+        for iy in range(grid)
+        for ix in range(grid)
+    ]
+    windings = _cell_windings(f, fp, base, e1, e2, cells)
+    hot = [(*c, k) for c, k in zip(cells, windings) if k != 0]
 
     # subdivide hot cells to separate nearby points
     for _ in range(2):
-        refined = []
-        for s0, t0, s1, t1, k in hot:
+        subcells = []
+        for s0, t0, s1, t1, _ in hot:
             sm, tm = 0.5 * (s0 + s1), 0.5 * (t0 + t1)
-            subcells = [
+            subcells += [
                 (s0, t0, sm, tm), (sm, t0, s1, tm),
                 (s0, tm, sm, t1), (sm, tm, s1, t1),
             ]
-            found = 0
-            for (a0, b0, a1, b1) in subcells:
-                kk = _winding(f, fp, _cell_contour(base, e1, e2, a0, b0, a1, b1))
-                if kk != 0:
-                    refined.append((a0, b0, a1, b1, kk))
-                    found += kk
-            if found != k:
+        windings = _cell_windings(f, fp, base, e1, e2, subcells)
+        for i, cell in enumerate(hot):
+            if sum(windings[4 * i:4 * i + 4]) != cell[4]:
                 raise ZeroOnContour("subdivision lost winding; jittering")
-        hot = refined
+        hot = [(*c, k) for c, k in zip(subcells, windings) if k != 0]
 
     entries = []
     for s0, t0, s1, t1, k in hot:

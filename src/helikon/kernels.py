@@ -10,7 +10,9 @@ Every kernel takes a complex scalar (and returns a complex) or an ndarray of
 points (and returns an array of the same shape).  The points are reduced to
 the fundamental cell and theta_1, theta_1', theta_1'' come from one sin/cos
 matrix of shape (points, N) contracted with the Lattice's coefficient arrays,
-where N is fixed per Lattice by term_count (DLMF 20.2.1, 23.6.ii).
+where N is fixed per Lattice by term_count (DLMF 20.2.1, 23.6.ii).  Arrays
+of more than CHUNK_ENTRIES / N points are evaluated in consecutive chunks of
+that many points.
 """
 
 import math
@@ -20,6 +22,10 @@ import numpy as np
 from .errors import PoleAt
 
 POLE_RADIUS = 1e-10
+# cap on the points x N entries of the sin/cos matrices of one body call:
+# uncapped, a quadrature block of 7,680 points at N = 17 holds several 2 MB
+# matrices at once; a call under the cap skips the split and its overhead
+CHUNK_ENTRIES = 8192
 
 
 def term_count(im_tau, tol):
@@ -130,16 +136,24 @@ def _wp_prime(u0, m, n, lat):
 
 
 def _kernel(body, u, lat, poles=True):
-    """body(u0, m, n, lat) on the cell reduction of u; with poles, PoleAt
-    if any point is within POLE_RADIUS of the lattice."""
+    """body(u0, m, n, lat) on the cell reduction of u, in chunks of at most
+    CHUNK_ENTRIES / N points; with poles, PoleAt if any point is within
+    POLE_RADIUS of the lattice."""
     z = np.asarray(u, dtype=complex)
     u0, m, n = reduce_to_cell(z, lat.tau)
     if poles:
         near = np.abs(u0) < POLE_RADIUS
         if np.count_nonzero(near):
             raise PoleAt(first_where(u, near))
-    out = body(u0, m, n, lat)
-    return complex(out) if z.ndim == 0 else out
+    rows = CHUNK_ENTRIES // lat.n_terms
+    if z.size <= rows:
+        out = body(u0, m, n, lat)
+        return complex(out) if z.ndim == 0 else out
+    u0, m, n = (a.ravel() for a in (u0, m, n))
+    return np.concatenate([
+        body(u0[s:s + rows], m[s:s + rows], n[s:s + rows], lat)
+        for s in range(0, z.size, rows)
+    ]).reshape(z.shape)
 
 
 def wp(u, lat):

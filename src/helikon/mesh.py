@@ -161,13 +161,15 @@ class _MeshIntegrals(NamedTuple):
 
     Row 0 of triples is the period triple of the route from the basepoint to
     the root vertex (zero when the root is the basepoint); row k > 0 is that
-    of the spanning-tree edge parent[k] -> child[k], in breadth-first order.
+    of the spanning-tree edge parent[k] -> child[k], in breadth-first order,
+    and depth[k] is child[k]'s depth in the tree (non-decreasing in k).
     """
 
     verts: list  # of u per vertex
     faces: list
     child: list
     parent: list
+    depth: list
     triples: np.ndarray  # complex, one (P+, P-, P3) row per tree edge
     g_values: np.ndarray  # complex g per vertex, nan at poles
     edges: np.ndarray  # (i, j) vertex index pairs of the grid edges
@@ -195,11 +197,11 @@ def _mesh_integrals(data, spec, tol=1e-10):
 
     root = int(np.argmin(np.abs(points - data.basepoint)))
     root_ij = tuple(np.argwhere(mask)[root].tolist())
-    child, parent = [root], [-1]
+    child, parent, depth = [root], [-1], [0]
     seen = {root_ij}
-    q = deque([root_ij])
+    q = deque([(root_ij, 0)])
     while q:
-        i, j = q.popleft()
+        (i, j), d = q.popleft()
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             a, b = i + di, j + dj
             if (
@@ -207,9 +209,10 @@ def _mesh_integrals(data, spec, tol=1e-10):
                 and mask[a, b] and (a, b) not in seen
             ):
                 seen.add((a, b))
-                q.append((a, b))
+                q.append(((a, b), d + 1))
                 child.append(index[a, b])
                 parent.append(index[i, j])
+                depth.append(d + 1)
     if len(child) < len(verts):
         raise DisconnectedSampling(
             f"exclusion disks split the region: {len(verts) - len(child)}"
@@ -256,6 +259,7 @@ def _mesh_integrals(data, spec, tol=1e-10):
         faces=faces,
         child=child,
         parent=parent,
+        depth=depth,
         triples=triples,
         g_values=g_values,
         edges=np.stack([index[i, j], index[i + 1 - e, j + e]], axis=1),
@@ -296,10 +300,12 @@ def _assemble_mesh(integrals, lam, label):
     deltas = np.array(recombine(*triples.T)).real.T
 
     positions = np.empty((len(integrals.verts), 3))
-    child, parent = integrals.child, integrals.parent
+    child, parent = np.array(integrals.child), np.array(integrals.parent)
     positions[child[0]] = deltas[0]
-    for k in range(1, len(child)):
-        positions[child[k]] = positions[parent[k]] + deltas[k]
+    # one level of the tree at a time: its parents, one level up, are placed
+    starts = np.flatnonzero(np.diff(integrals.depth)) + 1
+    for lo, hi in zip(starts, np.append(starts[1:], len(child))):
+        positions[child[lo:hi]] = positions[parent[lo:hi]] + deltas[lo:hi]
 
     normals = _gauss_normals(g_values)
     vertices = list(zip(integrals.verts, positions, normals))

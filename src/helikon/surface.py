@@ -190,12 +190,20 @@ def immerse(data, p, route=None, tol=1e-10):
     """Immersed position of p in R^3, integrating along route from basepoint."""
     if route is None:
         route = straight_route(data, p)
-    if abs(route.first - data.basepoint) > 1e-9:
+    _check_route(route, data.basepoint, p)
+    return _position(period_triple(data, route, tol))
+
+
+def _check_route(route, start, end):
+    if abs(route.first - start) > 1e-9:
         raise ValueError("route must start at the basepoint")
-    if abs(route.last - complex(p)) > 1e-9:
+    if abs(route.last - complex(end)) > 1e-9:
         raise ValueError("route must end at p")
-    vals = recombine(*period_triple(data, route, tol))
-    return np.array([v.real for v in vals])
+
+
+def _position(triple):
+    """The immersion increment (Re of recombine) of one period triple."""
+    return np.array([v.real for v in recombine(*triple)])
 
 
 def gauss_normal(data, p):
@@ -231,10 +239,17 @@ def period_report(data, basis, tol=1e-10):
     return PeriodReport(entries=entries, tol=tol)
 
 
+def fluxes(data, cycles, tol=1e-10):
+    """Flux vector of every closed cycle, from one period_triples run."""
+    return [
+        FluxVector(tuple(v.imag for v in recombine(*row)))
+        for row in period_triples(data, cycles, tol).tolist()
+    ]
+
+
 def flux(data, cycle, tol=1e-10):
     """Flux vector of one closed cycle: Im of the three period integrals."""
-    vals = recombine(*period_triple(data, cycle, tol))
-    return FluxVector(tuple(v.imag for v in vals))
+    return fluxes(data, [cycle], tol)[0]
 
 
 @dataclass
@@ -246,9 +261,10 @@ class VerticalFluxReport:
 
 def is_vertical_flux(data, basis, tol=1e-9):
     """True iff every basis cycle has vanishing horizontal flux."""
-    mags = {}
-    for label, cyc in basis.items():
-        mags[label] = flux(data, cyc).horizontal_magnitude()
+    mags = {
+        label: f.horizontal_magnitude()
+        for label, f in zip(basis.labels, fluxes(data, basis.cycles))
+    }
     vacuous = not mags
     vertical = all(m < tol for m in mags.values())
     return VerticalFluxReport(vertical, vacuous, mags)
@@ -379,12 +395,17 @@ def symmetry_verify(data, inv, samples, tol=1e-9, unit_band=1e-8):
     phase = cmath.exp(-1j * cmath.phase(g_p0)) if g_p0 != 0 else 1.0
     g_rot = Expr(mul(Const(phase), data.g.node), data.g.domain)
     normalized = replace(data, g=g_rot, basepoint=complex(inv.p0))
-    worst = 0.0
+    # every route and its image, integrated in one run at immerse's tol
+    routes = []
     for p, route in samples:
-        if abs(route.first - complex(inv.p0)) > 1e-9:
-            raise ValueError("sample routes must start at p0")
-        fp = immerse(normalized, p, route)
-        fip = immerse(normalized, inv.apply(p), _involute_path(route, inv.center))
+        image = _involute_path(route, inv.center)
+        _check_route(route, normalized.basepoint, p)
+        _check_route(image, normalized.basepoint, inv.apply(p))
+        routes += [route, image]
+    triples = period_triples(normalized, routes).tolist()
+    worst = 0.0
+    for a, b in zip(triples[::2], triples[1::2]):
+        fp, fip = _position(a), _position(b)
         dev = np.linalg.norm(fip - np.array([fp[0], -fp[1], -fp[2]]))
         worst = max(worst, dev)
     return worst
@@ -399,12 +420,11 @@ class ExactnessReport:
 
 def exactness_check(data, basis, tol=1e-10):
     """True iff g dh and (1/g) dh integrate to ~0 over every basis cycle."""
-    plus, minus, _ = data.period_forms
-    mags = {}
-    for label, cyc in basis.items():
-        a = abs(integrate_form(plus, cyc, tol * 1e-2))
-        b = abs(integrate_form(minus, cyc, tol * 1e-2))
-        mags[label] = max(a, b)
+    rows = period_triples(data, basis.cycles, tol * 1e-2).tolist()
+    mags = {
+        label: max(abs(p_plus), abs(p_minus))
+        for label, (p_plus, p_minus, _) in zip(basis.labels, rows)
+    }
     vacuous = not mags
     return ExactnessReport(
         exact=all(m < tol for m in mags.values()), vacuous=vacuous, magnitudes=mags

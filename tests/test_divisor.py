@@ -1,14 +1,20 @@
 """Residues, divisor location/audit, Abel checks, fixed-point classifier."""
 
 import math
+import os
 
 import pytest
 
+from helikon import divisor as divisor_module
 from helikon.divisor import (
     IDENTICALLY_ZERO,
     REGULAR,
     SIMPLE_POLE,
+    TWO_PI_I,
     ZERO_AT,
+    _cell_contour,
+    _locate_with_base,
+    _newton_polish,
     abel_defect,
     check_abel,
     classify_fixed_point,
@@ -17,10 +23,27 @@ from helikon.divisor import (
     laurent_coefficient,
     locate_divisor,
     residue,
+    residues,
 )
-from helikon.errors import AbelViolation
-from helikon.expr import Involution, PuncturedPlane, parse_expr, torus
+from helikon.errors import (
+    AbelViolation,
+    DomainViolation,
+    NoConvergence,
+    NonFiniteSample,
+    PoleAt,
+    ZeroOnContour,
+)
+from helikon.expr import (
+    Involution,
+    PuncturedPlane,
+    differentiate,
+    eval_expr,
+    parse_expr,
+    torus,
+)
 from helikon.lattice import Lattice
+from helikon.paths import integrate_path
+from helikon.scene import load_scene
 
 LAT = Lattice(1j)
 TORUS = torus(1j)
@@ -46,6 +69,17 @@ class TestResidue:
         assert abs(laurent_coefficient(w, 0.25j, -2, 0.1) - 1.0) < 1e-11
         assert abs(laurent_coefficient(w, 0.25j, -1, 0.1) - 3.0) < 1e-11
         assert abs(laurent_coefficient(w, 0.25j, 0, 0.1) - 5.0) < 1e-11
+
+
+    def test_residues_of_many_points(self):
+        dom = torus(1j, (0.3j, -0.3j))
+        w = parse_expr("(0-i)*(zeta(u-0.3*i) - zeta(u+0.3*i)) du", dom)
+        points = [0.3j, -0.3j, 0.2]
+        got = residues(w, points, 0.05)
+        want = [residue(w, p, 0.05) for p in points]
+        assert all(abs(a - b) <= 1e-15 for a, b in zip(got, want))
+        assert abs(got[0] + 1j) < 1e-12 and abs(got[1] - 1j) < 1e-12
+        assert abs(got[2]) < 1e-12
 
 
 class TestDivisorLocation:
@@ -151,3 +185,137 @@ class TestClassifier:
         # residue-free triple pole: symmetrized form neither vanishes nor
         # decays toward the fixed point
         assert classify_fixed_point(w, inv, 0.0) == REGULAR
+
+
+def _reference_winding(f, fp, contour, tol=2e-3):
+    """One cell's winding from its own quadrature run."""
+    try:
+        val = integrate_path(
+            lambda z: eval_expr(fp, z) / eval_expr(f, z), contour, tol
+        )
+    except (
+        NonFiniteSample, NoConvergence, PoleAt, DomainViolation,
+        ZeroDivisionError,
+    ) as exc:
+        raise ZeroOnContour(str(exc)) from exc
+    w = (val / TWO_PI_I).real
+    k = round(w)
+    if abs(w - k) > 0.2:
+        raise ZeroOnContour(f"non-integer winding {w:.3f}")
+    return k
+
+
+def _reference_with_base(f, fp, lat, base, grid):
+    e1, e2 = 1.0 + 0.0j, lat.tau
+    hot = []
+    for iy in range(grid):
+        for ix in range(grid):
+            cell = (ix / grid, iy / grid, (ix + 1) / grid, (iy + 1) / grid)
+            k = _reference_winding(f, fp, _cell_contour(base, e1, e2, *cell))
+            if k != 0:
+                hot.append((*cell, k))
+    for _ in range(2):
+        refined = []
+        for s0, t0, s1, t1, k in hot:
+            sm, tm = 0.5 * (s0 + s1), 0.5 * (t0 + t1)
+            found = 0
+            for cell in (
+                (s0, t0, sm, tm), (sm, t0, s1, tm),
+                (s0, tm, sm, t1), (sm, tm, s1, t1),
+            ):
+                kk = _reference_winding(
+                    f, fp, _cell_contour(base, e1, e2, *cell)
+                )
+                if kk != 0:
+                    refined.append((*cell, kk))
+                    found += kk
+            if found != k:
+                raise ZeroOnContour("subdivision lost winding")
+        hot = refined
+    entries = []
+    for s0, t0, s1, t1, k in hot:
+        center = base + 0.5 * (s0 + s1) * e1 + 0.5 * (t0 + t1) * e2
+        point = _newton_polish(f, fp, center, pole=k < 0)
+        for i, (p, n) in enumerate(entries):
+            if lat.same_point(p, point, 1e-6):
+                entries[i] = (p, n + k)
+                break
+        else:
+            entries.append((point, k))
+    entries = [(p, n) for p, n in entries if n != 0]
+    entries.sort(key=lambda e: (e[0].real, e[0].imag))
+    return entries
+
+
+def reference_entries(form, grid=8, jitter_tries=5):
+    """locate_divisor's entries with one quadrature run per cell."""
+    f = form.coeff
+    fp = differentiate(f)
+    lat = f.domain.lattice
+    for attempt in range(jitter_tries):
+        base = (0.05371 + 0.03813 * attempt) + (
+            0.04629 + 0.02971 * attempt
+        ) * lat.tau
+        try:
+            return _reference_with_base(f, fp, lat, base, grid)
+        except ZeroOnContour:
+            continue
+    raise ZeroOnContour("grid jitter exhausted")
+
+
+CANDIDATE_SCENE = os.path.join(
+    os.path.dirname(__file__), "..", "scenes", "periodic-candidate.scene"
+)
+# the first grid's base at tau = i and a point on its bottom edge
+FIRST_BASE = 0.05371 + 0.04629j
+EDGE_ZERO = "0.24121 + 0.04629*i"  # FIRST_BASE + 3/16
+
+
+class TestBatchedDivisor:
+    @pytest.mark.parametrize("tau", (1j, 0.3 + 0.8j, 0.1 + 0.2j))
+    @pytest.mark.parametrize("text", ("wp(u) du", "wpp(u) du"))
+    def test_matches_per_cell_reference(self, text, tau):
+        form = parse_expr(text, torus(tau))
+        assert locate_divisor(form).entries == reference_entries(form)
+
+    def test_candidate_dh_matches_per_cell_reference(self):
+        dh = load_scene(CANDIDATE_SCENE).only_data().dh
+        assert locate_divisor(dh).entries == reference_entries(dh)
+
+    def test_zero_on_first_grid_edge_jitters(self):
+        # sigma(u - z) sigma(u + z) / sigma(u)^2 vanishes at +-z, and z lies
+        # on the bottom edge of the first grid
+        form = parse_expr(
+            f"sigma(u - ({EDGE_ZERO}))*sigma(u + ({EDGE_ZERO}))/sigma(u)^2 du",
+            TORUS,
+        )
+        f = form.coeff
+        with pytest.raises(ZeroOnContour):
+            _locate_with_base(f, differentiate(f), LAT, FIRST_BASE, 8, 1)
+        dv = locate_divisor(form)
+        assert dv.entries == reference_entries(form)
+        assert dv.zero_count() == dv.pole_count() == 2
+        assert any(LAT.same_point(p, 0.24121 + 0.04629j, 1e-8)
+                   for p, _ in dv.zeros())
+
+    def test_quadrature_runs_per_grid(self, monkeypatch):
+        # one run for the grid and one per refinement round
+        runs, attempts = [], []
+        integrate, locate = (
+            divisor_module.integrate_paths, divisor_module._locate_with_base
+        )
+
+        def counted_integrate(*args, **kwargs):
+            runs.append(len(args[1]))
+            return integrate(*args, **kwargs)
+
+        def counted_locate(*args, **kwargs):
+            attempts.append(args[3])
+            return locate(*args, **kwargs)
+
+        monkeypatch.setattr(divisor_module, "integrate_paths", counted_integrate)
+        monkeypatch.setattr(divisor_module, "_locate_with_base", counted_locate)
+        dv, ok = divisor_audit(parse_expr("wp(u) du", TORUS))
+        assert ok and attempts
+        assert len(runs) <= 3 * len(attempts)
+        assert runs[0] == 64

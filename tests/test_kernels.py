@@ -9,6 +9,7 @@ truncation of its own choosing.
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -16,7 +17,14 @@ import pytest
 
 from helikon.errors import InvalidModulus, PoleAt
 from helikon.expr import Torus
-from helikon.kernels import reduce_to_cell, sigma_w, wp, wp_prime, zeta_w
+from helikon.kernels import (
+    CHUNK_ENTRIES,
+    reduce_to_cell,
+    sigma_w,
+    wp,
+    wp_prime,
+    zeta_w,
+)
 from helikon.lattice import MIN_IM_TAU, Lattice
 
 TAU_SQUARE = 1j
@@ -248,3 +256,35 @@ class TestMpmathOracle:
         assert a == b and hash(a) == hash(b)
         assert "c0" not in repr(a)
         assert Torus(a, (0.1,)) == Torus(b, (0.1,))
+
+
+def cell_sweep(tau, n):
+    """n points spread over the fundamental cell and its neighbours, none
+    on the lattice."""
+    k = np.arange(n)
+    s = (k * 0.6180339887498949) % 1.0 - 0.5
+    t = (k * 0.7548776662466927) % 1.0 - 0.5
+    return 0.013 + 0.007j + 2.0 * s + 1.5 * t * tau
+
+
+class TestChunks:
+    def test_chunked_call_equals_its_chunks(self, lat_g):
+        rows = CHUNK_ENTRIES // lat_g.n_terms
+        u = cell_sweep(lat_g.tau, 3 * rows)
+        for f in KERNELS:
+            parts = [f(u[s:s + rows], lat_g) for s in range(0, u.size, rows)]
+            assert np.array_equal(f(u, lat_g), np.concatenate(parts))
+
+    def test_working_set_is_bounded(self):
+        # one quadrature block (512 panels of 15 nodes) at N = 17: without
+        # the cap the call peaks near 9.6 MB, with it near 1 MB
+        lat = Lattice(0.2 + 0.05j)
+        assert lat.n_terms == 17
+        u = cell_sweep(lat.tau, 7680)
+        tracemalloc.start()
+        try:
+            wp_prime(u, lat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6

@@ -25,6 +25,7 @@ from helikon.mesh import (
     INTRINSIC_SLACK,
     SamplingSpec,
     SurfaceMesh,
+    _assemble_mesh,
     _mesh_integrals,
     _graph_distance,
     _spatial_hash_pairs,
@@ -41,6 +42,7 @@ from helikon.surface import (
     conformal_factor,
     gauss_normal,
     lopez_ros,
+    recombine,
 )
 
 PLANE = Plane()
@@ -158,6 +160,29 @@ class TestGridEnumeration:
         assert np.array_equal(
             got.edge_du, [abs(verts[b] - verts[a]) for a, b in edges]
         )
+
+    @pytest.mark.parametrize("lam", [1.0, 1.7])
+    def test_tree_walk_matches_loop(self, lam):
+        # positions placed level by level equal the per-vertex walk of the
+        # breadth-first tree, bit for bit
+        spec = SamplingSpec(-2, 2, -1.5, 2.5, nx=23, ny=17,
+                            exclusions=((0, 0.45), (1.2 + 1j, 0.3)))
+        got = _mesh_integrals(helicoid(), spec)
+        child, parent, depth = got.child, got.parent, got.depth
+        assert depth[0] == 0
+        where = {v: k for k, v in enumerate(child)}
+        assert all(depth[k] == depth[where[parent[k]]] + 1
+                   for k in range(1, len(child)))
+        triples = got.triples.copy()
+        triples[:, 0] *= lam
+        triples[:, 1] /= lam
+        deltas = np.array(recombine(*triples.T)).real.T
+        positions = np.empty((len(got.verts), 3))
+        positions[child[0]] = deltas[0]
+        for k in range(1, len(child)):
+            positions[child[k]] = positions[parent[k]] + deltas[k]
+        mesh = _assemble_mesh(got, lam, "")
+        assert np.array_equal(mesh.positions(), positions)
 
 
 class TestBuildMesh:

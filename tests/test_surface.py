@@ -1,19 +1,36 @@
 """Surface-level checks against closed-form minimal surfaces."""
 
+import cmath
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helikon.errors import NonpositiveLambda, NotUnitModulusC
-from helikon.expr import Involution, Plane, PuncturedPlane, parse_expr, torus
+from helikon.expr import (
+    Const,
+    Expr,
+    Involution,
+    Plane,
+    PuncturedPlane,
+    eval_expr,
+    mul,
+    parse_expr,
+    torus,
+)
 from helikon.paths import circle, polyline
+from helikon.scene import load_scene
 from helikon.surface import (
     CycleBasis,
     WeierstrassData,
+    _generic_samples,
+    _involute_path,
     conformal_factor,
     exactness_check,
     flux,
+    fluxes,
     gauss_normal,
     immerse,
     involution_report,
@@ -126,6 +143,13 @@ class TestPeriodsAndFlux:
         b = np.array(tuple(flux(data, circle(0, 1.9))))
         assert np.linalg.norm(a - b) < 1e-9
 
+    def test_fluxes_of_many_cycles(self):
+        data = catenoid()
+        cycles = [circle(0, 0.7), circle(0, 1.9), circle(0.5, 0.2)]
+        for got, cyc in zip(fluxes(data, cycles), cycles):
+            want = flux(data, cyc)
+            assert all(abs(a - b) <= 1e-15 for a, b in zip(got, want))
+
     def test_vertical_flux_report(self):
         data = catenoid()
         basis = CycleBasis([circle(0, 1.0)], ["neck"])
@@ -192,6 +216,25 @@ class TestCycleBasis:
             CycleBasis([polyline([0, 1])], ["A"])
 
 
+SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
+
+
+def reference_symmetry(data, inv, samples):
+    """symmetry_verify with one immerse call per route."""
+    g_p0 = eval_expr(data.g, inv.p0)
+    phase = cmath.exp(-1j * cmath.phase(g_p0))
+    g_rot = Expr(mul(Const(phase), data.g.node), data.g.domain)
+    normalized = replace(data, g=g_rot, basepoint=complex(inv.p0))
+    worst = 0.0
+    for p, route in samples:
+        fp = immerse(normalized, p, route)
+        image = _involute_path(route, inv.center)
+        fip = immerse(normalized, inv.apply(p), image)
+        dev = np.linalg.norm(fip - np.array([fp[0], -fp[1], -fp[2]]))
+        worst = max(worst, dev)
+    return worst
+
+
 class TestSymmetry:
     def test_helicoid_involution_report(self):
         data = helicoid()
@@ -218,6 +261,26 @@ class TestSymmetry:
         inv = Involution(0.0, PLANE)
         with pytest.raises(NotUnitModulusC):
             symmetry_verify(data, inv, [(0.3, polyline([0, 0.3]))])
+
+    def test_routes_must_start_at_p0(self):
+        inv = Involution(0.0, PLANE)
+        with pytest.raises(ValueError):
+            symmetry_verify(helicoid(), inv, [(0.3, polyline([0.1, 0.3]))])
+
+    @pytest.mark.parametrize("scene", (None, "periodic-candidate.scene"))
+    def test_matches_per_sample_immerse(self, scene):
+        if scene is None:
+            data, inv = helicoid(), Involution(0.0, PLANE)
+            points = [0.4 + 0.3j, -0.7 + 0.5j, 1.1 - 0.2j]
+        else:
+            sc = load_scene(os.path.join(SCENES, scene))
+            data, inv = sc.only_data(), sc.resolve_involution("I")
+            points = _generic_samples(data.domain, 12)
+        moved = replace(data, basepoint=complex(inv.p0))
+        samples = [(p, straight_route(moved, p)) for p in points]
+        assert symmetry_verify(data, inv, samples) == reference_symmetry(
+            data, inv, samples
+        )
 
     def test_pole_zero_pairing_plane_vacuous(self):
         rep = pole_zero_pairing(helicoid(), Involution(0.0, PLANE))
