@@ -26,7 +26,7 @@ from .mesh import (
     probe_self_intersection,
 )
 from .scene import load_scene, parse_complex, _parse_complex_list
-from .solver import solve, standard_g1h_family
+from .solver import asymptotic_residual, solve, standard_g1h_family
 from .surface import (
     _generic_samples,
     fluxes,
@@ -35,7 +35,6 @@ from .surface import (
     straight_route,
     symmetry_verify,
 )
-from .paths import polyline
 
 DEFAULT_TOL = 1e-10
 
@@ -242,26 +241,37 @@ def cmd_solve(scene, flags):
             " standard genus-one family it configures"
         )
     opts = _settings(scene, "solve")
+    if "init_E1" in opts:
+        # init_E1 was a start value while E1 was an unknown; ignored, it
+        # would silently solve at the default puncture
+        raise HelikonError(
+            f"scene {scene.name!r}: [solve] key init_E1 is no longer read;"
+            " the puncture is fixed data, set it as E1"
+        )
     tau = scene.lattice.tau if scene.lattice else parse_complex(opts.get("tau", "i"))
     shift = parse_complex(opts["shift"]) if "shift" in opts else None
     tol = flags.get("tol") or float(opts.get("tol", 1e-8))
     max_iter = int(opts.get("max_iter", 50))
-    fam = standard_g1h_family(tau=tau, shift=shift)
+    pinned = {"E1": parse_complex(opts["E1"])} if "E1" in opts else {}
+    fam = standard_g1h_family(tau=tau, shift=shift, **pinned)
     init = {
-        "E1": parse_complex(opts.get("init_E1", "0.25+0.1i")),
         "rho": float(opts.get("init_rho", 0.8)),
         "c": parse_complex(opts.get("init_c", "0")),
     }
     res = solve(fam, fam.pack(init), tol=tol, max_iter=max_iter)
-    params = fam.unpack(res.params)
+    data = fam.build(res.params)
+    punctures = data.domain.punctures
+    regularity = asymptotic_residual(data, punctures)
     return {
         "results": {
-            "parameters": {k: v for k, v in params.items()},
+            "parameters": {"E1": punctures[0], **fam.unpack(res.params)},
             "residual_history": [float(h) for h in res.history],
             "final_norm": float(res.final_norm),
             "iterations": res.iterations,
+            "jacobian_singular_values": res.singular_values,
+            "asymptotic_residual": float(regularity),
         },
-        "verdict": bool(res.converged),
+        "verdict": bool(res.converged and regularity < tol),
         "settings": {"tol": tol, "max_iter": max_iter},
     }
 

@@ -237,21 +237,14 @@ def classify_fixed_point(w, inv, p, radius=0.05, res_tol=1e-8):
     b = residue(w, p, radius)
     if abs(b) > res_tol:
         return SIMPLE_POLE
-    samples = []
-    for r in (radius, 0.5 * radius):
-        for k in range(8):
-            z = p + r * cmath.exp(2j * cmath.pi * (k + 0.37) / 8)
-            samples.append(abs(eval_expr(sym, z)))
-    if max(samples) < 1e-9:
+    # two circles of 8 points, then two of 6 close in; one evaluation each
+    ring = np.exp(2j * np.pi * (np.arange(8) + 0.37) / 8)
+    far = np.abs(eval_expr(sym, p + np.outer([radius, 0.5 * radius], ring)))
+    if far.max() < 1e-9:
         return IDENTICALLY_ZERO
-    m_outer = max(
-        abs(eval_expr(sym, p + 1e-3 * cmath.exp(2j * cmath.pi * k / 6)))
-        for k in range(6)
-    )
-    m_inner = max(
-        abs(eval_expr(sym, p + 1e-4 * cmath.exp(2j * cmath.pi * k / 6)))
-        for k in range(6)
-    )
+    ring = np.exp(2j * np.pi * np.arange(6) / 6)
+    near = np.abs(eval_expr(sym, p + np.outer([1e-3, 1e-4], ring)))
+    m_outer, m_inner = near.max(axis=1)
     if m_inner < 0.2 * m_outer:
         return ZERO_AT
     return REGULAR

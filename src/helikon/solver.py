@@ -2,12 +2,18 @@
 
 A FamilySpec bundles a parameter layout, a constructor mapping parameter
 vectors to Weierstrass data, and a list of residual conditions (period
-closure on cycles, puncture regularity).  solve() runs damped Newton with a
-finite-difference Jacobian and a Levenberg-Marquardt fallback, accepting
-only norm-decreasing steps.
+closure on cycles).  solve() runs damped Newton with a finite-difference
+Jacobian and a Levenberg-Marquardt fallback, accepting only norm-decreasing
+steps, and keeps the singular values of every Newton step's Jacobian.
+
+The standard genus-one family takes its conformal data (tau and the
+puncture E1) at construction, so its period problem is well posed:
+horizontal closure on both torus generators, four real equations whose
+Jacobian has full rank in the three real unknowns rho and c.  The
+helicoidal-end regularity, asymptotic_residual, holds on the whole family
+by construction and is checked after the solve, not solved for.
 """
 
-import cmath
 import warnings
 from dataclasses import dataclass, field
 
@@ -38,7 +44,7 @@ from .expr import (
 from .kernels import reduce_to_cell
 from .lattice import Lattice
 from .paths import integrate_path, polyline
-from .surface import CycleBasis, WeierstrassData, integrate_form, period_report
+from .surface import CycleBasis, WeierstrassData, period_report, period_triple
 
 FD_STEP = 1e-6
 
@@ -57,9 +63,7 @@ class HorizontalPeriod:
     target: complex = 0.0
 
     def evaluate(self, data, tol):
-        plus, minus, _ = data.period_forms
-        p_plus = integrate_form(plus, self.cycle, tol)
-        p_minus = integrate_form(minus, self.cycle, tol)
+        p_plus, p_minus, _ = period_triple(data, self.cycle, tol)
         r = p_plus - p_minus.conjugate() - self.target
         return [r.real, r.imag]
 
@@ -76,20 +80,6 @@ class VerticalPeriod:
         h = data.dh.coeff
         p3 = integrate_path(lambda z: eval_expr(h, z), self.cycle, tol)
         return [p3.real - self.target]
-
-
-@dataclass(frozen=True)
-class AsymptoticRegularity:
-    """asymptotic_residual at the declared punctures (one real component)."""
-
-    radius: float = 0.08
-    target: float = 0.0
-
-    def evaluate(self, data, tol):
-        val = asymptotic_residual(
-            data, data.domain.punctures, radius=self.radius
-        )
-        return [val - self.target]
 
 
 @dataclass
@@ -251,26 +241,37 @@ def asymptotic_residual(data, punctures, radius=0.08):
     return worst
 
 
-def standard_g1h_family(tau=1j, shift=None, cycle_base=-0.4871 - 0.3631j,
-                        quad_tol=1e-10, min_separation=0.08):
+def standard_g1h_family(tau=1j, shift=None, E1=0.25 + 0.1j,
+                        cycle_base=-0.4871 - 0.3631j, quad_tol=1e-10,
+                        min_separation=0.08):
     """The symmetric one-pair family solved by the bundled scene.
 
-    Parameters (E1 complex, rho real, c complex); E2 = -E1, auxiliary zero
-    at -E1 - shift and pole at its negative so Abel holds for every E1.
-    Residuals: horizontal period closure on both torus generators plus
-    asymptotic regularity at the punctures.  The vertical periods encode
-    the screw motion and are deliberately left open.
+    tau, shift and the puncture E1 are conformal data fixed here; the
+    unknowns are rho (real) and c (complex).  E2 = -E1, with an auxiliary
+    zero at -E1 - shift and a pole at its negative, so Abel holds.
+    Residuals: horizontal period closure on both torus generators.  The
+    vertical periods encode the screw motion and are deliberately left
+    open; the end regularity holds by construction (asymptotic_residual).
+    Raises CoincidentPoints when the punctures +-E1 lie within
+    min_separation of each other modulo the lattice.
     """
     tau = complex(tau)
+    E1 = complex(E1)
     if shift is None:
         shift = 0.5 + 0.5 * tau
-    lat = Lattice(tau)
+    sep = min(
+        abs(reduce_to_cell(2 * E1 + off, tau)[0])
+        for off in (0, -1, -tau, -1 - tau)
+    )
+    if sep < min_separation:
+        raise CoincidentPoints(
+            f"punctures +-{E1} are {sep:.3g} apart modulo the lattice"
+        )
     b = complex(cycle_base)
     cyc_a = polyline([b, b + 1])
     cyc_b = polyline([b, b + tau])
 
     def constructor(params):
-        E1 = complex(params["E1"])
         return periodic_g1h_family(
             {
                 "tau": tau,
@@ -282,27 +283,15 @@ def standard_g1h_family(tau=1j, shift=None, cycle_base=-0.4871 - 0.3631j,
             }
         )
 
-    def guard(params):
-        E1 = complex(params["E1"])
-        if params["rho"] < 0.05:
-            return False
-        # punctures must stay separated (2 E1 away from the lattice)
-        sep = min(
-            abs(reduce_to_cell(2 * E1 + off, tau)[0])
-            for off in (0, -1, -tau, -1 - tau)
-        )
-        return sep >= min_separation
-
     return FamilySpec(
-        parameters=[("E1", "complex"), ("rho", "real"), ("c", "complex")],
+        parameters=[("rho", "real"), ("c", "complex")],
         constructor=constructor,
         residuals=[
             HorizontalPeriod(cyc_a, label="A"),
             HorizontalPeriod(cyc_b, label="B"),
-            AsymptoticRegularity(),
         ],
         quad_tol=quad_tol,
-        guard=guard,
+        guard=lambda params: params["rho"] >= 0.05,
     )
 
 
@@ -317,6 +306,7 @@ class SolveResult:
     report: object = None
     converged: bool = False
     iterations: int = 0
+    singular_values: list = field(default_factory=list)  # one list per step
 
     @property
     def final_norm(self):
@@ -343,7 +333,8 @@ def solve(family, init, tol=1e-8, max_iter=50):
     tried.  Only norm-decreasing steps are accepted, so the recorded history
     is monotone.  Raises SingularJacobian when no descent direction can be
     produced; otherwise returns SolveResult with converged = final norm <
-    tol (recomputed from scratch, not cached).
+    tol (recomputed from scratch, not cached) and the singular values of
+    every Newton step's Jacobian, largest first.
     """
     x = np.asarray(
         init if not isinstance(init, dict) else family.pack(init), dtype=float
@@ -351,6 +342,7 @@ def solve(family, init, tol=1e-8, max_iter=50):
     r = family.residual_vector(x)
     norm = float(np.linalg.norm(r))
     history = [norm]
+    singular_values = []
     iterations = 0
 
     for _ in range(max_iter):
@@ -359,7 +351,8 @@ def solve(family, init, tol=1e-8, max_iter=50):
         J = _jacobian(family, x, r)
         if not np.all(np.isfinite(J)):
             raise SingularJacobian("non-finite Jacobian entries")
-        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
+        step, _, _, sv = np.linalg.lstsq(J, -r, rcond=None)
+        singular_values.append(sv.tolist())
         accepted = False
         # damped Newton: full step, then halving
         scale = 1.0
@@ -420,4 +413,5 @@ def solve(family, init, tol=1e-8, max_iter=50):
         report=report,
         converged=final_norm < tol,
         iterations=iterations,
+        singular_values=singular_values,
     )

@@ -11,12 +11,11 @@ has zero real part; flux is the imaginary part of the same triple.
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .divisor import locate_divisor, residue
+from .divisor import locate_divisor
 from .errors import (
     DomainError,
     NonpositiveLambda,
@@ -39,7 +38,6 @@ from .paths import (
     Arc,
     Line,
     PathSpec,
-    integrate_path,
     integrate_paths,
     polyline,
 )
@@ -60,21 +58,12 @@ class WeierstrassData:
     def domain(self):
         return self.g.domain
 
-    @cached_property
-    def period_forms(self):
-        """Coefficients of the period forms (g dh, dh/g, dh).
-
-        The Lopez-Ros deformation g -> lam*g scales them by (lam, 1/lam, 1).
-        """
-        g, h = self.g, self.dh.coeff
-        return (g * h, g.reciprocal() * h, h)
-
     def period_values(self, u):
-        """The period forms' coefficients at the points u, as a (3, n)
-        array, from one evaluation of g and one of dh.
+        """The coefficients of the period forms (g dh, dh/g, dh) at the
+        points u, as a (3, n) array, from one evaluation of g and one of dh.
 
-        Raises PoleAt where g or dh has a pole or g vanishes, as evaluating
-        period_forms would.
+        Raises PoleAt where g or dh has a pole or g vanishes.  The
+        Lopez-Ros deformation g -> lam*g scales the rows by (lam, 1/lam, 1).
         """
         g = eval_expr(self.g, u)
         h = eval_expr(self.dh.coeff, u)
@@ -152,14 +141,6 @@ class FluxVector:
 
     def __iter__(self):
         return iter(self.components)
-
-
-def integrate_form(coeff_expr, path, tol):
-    """Integral of the one-form coeff_expr du along path."""
-    try:
-        return integrate_path(lambda z: eval_expr(coeff_expr, z), path, tol)
-    except PoleAt as exc:
-        raise PathThroughPole(str(exc)) from exc
 
 
 def period_triples(data, paths, tol=1e-10):
@@ -300,11 +281,9 @@ def _generic_samples(domain, n, seed=20240817):
 
 
 def _sampled_form_deviation(w, inv, samples):
+    """max |w + I*w| over the samples (an array), from one evaluation."""
     sym = w + pullback(w, inv)
-    dev = 0.0
-    for u in samples:
-        dev = max(dev, abs(eval_expr(sym.coeff, u)))
-    return dev
+    return float(np.abs(eval_expr(sym.coeff, samples)).max())
 
 
 @dataclass
@@ -345,13 +324,12 @@ def involution_report(data, inv, tol=1e-8, n_samples=20):
         attempts += 1
         if attempts > 10:
             raise SampleAtPole("could not find pole-free generic samples")
+    samples = np.array(samples)
     dh_dev = _sampled_form_deviation(data.dh, inv, samples)
     dgg_dev = _sampled_form_deviation(dgg, inv, samples)
     C = eval_expr(data.g, inv.p0) ** 2
-    c_dev = max(
-        abs(eval_expr(data.g, inv.apply(u)) * eval_expr(data.g, u) - C)
-        for u in samples
-    )
+    images = eval_expr(data.g, inv.center - samples)
+    c_dev = float(np.abs(images * eval_expr(data.g, samples) - C).max())
     return InvolutionReport(
         dh_odd=dh_dev < tol,
         dgg_odd=dgg_dev < tol,

@@ -104,9 +104,16 @@ class TestReports:
     def test_solve_candidate(self, candidate_scene):
         code, rep = run("solve", candidate_scene, NO_FLAGS)
         assert code == 0 and rep["verdict"] is True
-        hist = rep["results"]["residual_history"]
-        assert rep["results"]["final_norm"] < 1e-8
+        res = rep["results"]
+        hist = res["residual_history"]
+        assert res["final_norm"] < 1e-8
         assert all(b <= a for a, b in zip(hist, hist[1:]))
+        params = res["parameters"]
+        assert params["E1"] == 0.25 + 0.1j
+        assert abs(params["rho"] - 1.0) < 1e-9
+        assert abs(params["c"] - (2.0620003379782 - 1.5707963267949j)) < 1e-9
+        assert res["asymptotic_residual"] < 1e-12
+        assert len(res["jacobian_singular_values"]) == res["iterations"]
 
     def test_all_commands_registered(self):
         assert sorted(COMMANDS) == [
@@ -175,6 +182,18 @@ class TestMain:
         assert code == 1
         assert time.perf_counter() - t0 < 1.0
         assert "[solve]" in capsys.readouterr().err
+
+    def test_solve_rejects_init_E1(self, tmp_path, capsys):
+        # E1 is pinned data now; an old scene's init_E1 would otherwise be
+        # ignored and the solve run at the default puncture
+        with open(scene_path("periodic-candidate.scene")) as fh:
+            text = fh.read()
+        old = tmp_path / "old.scene"
+        old.write_text(text.replace("\nE1 = ", "\ninit_E1 = "))
+        assert "init_E1" in old.read_text()
+        code = main(["solve", "--scene", str(old)])
+        assert code == 1
+        assert "E1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["mesh", "probe", "sweep"])
     def test_torus_mesh_needs_mesh_section(self, command, capsys):

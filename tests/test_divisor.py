@@ -1,5 +1,6 @@
 """Residues, divisor location/audit, Abel checks, fixed-point classifier."""
 
+import cmath
 import math
 import os
 
@@ -39,6 +40,7 @@ from helikon.expr import (
     differentiate,
     eval_expr,
     parse_expr,
+    pullback,
     torus,
 )
 from helikon.lattice import Lattice
@@ -185,6 +187,61 @@ class TestClassifier:
         # residue-free triple pole: symmetrized form neither vanishes nor
         # decays toward the fixed point
         assert classify_fixed_point(w, inv, 0.0) == REGULAR
+
+    @pytest.mark.parametrize(
+        "text, punctures, center",
+        [
+            ("1/u du", (0,), 0.0),
+            ("u du", (0,), 0.0),
+            ("1/u^2 du", (0,), 0.0),
+            ("1 du", (0,), 0.0),
+            ("1/u^3 du", (0,), 0.0),
+            ("(u + 0.3)^2 du", (0,), 0.0),
+            ("(0-i)*(zeta(u-0.3*i) - zeta(u+0.3*i)) du", None, 0.0),
+            ("wp(u) du", None, 0.0),
+            ("wp(u - 0.1) du", None, 0.0),
+            ("(wp(u) + zeta(u - 0.1)) du", None, 0.2 + 0.1j),
+        ],
+    )
+    def test_matches_per_point_reference(self, text, punctures, center):
+        if punctures is None:
+            dom = torus(1j, (0.3j, -0.3j))
+        else:
+            dom = PuncturedPlane(punctures)
+        w = parse_expr(text, dom)
+        inv = Involution(center, dom)
+        for p in inv.fixed_points:
+            try:
+                want = reference_classify(w, inv, p)
+            except (PoleAt, DomainViolation):
+                continue
+            assert classify_fixed_point(w, inv, p) == want
+
+
+def reference_classify(w, inv, p, radius=0.05, res_tol=1e-8):
+    """classify_fixed_point with one eval_expr call per sample point."""
+    p = complex(p)
+    sym = w + pullback(w, inv)
+    if abs(residue(w, p, radius)) > res_tol:
+        return SIMPLE_POLE
+    samples = []
+    for r in (radius, 0.5 * radius):
+        for k in range(8):
+            z = p + r * cmath.exp(2j * cmath.pi * (k + 0.37) / 8)
+            samples.append(abs(eval_expr(sym, z)))
+    if max(samples) < 1e-9:
+        return IDENTICALLY_ZERO
+    m_outer = max(
+        abs(eval_expr(sym, p + 1e-3 * cmath.exp(2j * cmath.pi * k / 6)))
+        for k in range(6)
+    )
+    m_inner = max(
+        abs(eval_expr(sym, p + 1e-4 * cmath.exp(2j * cmath.pi * k / 6)))
+        for k in range(6)
+    )
+    if m_inner < 0.2 * m_outer:
+        return ZERO_AT
+    return REGULAR
 
 
 def _reference_winding(f, fp, contour, tol=2e-3):

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from helikon import divisor, paths, solver, surface
 from helikon.divisor import residue
 from helikon.errors import AbelViolation, CoincidentPoints, SingularJacobian
 from helikon.expr import Plane, parse_expr
 from helikon.paths import circle, polyline
 from helikon.solver import (
-    AsymptoticRegularity,
     FamilySpec,
     HorizontalPeriod,
     VerticalPeriod,
@@ -22,6 +22,8 @@ from helikon.solver import (
 from helikon.surface import WeierstrassData
 
 INIT = {"E1": 0.25 + 0.1j, "rho": 0.8, "c": 0.0}
+# the candidate scene's root: E1 = 0.25+0.1i is pinned, (rho, c) solved for
+ROOT_RHO, ROOT_C = 1.0, 2.0620003379782 - 1.5707963267949j
 
 
 def toy_family(residual_fn):
@@ -98,16 +100,16 @@ class TestFamilyConstruction:
 class TestFamilySpec:
     def test_pack_unpack_round_trip(self):
         fam = standard_g1h_family()
+        # E1 is construction data, not a slot: pack ignores the key
         x = fam.pack(INIT)
-        assert x.size == 5
+        assert x.size == 3
         back = fam.unpack(x)
-        assert back["E1"] == INIT["E1"]
-        assert back["rho"] == INIT["rho"]
+        assert back == {"rho": INIT["rho"], "c": complex(INIT["c"])}
 
     def test_wrong_size_vector(self):
         fam = standard_g1h_family()
         with pytest.raises(ValueError):
-            fam.unpack(np.zeros(3))
+            fam.unpack(np.zeros(5))
 
     def test_guard_rejects_small_rho(self):
         fam = standard_g1h_family()
@@ -116,10 +118,12 @@ class TestFamilySpec:
             fam.residual_vector(fam.pack(bad))
 
     def test_guard_rejects_merging_punctures(self):
-        fam = standard_g1h_family()
-        bad = dict(INIT, E1=0.01 + 0.01j)
-        with pytest.raises(CoincidentPoints):
-            fam.residual_vector(fam.pack(bad))
+        # +-E1 within min_separation of each other, directly or modulo the
+        # lattice: refused when the family is built
+        for E1 in (0.01 + 0.01j, 0.5 + 0.01j, 0.49 + 0.5j):
+            with pytest.raises(CoincidentPoints):
+                standard_g1h_family(E1=E1)
+        standard_g1h_family(E1=0.3j)
 
     def test_empty_residual_list(self):
         with pytest.raises(ValueError):
@@ -226,11 +230,14 @@ class TestPeriodProblem:
         assert res.converged
         assert res.final_norm < 1e-8
         assert all(b <= a for a, b in zip(res.history, res.history[1:]))
-        # the reduced system (horizontal closure + end regularity) is
-        # underdetermined, so the endpoint is one point on a solution curve;
-        # pin invariants of the solved data, not the parameter values
         params = fam.unpack(res.params)
-        assert params["rho"] > 0.05
+        assert abs(params["rho"] - ROOT_RHO) < 1e-9
+        assert abs(params["c"] - ROOT_C) < 1e-9
+        # one list of 3 singular values (one per unknown) per Newton step;
+        # the last step's Jacobian is well conditioned
+        assert len(res.singular_values) == res.iterations
+        assert all(len(sv) == 3 for sv in res.singular_values)
+        assert min(res.singular_values[-1]) >= 0.3
         # horizontal closure on both generators in the final report
         for entry in res.report.entries:
             assert entry.r1 < 1e-7
@@ -239,3 +246,33 @@ class TestPeriodProblem:
         E1, E2 = data.domain.punctures
         assert abs(residue(data.dh, E1, 0.05) + 1j) < 1e-9
         assert abs(residue(data.dh, E2, 0.05) - 1j) < 1e-9
+
+    def test_root_is_unique(self, monkeypatch):
+        # the same (rho, c) whatever the finite-difference step and the start
+        roots = []
+        for fd_step in (1e-6, 1e-7):
+            monkeypatch.setattr(solver, "FD_STEP", fd_step)
+            for rho, c in ((0.8, 0j), (1.3, 0.2 - 0.1j), (0.5, -0.3j)):
+                fam = standard_g1h_family(tau=1j, shift=0.5)
+                res = solve(fam, {"rho": rho, "c": c}, tol=1e-10)
+                assert res.converged
+                roots.append(fam.unpack(res.params))
+        for p in roots:
+            assert abs(p["rho"] - roots[0]["rho"]) < 1e-10
+            assert abs(p["c"] - roots[0]["c"]) < 1e-10
+        assert abs(roots[0]["rho"] - ROOT_RHO) < 1e-10
+        assert abs(roots[0]["c"] - ROOT_C) < 1e-10
+
+    def test_one_quadrature_run_per_cycle(self, monkeypatch):
+        runs = []
+        real = paths.integrate_paths
+
+        def counting(*args, **kwargs):
+            runs.append(1)
+            return real(*args, **kwargs)
+
+        for module in (paths, surface, divisor):
+            monkeypatch.setattr(module, "integrate_paths", counting)
+        fam = standard_g1h_family(tau=1j, shift=0.5)
+        fam.residual_vector(fam.pack(INIT))
+        assert len(runs) == 2

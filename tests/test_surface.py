@@ -18,6 +18,7 @@ from helikon.expr import (
     eval_expr,
     mul,
     parse_expr,
+    pullback,
     torus,
 )
 from helikon.paths import circle, polyline
@@ -235,7 +236,38 @@ def reference_symmetry(data, inv, samples):
     return worst
 
 
+def reference_involution_deviations(data, inv, samples):
+    """(dh_dev, dgg_dev, c_dev) of involution_report, one point at a time."""
+    dgg = data.log_gauss_form()
+    devs = []
+    for w in (data.dh, dgg):
+        sym = w + pullback(w, inv)
+        devs.append(max(abs(eval_expr(sym.coeff, u)) for u in samples))
+    C = eval_expr(data.g, inv.p0) ** 2
+    devs.append(max(
+        abs(eval_expr(data.g, inv.apply(u)) * eval_expr(data.g, u) - C)
+        for u in samples
+    ))
+    return devs
+
+
 class TestSymmetry:
+    @pytest.mark.parametrize("scene", (None, "periodic-candidate.scene"))
+    def test_involution_report_matches_per_point(self, scene):
+        if scene is None:
+            data, inv = helicoid(), Involution(0.0, PLANE)
+        else:
+            sc = load_scene(os.path.join(SCENES, scene))
+            data, inv = sc.only_data(), sc.resolve_involution("I")
+        # both data sets accept their first 20 generic samples
+        samples = _generic_samples(data.domain, 20)
+        rep = involution_report(data, inv)
+        got = (rep.dh_dev, rep.dgg_dev, rep.c_dev)
+        want = reference_involution_deviations(data, inv, samples)
+        # arrays round differently from scalars; the deviations are
+        # differences of O(1) values
+        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-14
+
     def test_helicoid_involution_report(self):
         data = helicoid()
         inv = Involution(0.0, PLANE)
