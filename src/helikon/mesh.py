@@ -30,10 +30,11 @@ from .paths import BLOCK_PANELS, polyline
 from .surface import (
     is_vertical_flux,
     lopez_ros,
-    period_report,
+    lopez_ros_triples,
     period_triples,
     recombine,
     straight_route,
+    triples_report,
 )
 
 # graph shortest paths overestimate geodesics; absorb mesh quality by
@@ -286,16 +287,14 @@ def _gauss_normals(g_values):
 def _assemble_mesh(integrals, lam, label):
     """The mesh of lopez_ros(data, lam) from data's _mesh_integrals.
 
-    The deformation g -> lam g scales the period forms (g dh, dh/g, dh) by
-    (lam, 1/lam, 1) and the edge Gauss sums (A, B) likewise, so no quadrature
-    is repeated (Lopez & Ros, J. Differential Geom. 33, 1991).
+    The deformation g -> lam g scales the period triples by (lam, 1/lam, 1)
+    (lopez_ros_triples) and the edge Gauss sums (A, B) likewise, so no
+    quadrature is repeated.
     """
-    triples, g_values = integrals.triples, integrals.g_values
+    triples = lopez_ros_triples(integrals.triples, lam)
+    g_values = integrals.g_values
     sum_a, sum_b = integrals.edge_sums.T
     if lam != 1.0:
-        triples = triples.copy()
-        triples[:, 0] *= lam
-        triples[:, 1] /= lam
         g_values = complex(lam) * g_values
     deltas = np.array(recombine(*triples.T)).real.T
 
@@ -529,26 +528,25 @@ def lambda_sweep(
 
     Requires vertical flux (closure must survive the deformation); period
     residuals are re-verified per lambda when a cycle basis is given.  The
-    mesh quadrature runs once, for data; every lambda's mesh is recombined
-    from it.
+    quadrature runs once, for data: its cycle triples and its mesh
+    integrals, which every lambda rescales (lopez_ros_triples).
     """
+    triples = None
     if basis is not None:
         vf = is_vertical_flux(data, basis)
         if not (vf.vertical or vf.vacuous):
             raise NotVerticalFlux(
                 f"horizontal flux magnitudes {vf.horizontal_magnitudes}"
             )
-
-    integrals = None
+        triples = period_triples(data, basis.cycles, tol)
+    integrals = _mesh_integrals(data, spec)
 
     def verdict(lam):
-        nonlocal integrals
         deformed = lopez_ros(data, lam)
         resid = 0.0
-        if basis is not None:
-            resid = period_report(deformed, basis, tol=tol).max_residual
-        if integrals is None:
-            integrals = _mesh_integrals(data, spec)
+        if triples is not None:
+            scaled = lopez_ros_triples(triples, lam)
+            resid = triples_report(basis.labels, scaled, tol).max_residual
         m = _assemble_mesh(integrals, lam, deformed.label)
         report = probe_self_intersection(m, delta_ext, delta_int)
         return report.embedded, resid

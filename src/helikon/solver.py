@@ -1,21 +1,24 @@
 """Parametrized Weierstrass families and the period-problem driver.
 
 A FamilySpec bundles a parameter layout, a constructor mapping parameter
-vectors to Weierstrass data, and a list of residual conditions (period
-closure on cycles).  solve() runs damped Newton with a finite-difference
+vectors to Weierstrass data, and the family's period map in closed form: a
+residual function and its Jacobian.  solve() runs damped Newton with that
 Jacobian and a Levenberg-Marquardt fallback, accepting only norm-decreasing
 steps, and keeps the singular values of every Newton step's Jacobian.
 
 The standard genus-one family takes its conformal data (tau and the
 puncture E1) at construction, so its period problem is well posed:
 horizontal closure on both torus generators, four real equations whose
-Jacobian has full rank in the three real unknowns rho and c.  The
-helicoidal-end regularity, asymptotic_residual, holds on the whole family
-by construction and is checked after the solve, not solved for.
+Jacobian has full rank in the three real unknowns rho and c.  rho is the
+Lopez-Ros deformation g -> rho g and c enters dh linearly, so the residual
+and its Jacobian are algebra on the cycle integrals of the member rho = 1,
+c = 0, taken once (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).
+The helicoidal-end regularity, asymptotic_residual, holds on the whole
+family by construction and is checked after the solve, not solved for.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,71 +40,54 @@ from .expr import (
     ZetaB,
     add,
     div,
-    eval_expr,
     mul,
     sub,
 )
 from .kernels import reduce_to_cell
 from .lattice import Lattice
-from .paths import integrate_path, polyline
-from .surface import CycleBasis, WeierstrassData, period_report, period_triple
-
-FD_STEP = 1e-6
+from .paths import polyline
+from .surface import (
+    WeierstrassData,
+    lopez_ros_triples,
+    period_triple,
+    period_triples,
+)
 
 
 # ---------------------------------------------------------------------------
-# residual conditions
+# the period condition
 
 
 @dataclass(frozen=True)
 class HorizontalPeriod:
     """Closure of the horizontal periods on one cycle:
-    oint g dh - conj(oint g^-1 dh) = target (two real components)."""
+    oint g dh - conj(oint g^-1 dh) = 0 (two real components), by direct
+    quadrature of built data: the reference for closed-form maps."""
 
     cycle: object
-    label: str = "cycle"
-    target: complex = 0.0
 
     def evaluate(self, data, tol):
         p_plus, p_minus, _ = period_triple(data, self.cycle, tol)
-        r = p_plus - p_minus.conjugate() - self.target
+        r = p_plus - p_minus.conjugate()
         return [r.real, r.imag]
-
-
-@dataclass(frozen=True)
-class VerticalPeriod:
-    """Re oint dh = target on one cycle (one real component)."""
-
-    cycle: object
-    label: str = "cycle"
-    target: float = 0.0
-
-    def evaluate(self, data, tol):
-        h = data.dh.coeff
-        p3 = integrate_path(lambda z: eval_expr(h, z), self.cycle, tol)
-        return [p3.real - self.target]
 
 
 @dataclass
 class FamilySpec:
-    """Parameter layout + constructor + residual list for one family.
+    """Parameter layout, constructor and closed-form period map of a family.
 
     parameters: list of (name, kind) with kind "real" or "complex"; the
     solver works on the flattened real vector (complex parameters occupy two
     consecutive slots).  constructor maps a {name: value} dict to
-    WeierstrassData.  residuals is a nonempty list of condition objects with
-    an evaluate(data, tol) method.
+    WeierstrassData.  residual maps the same dict to the real residual
+    vector, and jacobian to its derivative, one column per real slot.
     """
 
     parameters: list
     constructor: object
-    residuals: list
-    quad_tol: float = 1e-10
+    residual: object
+    jacobian: object
     guard: object = None  # optional params-dict -> bool feasibility check
-
-    def __post_init__(self):
-        if not self.residuals:
-            raise ValueError("residual list must be nonempty")
 
     def n_real(self):
         return sum(2 if kind == "complex" else 1 for _, kind in self.parameters)
@@ -143,22 +129,10 @@ class FamilySpec:
         params = self.unpack(x)
         if self.guard is not None and not self.guard(params):
             raise CoincidentPoints("parameters left the feasible box")
-        data = self.constructor(params)
-        comps = []
-        for cond in self.residuals:
-            comps.extend(cond.evaluate(data, self.quad_tol))
-        return np.array(comps)
+        return np.asarray(self.residual(params), dtype=float)
 
-    def cycle_basis(self, lattice=None):
-        cycles, labels = [], []
-        for cond in self.residuals:
-            cyc = getattr(cond, "cycle", None)
-            if cyc is not None and cyc not in cycles:
-                cycles.append(cyc)
-                labels.append(getattr(cond, "label", f"cycle{len(labels)}"))
-        if not cycles:
-            return None
-        return CycleBasis(cycles=cycles, labels=labels, lattice=lattice)
+    def jacobian_matrix(self, x):
+        return np.asarray(self.jacobian(self.unpack(x)), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +215,12 @@ def asymptotic_residual(data, punctures, radius=0.08):
     return worst
 
 
+def _closure(triples):
+    """[Re, Im] of the horizontal closure P+ - conj(P-), row by row."""
+    z = triples[:, 0] - triples[:, 1].conj()
+    return np.column_stack([z.real, z.imag]).ravel()
+
+
 def standard_g1h_family(tau=1j, shift=None, E1=0.25 + 0.1j,
                         cycle_base=-0.4871 - 0.3631j, quad_tol=1e-10,
                         min_separation=0.08):
@@ -254,6 +234,11 @@ def standard_g1h_family(tau=1j, shift=None, E1=0.25 + 0.1j,
     open; the end regularity holds by construction (asymptotic_residual).
     Raises CoincidentPoints when the punctures +-E1 lie within
     min_separation of each other modulo the lattice.
+
+    The member (rho, c) has g = rho g0 and dh = dh0 + c du, so its period
+    triples are lopez_ros_triples(T0 + c T1, rho), where T0 and T1 are the
+    unit member's triples of dh0 and of du on the generators, integrated
+    once here at quad_tol: the residual and its Jacobian are exact algebra.
     """
     tau = complex(tau)
     E1 = complex(E1)
@@ -268,8 +253,7 @@ def standard_g1h_family(tau=1j, shift=None, E1=0.25 + 0.1j,
             f"punctures +-{E1} are {sep:.3g} apart modulo the lattice"
         )
     b = complex(cycle_base)
-    cyc_a = polyline([b, b + 1])
-    cyc_b = polyline([b, b + tau])
+    cycles = [polyline([b, b + 1]), polyline([b, b + tau])]
 
     def constructor(params):
         return periodic_g1h_family(
@@ -283,14 +267,30 @@ def standard_g1h_family(tau=1j, shift=None, E1=0.25 + 0.1j,
             }
         )
 
+    unit = constructor({"rho": 1.0, "c": 0.0})
+    du = FormExpr(Expr(Const(1.0), unit.domain))
+    t_dh = period_triples(unit, cycles, quad_tol)
+    t_du = period_triples(replace(unit, dh=du), cycles, quad_tol)
+
+    def residual(params):
+        triples = t_dh + params["c"] * t_du
+        return _closure(lopez_ros_triples(triples, params["rho"]))
+
+    def jacobian(params):
+        rho = params["rho"]
+        p = lopez_ros_triples(t_dh + params["c"] * t_du, rho)
+        s = lopez_ros_triples(t_du, rho)
+        # (rho T+, T-/rho) has rho-derivative (T+, -T-/rho^2) = (p+, -p-)/rho;
+        # c = c' + i c'' enters through s and i s
+        return np.column_stack(
+            [_closure(p * [1, -1, 1]) / rho, _closure(s), _closure(1j * s)]
+        )
+
     return FamilySpec(
         parameters=[("rho", "real"), ("c", "complex")],
         constructor=constructor,
-        residuals=[
-            HorizontalPeriod(cyc_a, label="A"),
-            HorizontalPeriod(cyc_b, label="B"),
-        ],
-        quad_tol=quad_tol,
+        residual=residual,
+        jacobian=jacobian,
         guard=lambda params: params["rho"] >= 0.05,
     )
 
@@ -303,7 +303,6 @@ def standard_g1h_family(tau=1j, shift=None, E1=0.25 + 0.1j,
 class SolveResult:
     params: np.ndarray
     history: list = field(default_factory=list)
-    report: object = None
     converged: bool = False
     iterations: int = 0
     singular_values: list = field(default_factory=list)  # one list per step
@@ -313,21 +312,11 @@ class SolveResult:
         return self.history[-1] if self.history else float("inf")
 
 
-def _jacobian(family, x, r0):
-    """Finite-difference Jacobian, one column per real parameter slot."""
-    n = x.size
-    J = np.empty((r0.size, n))
-    for j in range(n):
-        xp = x.copy()
-        xp[j] += FD_STEP
-        J[:, j] = (family.residual_vector(xp) - r0) / FD_STEP
-    return J
-
-
 def solve(family, init, tol=1e-8, max_iter=50):
     """Drive the family's residual vector to zero.
 
-    Damped Newton on the flattened real parameters; when the full Newton
+    Damped Newton on the flattened real parameters, with the family's
+    Jacobian; when the full Newton
     step fails to decrease the norm it is halved (up to 12 times), and when
     even that stalls a Levenberg-Marquardt step with increasing damping is
     tried.  Only norm-decreasing steps are accepted, so the recorded history
@@ -348,7 +337,7 @@ def solve(family, init, tol=1e-8, max_iter=50):
     for _ in range(max_iter):
         if norm < tol:
             break
-        J = _jacobian(family, x, r)
+        J = family.jacobian_matrix(x)
         if not np.all(np.isfinite(J)):
             raise SingularJacobian("non-finite Jacobian entries")
         step, _, _, sv = np.linalg.lstsq(J, -r, rcond=None)
@@ -400,17 +389,9 @@ def solve(family, init, tol=1e-8, max_iter=50):
     # recompute the final residual from scratch; never trust the cache
     final_norm = float(np.linalg.norm(family.residual_vector(x)))
     history[-1] = final_norm
-    data = family.build(x)
-    basis = family.cycle_basis(lattice=data.domain.lattice)
-    report = (
-        period_report(data, basis, tol=max(tol, family.quad_tol))
-        if basis is not None
-        else None
-    )
     return SolveResult(
         params=x,
         history=history,
-        report=report,
         converged=final_norm < tol,
         iterations=iterations,
         singular_values=singular_values,

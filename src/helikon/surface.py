@@ -63,7 +63,7 @@ class WeierstrassData:
         points u, as a (3, n) array, from one evaluation of g and one of dh.
 
         Raises PoleAt where g or dh has a pole or g vanishes.  The
-        Lopez-Ros deformation g -> lam*g scales the rows by (lam, 1/lam, 1).
+        Lopez-Ros deformation g -> lam*g scales the rows (lopez_ros_triples).
         """
         g = eval_expr(self.g, u)
         h = eval_expr(self.dh.coeff, u)
@@ -213,11 +213,16 @@ def conformal_factor(data, p):
     return 0.5 * (m + 1.0 / m) * h
 
 
+def triples_report(labels, triples, tol):
+    """PeriodReport of stored period triples, one row per labelled cycle."""
+    rows = zip(labels, triples.tolist())
+    return PeriodReport([CyclePeriods(l, *row) for l, row in rows], tol)
+
+
 def period_report(data, basis, tol=1e-10):
     """All three period integrals per basis cycle plus closure residuals."""
-    rows = period_triples(data, basis.cycles, tol).tolist()
-    entries = [CyclePeriods(l, *row) for l, row in zip(basis.labels, rows)]
-    return PeriodReport(entries=entries, tol=tol)
+    triples = period_triples(data, basis.cycles, tol)
+    return triples_report(basis.labels, triples, tol)
 
 
 def fluxes(data, cycles, tol=1e-10):
@@ -261,6 +266,18 @@ def lopez_ros(data, lam):
     g = Expr(mul(Const(complex(lam)), data.g.node), data.g.domain)
     label = f"{data.label}@lambda={lam:g}" if data.label else f"lambda={lam:g}"
     return replace(data, g=g, label=label)
+
+
+def lopez_ros_triples(triples, lam):
+    """Period triples of lopez_ros(data, lam) from data's: the deformation
+    scales each row (P+, P-, P3) by (lam, 1/lam, 1) (Lopez & Ros, J.
+    Differential Geom. 33, 1991)."""
+    if lam == 1.0:
+        return triples
+    triples = np.array(triples, dtype=complex)
+    triples[..., 0] *= lam
+    triples[..., 1] /= lam
+    return triples
 
 
 def _generic_samples(domain, n, seed=20240817):

@@ -208,7 +208,7 @@ def test_criterion_6_divisor_audits():
 
 def test_criterion_7_period_solver():
     """From the symmetric initialization on tau = i the residual norm
-    (non-vertical periods + asymptotic regularity) decreases monotonically
+    (horizontal period closure on both generators) decreases monotonically
     and reaches < 1e-8 within 50 iterations; the returned residual
     recomputes identically; < 5 min."""
     with Budget(300):

@@ -1,11 +1,9 @@
 """Family construction, residual conditions, and the Newton/LM driver."""
 
-import math
-
 import numpy as np
 import pytest
 
-from helikon import divisor, paths, solver, surface
+from helikon import divisor, paths, surface
 from helikon.divisor import residue
 from helikon.errors import AbelViolation, CoincidentPoints, SingularJacobian
 from helikon.expr import Plane, parse_expr
@@ -13,7 +11,6 @@ from helikon.paths import circle, polyline
 from helikon.solver import (
     FamilySpec,
     HorizontalPeriod,
-    VerticalPeriod,
     asymptotic_residual,
     periodic_g1h_family,
     solve,
@@ -24,26 +21,27 @@ from helikon.surface import WeierstrassData
 INIT = {"E1": 0.25 + 0.1j, "rho": 0.8, "c": 0.0}
 # the candidate scene's root: E1 = 0.25+0.1i is pinned, (rho, c) solved for
 ROOT_RHO, ROOT_C = 1.0, 2.0620003379782 - 1.5707963267949j
+# (rho, c) points at which the closed-form period map is checked
+POINTS = ((ROOT_RHO, ROOT_C), (0.8, 0j), (1.3, 0.2 - 0.1j))
 
 
-def toy_family(residual_fn):
-    """One real parameter smuggled through the basepoint; closed-form
-    residual so the driver itself is what gets exercised."""
-    plane = Plane()
-    g = parse_expr("exp(i*u)", plane)
-    dh = parse_expr("1 du", plane)
+# the closure on standard_g1h_family's two generators at tau = i, by direct
+# quadrature: the reference for the family's closed form
+BASE = -0.4871 - 0.3631j
+GENERATORS = (
+    HorizontalPeriod(polyline([BASE, BASE + 1])),
+    HorizontalPeriod(polyline([BASE, BASE + 1j])),
+)
 
-    def constructor(params):
-        return WeierstrassData(g=g, dh=dh, basepoint=params["x"])
 
-    class Closed:
-        def evaluate(self, data, tol):
-            return residual_fn(data.basepoint.real)
-
+def toy_family(residual_fn, derivative_fn):
+    """One real parameter x with a closed-form residual and derivative, so
+    the driver itself is what gets exercised."""
     return FamilySpec(
         parameters=[("x", "real")],
-        constructor=constructor,
-        residuals=[Closed()],
+        constructor=None,
+        residual=lambda params: [residual_fn(params["x"])],
+        jacobian=lambda params: [[derivative_fn(params["x"])]],
     )
 
 
@@ -125,32 +123,34 @@ class TestFamilySpec:
                 standard_g1h_family(E1=E1)
         standard_g1h_family(E1=0.3j)
 
-    def test_empty_residual_list(self):
-        with pytest.raises(ValueError):
-            FamilySpec(parameters=[("x", "real")], constructor=None, residuals=[])
+    def test_residual_matches_quadrature(self):
+        # the closed form against HorizontalPeriod on the built data, with
+        # the unit member's integrals and the reference at the same tol
+        for quad_tol in (1e-10, 1e-12):
+            fam = standard_g1h_family(tau=1j, shift=0.5, quad_tol=quad_tol)
+            for rho, c in POINTS:
+                x = fam.pack({"rho": rho, "c": c})
+                data = fam.build(x)
+                ref = [v for cond in GENERATORS
+                       for v in cond.evaluate(data, quad_tol)]
+                assert np.abs(fam.residual_vector(x) - ref).max() < 1e-9
 
-    def test_cycle_basis_collects_cycles(self):
-        fam = standard_g1h_family()
-        from helikon.lattice import Lattice
-
-        basis = fam.cycle_basis(lattice=Lattice(1j))
-        assert [lbl for lbl, _ in basis.items()] == ["A", "B"]
+    def test_jacobian_matches_central_differences(self):
+        fam = standard_g1h_family(tau=1j, shift=0.5)
+        h = 1e-5
+        for rho, c in POINTS:
+            x = fam.pack({"rho": rho, "c": c})
+            J = fam.jacobian_matrix(x)
+            assert J.shape == (4, 3)
+            fd = np.column_stack([
+                (fam.residual_vector(x + h * e) - fam.residual_vector(x - h * e))
+                / (2 * h)
+                for e in np.eye(3)
+            ])
+            assert np.abs(J - fd).max() <= 1e-6 * np.abs(J).max()
 
 
 class TestResidualConditions:
-    def test_vertical_period_catenoid(self):
-        from helikon.expr import PuncturedPlane
-
-        dom = PuncturedPlane((0,))
-        data = WeierstrassData(
-            g=parse_expr("u", dom),
-            dh=parse_expr("1/u du", dom),
-            basepoint=1.0,
-        )
-        cond = VerticalPeriod(circle(0, 1.0))
-        (val,) = cond.evaluate(data, 1e-11)
-        assert abs(val) < 1e-10  # Re(2 pi i) = 0
-
     def test_horizontal_period_catenoid(self):
         from helikon.expr import PuncturedPlane
 
@@ -198,7 +198,7 @@ class TestResidualConditions:
 
 class TestDriver:
     def test_quadratic_toy_converges(self):
-        fam = toy_family(lambda x: [x * x - 4.0])
+        fam = toy_family(lambda x: x * x - 4.0, lambda x: 2.0 * x)
         res = solve(fam, np.array([3.0]), tol=1e-12)
         assert res.converged
         assert abs(res.params[0] - 2.0) < 1e-10
@@ -206,18 +206,18 @@ class TestDriver:
         assert all(b <= a for a, b in zip(res.history, res.history[1:]))
 
     def test_fixed_point_takes_zero_iterations(self):
-        fam = toy_family(lambda x: [0.0])
+        fam = toy_family(lambda x: 0.0, lambda x: 0.0)
         res = solve(fam, np.array([1.7]))
         assert res.converged and res.iterations == 0
         assert res.params[0] == 1.7
 
     def test_rootless_toy_raises(self):
-        fam = toy_family(lambda x: [x * x + 1.0])
+        fam = toy_family(lambda x: x * x + 1.0, lambda x: 2.0 * x)
         with pytest.raises(SingularJacobian):
             solve(fam, np.array([0.5]), tol=1e-12, max_iter=60)
 
     def test_final_norm_recomputed(self):
-        fam = toy_family(lambda x: [x - 1.25])
+        fam = toy_family(lambda x: x - 1.25, lambda x: 1.0)
         res = solve(fam, np.array([0.0]), tol=1e-13)
         assert abs(res.final_norm) < 1e-13
         assert res.history[-1] == res.final_norm
@@ -238,32 +238,30 @@ class TestPeriodProblem:
         assert len(res.singular_values) == res.iterations
         assert all(len(sv) == 3 for sv in res.singular_values)
         assert min(res.singular_values[-1]) >= 0.3
-        # horizontal closure on both generators in the final report
-        for entry in res.report.entries:
-            assert entry.r1 < 1e-7
-        # the solved data still has the exact dh residues
+        # horizontal closure on both generators, by direct quadrature of
+        # the solved data
         data = fam.build(res.params)
+        for cond in GENERATORS:
+            assert abs(complex(*cond.evaluate(data, 1e-10))) < 1e-7
+        # the solved data still has the exact dh residues
         E1, E2 = data.domain.punctures
         assert abs(residue(data.dh, E1, 0.05) + 1j) < 1e-9
         assert abs(residue(data.dh, E2, 0.05) - 1j) < 1e-9
 
-    def test_root_is_unique(self, monkeypatch):
-        # the same (rho, c) whatever the finite-difference step and the start
-        roots = []
-        for fd_step in (1e-6, 1e-7):
-            monkeypatch.setattr(solver, "FD_STEP", fd_step)
+    def test_root_is_unique(self):
+        # the same (rho, c) whatever the start and the quadrature tolerance
+        for quad_tol in (1e-10, 1e-12):
+            fam = standard_g1h_family(tau=1j, shift=0.5, quad_tol=quad_tol)
             for rho, c in ((0.8, 0j), (1.3, 0.2 - 0.1j), (0.5, -0.3j)):
-                fam = standard_g1h_family(tau=1j, shift=0.5)
                 res = solve(fam, {"rho": rho, "c": c}, tol=1e-10)
                 assert res.converged
-                roots.append(fam.unpack(res.params))
-        for p in roots:
-            assert abs(p["rho"] - roots[0]["rho"]) < 1e-10
-            assert abs(p["c"] - roots[0]["c"]) < 1e-10
-        assert abs(roots[0]["rho"] - ROOT_RHO) < 1e-10
-        assert abs(roots[0]["c"] - ROOT_C) < 1e-10
+                p = fam.unpack(res.params)
+                assert abs(p["rho"] - ROOT_RHO) < 1e-10
+                assert abs(p["c"] - ROOT_C) < 1e-10
 
     def test_one_quadrature_run_per_cycle(self, monkeypatch):
+        # building the family integrates the unit member; residuals and
+        # Jacobians are algebra on those integrals, with no quadrature
         runs = []
         real = paths.integrate_paths
 
@@ -274,5 +272,10 @@ class TestPeriodProblem:
         for module in (paths, surface, divisor):
             monkeypatch.setattr(module, "integrate_paths", counting)
         fam = standard_g1h_family(tau=1j, shift=0.5)
-        fam.residual_vector(fam.pack(INIT))
-        assert len(runs) == 2
+        built = len(runs)
+        assert built <= 2
+        for rho, c in POINTS:
+            x = fam.pack({"rho": rho, "c": c})
+            fam.residual_vector(x)
+            fam.jacobian_matrix(x)
+        assert len(runs) == built
