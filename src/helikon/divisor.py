@@ -3,9 +3,10 @@
 Zeros and poles are located by the argument principle on a jittered grid of
 parallelogram cells covering the fundamental domain, then polished by
 Newton iteration using the exact AST derivative.  The winding integrals of
-a whole grid come from one quadrature run, and those of each refinement
-round (every subcell of every hot cell) from one more.  They only need to
-distinguish integers, so they run at loose quadrature tolerance.
+a whole grid come from one quadrature run over its distinct cell sides, and
+those of each refinement round (every subcell of every hot cell) from one
+more.  They only need to distinguish integers, so they run at loose
+quadrature tolerance.
 """
 
 import cmath
@@ -23,7 +24,7 @@ from .errors import (
     ZeroOnContour,
 )
 from .expr import FormExpr, differentiate, eval_expr, pullback
-from .paths import circle, integrate_path, integrate_paths, polyline
+from .paths import Lines, circle, integrate_path, integrate_paths
 
 TWO_PI_I = 2j * cmath.pi
 
@@ -68,48 +69,9 @@ class Divisor:
     def pole_count(self):
         return sum(-n for _, n in self.entries if n < 0)
 
-    def order_sum(self):
-        return sum(n for _, n in self.entries)
-
 
 def _coefficient(obj):
     return obj.coeff if isinstance(obj, FormExpr) else obj
-
-
-def _windings(f, fp, contours, tol=2e-3):
-    """Net number of zeros minus poles inside each contour, from one
-    quadrature run; ZeroOnContour if any contour fails."""
-
-    def integrand(z):
-        den = eval_expr(f, z)
-        return eval_expr(fp, z) / den
-
-    try:
-        vals = integrate_paths(integrand, contours, tol)
-    except (
-        NonFiniteSample,
-        NoConvergence,
-        PoleAt,
-        DomainViolation,
-        ZeroDivisionError,
-    ) as exc:
-        raise ZeroOnContour(str(exc)) from exc
-    w = (vals / TWO_PI_I).real
-    k = np.round(w)
-    off = np.abs(w - k) > 0.2
-    if np.count_nonzero(off):
-        raise ZeroOnContour(f"non-integer winding {w[off][0]:.3f}")
-    return k.astype(int).tolist()
-
-
-def _cell_contour(base, e1, e2, s0, t0, s1, t1):
-    corners = [
-        base + s0 * e1 + t0 * e2,
-        base + s1 * e1 + t0 * e2,
-        base + s1 * e1 + t1 * e2,
-        base + s0 * e1 + t1 * e2,
-    ]
-    return polyline(corners, closed=True)
 
 
 def _newton_polish(f, fp, u0, pole, max_iter=60, tol=1e-12):
@@ -159,9 +121,49 @@ def locate_divisor(obj, grid=8, jitter_tries=5, genus=1):
     )
 
 
-def _cell_windings(f, fp, base, e1, e2, cells):
-    """The winding of every cell (s0, t0, s1, t1), from one quadrature run."""
-    return _windings(f, fp, [_cell_contour(base, e1, e2, *c) for c in cells])
+def _cell_windings(f, fp, base, e1, e2, cells, tol=2e-3):
+    """Net number of zeros minus poles of f inside every cell (s0, t0, s1,
+    t1) of the grid base + s e1 + t e2; ZeroOnContour if any cell fails.
+
+    Cells share sides, so one quadrature run integrates fp / f once over
+    each distinct side, with s or t increasing, at tol / 4 (the per-side
+    tolerance of a four-sided contour at tol), and each cell sums its
+    sides with signs: bottom + right - top - left.
+    """
+    s0, t0, s1, t1 = np.array(cells, dtype=float).T
+    # every cell's bottom, right, top and left side as (s, t) -> (s', t')
+    sides = np.stack(
+        [s0, t0, s1, t0, s1, t0, s1, t1, s0, t1, s1, t1, s0, t0, s0, t1],
+        axis=1,
+    ).reshape(-1, 4)
+    distinct, which = np.unique(sides, axis=0, return_inverse=True)
+    sa, ta, sb, tb = distinct.T
+
+    def integrand(z):
+        den = eval_expr(f, z)
+        return eval_expr(fp, z) / den
+
+    try:
+        vals = integrate_paths(
+            integrand,
+            Lines(base + sa * e1 + ta * e2, base + sb * e1 + tb * e2),
+            tol / 4,
+        )
+    except (
+        NonFiniteSample,
+        NoConvergence,
+        PoleAt,
+        DomainViolation,
+        ZeroDivisionError,
+    ) as exc:
+        raise ZeroOnContour(str(exc)) from exc
+    bottom, right, top, left = vals[which.reshape(-1, 4)].T
+    w = ((bottom + right - top - left) / TWO_PI_I).real
+    k = np.round(w)
+    off = np.abs(w - k) > 0.2
+    if np.count_nonzero(off):
+        raise ZeroOnContour(f"non-integer winding {w[off][0]:.3f}")
+    return k.astype(int).tolist()
 
 
 def _locate_with_base(f, fp, lat, base, grid, genus):

@@ -615,9 +615,6 @@ class Involution:
     def __call__(self, u):
         return self.apply(u)
 
-    def is_fixed(self, u, tol=1e-9):
-        return any(self.domain.same_point(u, f, tol) for f in self.fixed_points)
-
 
 # ---------------------------------------------------------------------------
 # parser

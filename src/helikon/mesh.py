@@ -14,7 +14,7 @@ discretized form of a near-pair with large intrinsic distance.
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,7 +26,7 @@ from .errors import (
     ThresholdOrder,
 )
 from .expr import eval_expr
-from .paths import BLOCK_PANELS, polyline
+from .paths import BLOCK_PANELS, Lines
 from .surface import (
     is_vertical_flux,
     lopez_ros,
@@ -220,17 +220,15 @@ def _mesh_integrals(data, spec, tol=1e-10):
             " vertices unreachable"
         )
 
-    paths = [
-        polyline([verts[a], verts[b]]) for a, b in zip(parent[1:], child[1:])
-    ]
+    edges = Lines(points[parent[1:]], points[child[1:]])
     root_u = verts[root]
     if abs(root_u - data.basepoint) < 1e-13:
         triples = np.concatenate(
-            [np.zeros((1, 3), dtype=complex), period_triples(data, paths, tol)]
+            [np.zeros((1, 3), dtype=complex), period_triples(data, edges, tol)]
         )
     else:
         route = straight_route(data, root_u)
-        triples = period_triples(data, [route] + paths, tol)
+        triples = period_triples(data, [route, edges], tol)
 
     g_values = np.concatenate([
         _values_or_nan(data.g, points[s:s + _BLOCK])

@@ -1,27 +1,52 @@
-"""Complex integration paths and adaptive contour quadrature.
+"""Complex integration paths and contour quadrature that picks its rule
+from the contour type.
 
-Paths are ordered lists of line segments and circular arcs.  Integration is
-adaptive bisection with a Gauss-Kronrod (7, 15) pair per panel, run
-level-synchronously over many paths at once: each bisection level calls the
-integrand on the nodes of every active panel, in blocks of at most
-BLOCK_PANELS panels, accepts panels with one vector test and bisects only
-the ones that fail.  The panel budget is 2**20 per path.  An integrand maps
-a flat ndarray of points to an ndarray of values of the same length (or to
-a scalar, which broadcasts), or to a (k, n) array for k forms at once.
+Paths are ordered lists of line segments and circular arcs.  integrate_paths
+integrates many paths in one run and chooses a rule per path:
+
+- A periodic path, one whose single segment is a full-turn circle or a
+  torus generator (a Line that closes modulo the lattice, marked by
+  generator() or CycleBasis), gets the nested periodic trapezoidal rule.  On
+  such a contour a meromorphic integrand is periodic and smooth, so the rule
+  converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).  It
+  takes N = 15 * 2**j equispaced nodes, each doubling reusing the previous
+  samples, and accepts a path when |T_2N - T_N| <= tol (the largest error
+  of the forms, for a vector integrand).  The cap is TRAPEZOID_CAP nodes.
+  A path falls back to Gauss-Kronrod when a generator's integrand differs
+  at its two ends by more than tol (not periodic), when the doubling has
+  not reached tol at the cap, or when a sample is non-finite or raises
+  PoleAt (or DomainViolation, a declared puncture); the fallback then
+  raises the same errors as any other path.
+- Every other path gets adaptive bisection with a Gauss-Kronrod (7, 15)
+  pair per panel, run level-synchronously over the paths: each bisection
+  level calls the integrand on the nodes of every active panel, in blocks
+  of at most BLOCK_PANELS panels, accepts panels with one vector test and
+  bisects only the ones that fail.  The panel budget is 2**20 per path.
+
+Either rule calls the integrand on at most 15 * BLOCK_PANELS points at once.
+An integrand maps a flat ndarray of points to an ndarray of values of the
+same length (or to a scalar, which broadcasts), or to a (k, n) array for k
+forms at once.  A path's value depends on the path, the integrand and tol
+only, not on the other paths of the run or on BLOCK_PANELS.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NonFiniteSample
+from .errors import DomainViolation, NoConvergence, NonFiniteSample, PoleAt
 
 ENDPOINT_TOL = 1e-12
 PANEL_BUDGET = 2 ** 20
 # panels per integrand call: bounds the node arrays of one call (15 nodes
 # per panel, times the number of forms)
 BLOCK_PANELS = 512
+# the periodic trapezoidal rule: nodes at its first level, and the node
+# count at which it gives a path up to Gauss-Kronrod
+TRAPEZOID_NODES = 15
+TRAPEZOID_CAP = 15 * 2 ** 6
 
 # Kronrod 15-point nodes on [-1, 1] (odd indices are the embedded Gauss-7
 # nodes) and the two weight sets, to the full QUADPACK digits (qk15.f).
@@ -120,9 +145,13 @@ class Arc:
 
 
 class PathSpec:
-    """An oriented chain of segments with coincident endpoints."""
+    """An oriented chain of segments with coincident endpoints.
 
-    def __init__(self, segments, closed=False):
+    periodic marks a torus generator: one Line that closes modulo the
+    lattice (see generator()).  A full-turn circle is periodic by its shape.
+    """
+
+    def __init__(self, segments, closed=False, periodic=False):
         if not segments:
             raise ValueError("path needs at least one segment")
         for a, b in zip(segments, segments[1:]):
@@ -132,8 +161,16 @@ class PathSpec:
                 )
         if closed and abs(segments[-1].last - segments[0].first) > ENDPOINT_TOL:
             raise ValueError("path marked closed but endpoints do not match")
+        if periodic and (len(segments) != 1 or not isinstance(segments[0], Line)):
+            raise ValueError("a generator is a single Line")
         self.segments = tuple(segments)
         self.closed = closed
+        seg = segments[0]
+        self.periodic = periodic or (
+            len(segments) == 1
+            and isinstance(seg, Arc)
+            and abs(abs(seg.angle1 - seg.angle0) - 2.0 * math.pi) <= 1e-12
+        )
 
     @property
     def first(self):
@@ -150,7 +187,10 @@ class PathSpec:
                 rev.append(Line(seg.end, seg.start))
             else:
                 rev.append(Arc(seg.center, seg.radius, seg.angle1, seg.angle0))
-        return PathSpec(rev, closed=self.closed)
+        return PathSpec(
+            rev, closed=self.closed,
+            periodic=self.periodic and isinstance(rev[0], Line),
+        )
 
     def samples(self, n_per_segment=16):
         """Points along the path trace, for collision checks."""
@@ -171,6 +211,13 @@ def circle(center, radius, orientation=1):
     return PathSpec([arc], closed=True)
 
 
+def generator(base, span):
+    """The torus generator from base to base + span, a lattice vector: a
+    Line that closes modulo the lattice, so integrate_paths gives it the
+    periodic trapezoidal rule."""
+    return PathSpec([Line(base, base + span)], periodic=True)
+
+
 def polyline(points, closed=False):
     """Straight-line path through the given points."""
     segs = [Line(a, b) for a, b in zip(points, points[1:])]
@@ -189,35 +236,82 @@ def rectangle(corner, width, height, orientation=1):
     return polyline(pts, closed=True)
 
 
-class _Segments:
-    """The segments of many paths as flat arrays, so that a block of panels
-    on any mix of Lines and Arcs builds its nodes with array arithmetic (the
-    same arithmetic as Line.point/velocity and Arc.point/velocity)."""
+class Lines:
+    """Many one-segment straight paths start[k] -> end[k], held as two
+    arrays: a batch of len(start) paths, none of them periodic, that
+    integrate_paths reads without a PathSpec per path."""
 
-    def __init__(self, segments):
-        arc = [isinstance(seg, Arc) for seg in segments]
-        self.arc = np.array(arc, dtype=bool)
+    def __init__(self, start, end):
+        self.start = np.asarray(start, dtype=complex).ravel()
+        self.end = np.asarray(end, dtype=complex).ravel()
+        if self.start.shape != self.end.shape:
+            raise ValueError("start and end must have the same length")
+
+    def __len__(self):
+        return self.start.size
+
+
+def _spec_arrays(specs):
+    """The _Segments fields of a list of PathSpecs."""
+    segments = [seg for path in specs for seg in path.segments]
+    arc = [isinstance(seg, Arc) for seg in segments]
+    arcs = [s for s, a in zip(segments, arc) if a]
+    return (
+        np.array(arc, dtype=bool),
         # a Line's start and end - start; an Arc's center and velocity
         # factor radius * i * (angle1 - angle0)
-        self.base = np.array(
+        np.array(
             [s.center if a else s.start for s, a in zip(segments, arc)],
             dtype=complex,
-        )
-        self.step = np.array(
+        ),
+        np.array(
             [
                 s.radius * 1j * (s.angle1 - s.angle0) if a else s.end - s.start
                 for s, a in zip(segments, arc)
             ],
             dtype=complex,
-        )
-        arcs = [s for s, a in zip(segments, arc) if a]
-        self.radius = np.array([s.radius for s in arcs], dtype=float)
-        self.angle0 = np.array([s.angle0 for s in arcs], dtype=float)
-        self.dangle = np.array(
-            [s.angle1 - s.angle0 for s in arcs], dtype=float
-        )
-        # the row of each Arc in the three arrays above
+        ),
+        np.array([s.radius for s in arcs], dtype=float),
+        np.array([s.angle0 for s in arcs], dtype=float),
+        np.array([s.angle1 - s.angle0 for s in arcs], dtype=float),
+        np.array([len(path.segments) for path in specs], dtype=int),
+        np.array([path.periodic for path in specs], dtype=bool),
+    )
+
+
+def _line_arrays(lines):
+    """The _Segments fields of a Lines batch."""
+    n, none = len(lines), np.zeros(0)
+    return (
+        np.zeros(n, dtype=bool), lines.start, lines.end - lines.start,
+        none, none, none, np.ones(n, dtype=int), np.zeros(n, dtype=bool),
+    )
+
+
+class _Segments:
+    """The segments of many paths (PathSpecs and Lines batches) as flat
+    arrays, so that nodes on any mix of Lines and Arcs are built with array
+    arithmetic (the same arithmetic as Line.point/velocity and
+    Arc.point/velocity)."""
+
+    def __init__(self, paths):
+        parts = []
+        for batch, group in itertools.groupby(
+            paths, lambda p: isinstance(p, Lines)
+        ):
+            if batch:
+                parts += [_line_arrays(lines) for lines in group]
+            else:
+                parts.append(_spec_arrays(list(group)))
+        (
+            self.arc, self.base, self.step, self.radius, self.angle0,
+            self.dangle, self.counts, self.periodic,
+        ) = (np.concatenate(column) for column in zip(*parts))
+        # the row of each Arc in radius, angle0 and dangle
         self.arc_row = np.cumsum(self.arc) - 1
+        # each segment's path, and each path's first segment
+        self.path_of = np.repeat(np.arange(self.counts.size), self.counts)
+        self.first = np.cumsum(self.counts) - self.counts
 
     def nodes(self, idx, t):
         """Points and velocities at the parameters t (one row per panel) of
@@ -236,6 +330,100 @@ class _Segments:
         z[arc] = base[arc] + self.radius[k] * e
         v[arc] = step[arc] * e
         return z, v
+
+
+def _evaluate(f, z):
+    """f at the flat points z, in calls of at most 15 BLOCK_PANELS points; a
+    scalar result broadcasts."""
+    parts = []
+    limit = 15 * BLOCK_PANELS
+    with np.errstate(all="ignore"):
+        for s in range(0, z.size, limit):
+            chunk = z[s:s + limit]
+            fz = np.asarray(f(chunk))
+            parts.append(np.broadcast_to(fz, chunk.shape) if not fz.ndim else fz)
+    return np.concatenate(parts, axis=-1)
+
+
+def _evaluate_paths(f, z, owner):
+    """_evaluate path by path, where owner[i] is the path of z[i]: nan at
+    the points of a path on which f raises PoleAt or DomainViolation; None
+    if it raises on every path."""
+    parts = []
+    for p in np.unique(owner):
+        at = owner == p
+        try:
+            parts.append((at, _evaluate(f, z[at])))
+        except (PoleAt, DomainViolation):
+            continue
+    if not parts:
+        return None
+    out = np.full(parts[0][1].shape[:-1] + z.shape, complex(math.nan, math.nan))
+    for at, fz in parts:
+        out[..., at] = fz
+    return out
+
+
+def _trapezoid(f, geometry, seg, tol):
+    """The nested periodic trapezoidal rule on the one-segment paths whose
+    segments are seg: N = 15 * 2**j nodes t = k / N, each level calling f
+    once (per 15 BLOCK_PANELS points) on the new nodes of every live path.
+    Returns (values, done), one row per path; a path that is not done goes
+    to Gauss-Kronrod."""
+    n = seg.size
+    done = np.zeros(n, dtype=bool)
+    values = None
+    live = np.arange(n)
+    ends = np.flatnonzero(~geometry.arc[seg])  # the generators
+    nodes = TRAPEZOID_NODES
+    t = np.arange(nodes) / nodes
+    total = estimate = None
+    while True:
+        z, v = geometry.nodes(seg[live], np.broadcast_to(t, (live.size, t.size)))
+        z, v = z.ravel(), v.ravel()
+        owner = np.repeat(np.arange(live.size), t.size)
+        body = z.size
+        if total is None:
+            # and the far end of every generator, t = 1
+            z_end, v_end = geometry.nodes(seg[ends], np.ones((ends.size, 1)))
+            z = np.concatenate([z, z_end.ravel()])
+            v = np.concatenate([v, v_end.ravel()])
+            owner = np.concatenate([owner, ends])
+        try:
+            fz = _evaluate(f, z)
+        except (PoleAt, DomainViolation):
+            fz = _evaluate_paths(f, z, owner)
+            if fz is None:
+                return values, done
+        with np.errstate(all="ignore"):
+            fv = fz * v
+            forms = fv.shape[:-1]
+            form_axes = tuple(range(len(forms)))
+            finite = np.isfinite(fv).all(axis=form_axes)
+            keep = np.bincount(owner[~finite], minlength=live.size) == 0
+            rows = fv[..., :body].reshape(forms + (live.size, t.size))
+            # each path's new samples, summed in node order
+            new = np.moveaxis(rows.sum(axis=-1), -1, 0)
+        if values is None:
+            values = np.zeros((n,) + forms, dtype=complex)
+        if total is None:
+            # a generator is periodic when f agrees at its two ends
+            jump = np.abs(fv[..., body:] - rows[..., ends, 0])
+            keep[ends[jump.max(axis=form_axes) > tol]] = False
+            total, estimate = new, new / nodes
+        else:
+            total = total + new
+            nodes *= 2
+            previous, estimate = estimate, total / nodes
+            err = np.abs(estimate - previous).reshape(live.size, -1).max(axis=1)
+            ok = keep & (err <= tol)
+            values[live[ok]] = estimate[ok]
+            done[live[ok]] = True
+            keep &= ~ok
+        if nodes >= TRAPEZOID_CAP or not np.count_nonzero(keep):
+            return values, done
+        live, total, estimate = live[keep], total[keep], estimate[keep]
+        t = (2 * np.arange(nodes) + 1) / (2 * nodes)
 
 
 def _gk_panel(f, segments, idx, t0, t1):
@@ -287,31 +475,16 @@ def _ordered_sums(group, values, n):
     return out
 
 
-def integrate_paths(f, paths, tol=1e-12):
-    """Adaptive estimates of the contour integrals of f along every path.
-
-    Returns one row per path: a complex for an integrand with values of
-    shape (n,), k of them for one of shape (k, n).  A panel of a path with s
-    segments is accepted when its error estimate is at most tol / s times
-    its parameter length, or at most 1e-16; the estimated absolute error of
-    each path is then below tol.  A path may bisect PANEL_BUDGET / 2 panels.
-    Each segment's accepted panels are summed in increasing parameter and a
-    path's segments in order, so the result is deterministic.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if not paths:
-        return np.zeros(0, dtype=complex)
-    segments = [seg for path in paths for seg in path.segments]
-    counts = [len(path.segments) for path in paths]
-    path_of = np.repeat(np.arange(len(paths)), counts)
-    seg_tol = np.repeat([tol / c for c in counts], counts)
-    geometry = _Segments(segments)
-
-    idx = np.arange(len(segments))
-    t0 = np.zeros(len(segments))
-    t1 = np.ones(len(segments))
-    bisected = np.zeros(len(paths), dtype=int)
+def _gauss_kronrod(f, geometry, which, tol):
+    """Adaptive Gauss-Kronrod over every segment of the paths marked in
+    which; one row per path of geometry, zero for the unmarked ones."""
+    path_of = geometry.path_of
+    n = geometry.counts.size
+    seg_tol = tol / geometry.counts[path_of]
+    idx = np.flatnonzero(which[path_of])
+    t0 = np.zeros(idx.size)
+    t1 = np.ones(idx.size)
+    bisected = np.zeros(n, dtype=int)
     accepted = []  # (segment, t0, values) per level
     while True:
         blocks = [
@@ -328,7 +501,7 @@ def integrate_paths(f, paths, tol=1e-12):
         fail = ~ok
         if not np.count_nonzero(fail):
             break
-        bisected += np.bincount(path_of[idx[fail]], minlength=len(paths))
+        bisected += np.bincount(path_of[idx[fail]], minlength=n)
         if np.count_nonzero(2 * bisected > PANEL_BUDGET):
             raise NoConvergence("panel budget exhausted")
         lo, hi = t0[fail], t1[fail]
@@ -339,12 +512,51 @@ def integrate_paths(f, paths, tol=1e-12):
 
     seg, start, values = (np.concatenate(parts) for parts in zip(*accepted))
     order = np.lexsort((start, seg))
-    per_segment = _ordered_sums(seg[order], values[order], len(segments))
-    return _ordered_sums(path_of, per_segment, len(paths))
+    per_segment = _ordered_sums(seg[order], values[order], path_of.size)
+    return _ordered_sums(path_of, per_segment, n)
+
+
+def integrate_paths(f, paths, tol=1e-12):
+    """Estimates of the contour integrals of f along every path.
+
+    paths is a sequence of PathSpecs and Lines batches (or one Lines
+    batch).  Returns one row per path: a complex for an integrand with
+    values of shape (n,), k of them for one of shape (k, n).
+
+    A periodic path takes the nested trapezoidal rule: its value is T_2N
+    once |T_2N - T_N| <= tol.  Any other path, and a periodic one that
+    falls back (see the module docstring), takes adaptive Gauss-Kronrod: a
+    panel of a path with s segments is accepted when its error estimate is
+    at most tol / s times its parameter length, or at most 1e-16, so the
+    estimated absolute error of each path is below tol.  A path may bisect
+    PANEL_BUDGET / 2 panels.  Each segment's accepted panels are summed in
+    increasing parameter and a path's segments in order, so the result is
+    deterministic.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if isinstance(paths, Lines):
+        paths = [paths]
+    if not len(paths):
+        return np.zeros(0, dtype=complex)
+    geometry = _Segments(paths)
+    n = geometry.counts.size
+    if not n:
+        return np.zeros(0, dtype=complex)
+    periodic = np.flatnonzero(geometry.periodic)
+    rest = np.ones(n, dtype=bool)
+    if periodic.size:
+        values, done = _trapezoid(f, geometry, geometry.first[periodic], tol)
+        rest[periodic[done]] = False
+        if not np.count_nonzero(rest):
+            return values
+    out = _gauss_kronrod(f, geometry, rest, tol)
+    if periodic.size and np.count_nonzero(done):
+        out[periodic[done]] = values[done]
+    return out
 
 
 def integrate_path(f, path, tol=1e-12):
-    """Adaptive estimate of the contour integral of f along path: the
-    one-path case of integrate_paths, for an integrand with values of shape
-    (n,)."""
+    """Estimate of the contour integral of f along path: the one-path case
+    of integrate_paths, for an integrand with values of shape (n,)."""
     return complex(integrate_paths(f, [path], tol)[0])

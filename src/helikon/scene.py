@@ -5,7 +5,6 @@ The format is a single text document with `[section name]` headers and
 the package's mini-language.  All diagnostics carry 1-based line numbers.
 """
 
-import math
 import re
 from dataclasses import dataclass, field
 
@@ -17,7 +16,6 @@ from .errors import (
     UnresolvedReference,
 )
 from .expr import (
-    DomainViolation,
     Involution,
     Plane,
     PuncturedPlane,

@@ -22,12 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .divisor import (
-    check_abel,
-    exp_factor_coefficient,
-    laurent_coefficient,
-    residue,
-)
+from .divisor import TWO_PI_I, check_abel, exp_factor_coefficient
 from .errors import CoincidentPoints, SingularJacobian
 from .expr import (
     Const,
@@ -40,12 +35,13 @@ from .expr import (
     ZetaB,
     add,
     div,
+    eval_expr,
     mul,
     sub,
 )
 from .kernels import reduce_to_cell
 from .lattice import Lattice
-from .paths import polyline
+from .paths import circle, generator, integrate_paths
 from .surface import (
     WeierstrassData,
     lopez_ros_triples,
@@ -200,17 +196,24 @@ def periodic_g1h_family(params):
 
 
 def asymptotic_residual(data, punctures, radius=0.08):
-    """Helicoidal-end regularity defect: max over punctures of
-    |residue(dg/g - i dh)| + |a_-2| of the same form.
+    """Helicoidal-end regularity defect: max over punctures p of
+    |residue(w)| + |a_-2(w)| of w = dg/g - i dh.
 
     Zero means dg/g - i dh extends holomorphically across the punctures
-    (scale-one helicoid asymptotics)."""
+    (scale-one helicoid asymptotics).  One quadrature run integrates (w,
+    u w) over the circle of radius about every puncture: the residue is
+    oint w / 2 pi i and a_-2 = (oint u w - p oint w) / 2 pi i."""
     omega = data.log_gauss_form() + data.dh.scale(-1j)
+    points = [complex(p) for p in punctures]
+
+    def pair(u):
+        w = eval_expr(omega, u)
+        return np.stack([w, u * w])
+
+    rows = integrate_paths(pair, [circle(p, radius) for p in points], 1e-12)
     worst = 0.0
-    for p in punctures:
-        p = complex(p)
-        res = residue(omega, p, radius)
-        a2 = laurent_coefficient(omega, p, -2, radius=radius)
+    for p, (w, uw) in zip(points, rows.tolist()):
+        res, a2 = w / TWO_PI_I, (uw - p * w) / TWO_PI_I
         worst = max(worst, abs(res) + abs(a2))
     return worst
 
@@ -253,7 +256,7 @@ def standard_g1h_family(tau=1j, shift=None, E1=0.25 + 0.1j,
             f"punctures +-{E1} are {sep:.3g} apart modulo the lattice"
         )
     b = complex(cycle_base)
-    cycles = [polyline([b, b + 1]), polyline([b, b + tau])]
+    cycles = [generator(b, 1), generator(b, tau)]
 
     def constructor(params):
         return periodic_g1h_family(

@@ -76,6 +76,10 @@ class WeierstrassData:
 
 @dataclass
 class CycleBasis:
+    """Named basis cycles.  A single Line that closes modulo the lattice is
+    a torus generator: the basis holds it marked periodic (paths.generator),
+    so that quadrature takes the periodic trapezoidal rule on it."""
+
     cycles: list  # of PathSpec; closed literally or modulo the lattice
     labels: list
     lattice: object = None
@@ -83,17 +87,20 @@ class CycleBasis:
     def __post_init__(self):
         if len(self.cycles) != len(self.labels):
             raise ValueError("cycles and labels must align")
+        marked = []
         for c in self.cycles:
-            if c.closed:
-                continue
-            # torus generator cycles close only modulo the lattice
-            if self.lattice is not None and self.lattice.same_point(
-                c.first, c.last, 1e-10
-            ):
-                continue
-            raise ValueError(
-                "basis cycles must be closed (mod the lattice on a torus)"
-            )
+            if not c.closed:
+                # torus generator cycles close only modulo the lattice
+                if self.lattice is None or not self.lattice.same_point(
+                    c.first, c.last, 1e-10
+                ):
+                    raise ValueError(
+                        "basis cycles must be closed (mod the lattice on a torus)"
+                    )
+                if len(c.segments) == 1 and isinstance(c.segments[0], Line):
+                    c = PathSpec(c.segments, periodic=True)
+            marked.append(c)
+        self.cycles = marked
 
     def items(self):
         return list(zip(self.labels, self.cycles))
@@ -144,9 +151,9 @@ class FluxVector:
 
 
 def period_triples(data, paths, tol=1e-10):
-    """Integrals (P+, P-, P3) of (g dh, dh/g, dh) along every path, one row
-    per path, from one adaptive run whose error test is joint over the three
-    forms."""
+    """Integrals (P+, P-, P3) of (g dh, dh/g, dh) along every path (the
+    PathSpecs and Lines batches of integrate_paths), one row per path, from
+    one quadrature run whose error test is joint over the three forms."""
     try:
         return integrate_paths(data.period_values, paths, tol).reshape(-1, 3)
     except PoleAt as exc:

@@ -13,7 +13,6 @@ from helikon.divisor import (
     SIMPLE_POLE,
     TWO_PI_I,
     ZERO_AT,
-    _cell_contour,
     _locate_with_base,
     _newton_polish,
     abel_defect,
@@ -44,7 +43,7 @@ from helikon.expr import (
     torus,
 )
 from helikon.lattice import Lattice
-from helikon.paths import integrate_path
+from helikon.paths import integrate_path, polyline
 from helikon.scene import load_scene
 
 LAT = Lattice(1j)
@@ -244,6 +243,17 @@ def reference_classify(w, inv, p, radius=0.05, res_tol=1e-8):
     return REGULAR
 
 
+def _cell_contour(base, e1, e2, s0, t0, s1, t1):
+    """The closed four-sided contour of one grid cell, counterclockwise."""
+    corners = [
+        base + s0 * e1 + t0 * e2,
+        base + s1 * e1 + t0 * e2,
+        base + s1 * e1 + t1 * e2,
+        base + s0 * e1 + t1 * e2,
+    ]
+    return polyline(corners, closed=True)
+
+
 def _reference_winding(f, fp, contour, tol=2e-3):
     """One cell's winding from its own quadrature run."""
     try:
@@ -356,7 +366,8 @@ class TestBatchedDivisor:
                    for p, _ in dv.zeros())
 
     def test_quadrature_runs_per_grid(self, monkeypatch):
-        # one run for the grid and one per refinement round
+        # one run for the grid and one per refinement round, over the
+        # distinct cell sides: 8 x 9 horizontal and 9 x 8 vertical ones
         runs, attempts = [], []
         integrate, locate = (
             divisor_module.integrate_paths, divisor_module._locate_with_base
@@ -375,4 +386,4 @@ class TestBatchedDivisor:
         dv, ok = divisor_audit(parse_expr("wp(u) du", TORUS))
         assert ok and attempts
         assert len(runs) <= 3 * len(attempts)
-        assert runs[0] == 64
+        assert runs[0] == 144

@@ -6,14 +6,23 @@ import numpy as np
 import pytest
 
 from helikon import paths
-from helikon.divisor import residue
-from helikon.errors import NoConvergence, NonFiniteSample, PathThroughPole
+from helikon.divisor import laurent_coefficient, residue, residues
+from helikon.errors import (
+    NoConvergence,
+    NonFiniteSample,
+    PathThroughPole,
+    PoleAt,
+)
 from helikon.expr import Plane, PuncturedPlane, parse_expr, torus
+from helikon.kernels import wp, zeta_w
+from helikon.lattice import Lattice
 from helikon.paths import (
     Arc,
     Line,
+    Lines,
     PathSpec,
     circle,
+    generator,
     integrate_path,
     integrate_paths,
     polyline,
@@ -178,6 +187,8 @@ MIXED_PATHS = [
     PathSpec([Line(1.0, 2.0), Arc(0.0, 2.0, 0.0, math.pi / 2), Line(2j, 1j)]),
     rectangle(-1 - 1j, 2, 2j),
     circle(0, 0.05, -1),
+    # a clockwise three-quarter turn: an arc, not a periodic path
+    PathSpec([Arc(0.0, 0.05, 2 * math.pi, math.pi / 2)]),
 ]
 
 
@@ -198,8 +209,8 @@ class TestEngine:
     @pytest.mark.parametrize(
         "f, path",
         [(runge, polyline([-1, 1])), (mixed, MIXED_PATHS[2]),
-         (mixed, MIXED_PATHS[4])],
-        ids=["runge", "line-arc-line", "small-circle"],
+         (mixed, MIXED_PATHS[5])],
+        ids=["runge", "line-arc-line", "small-arc"],
     )
     def test_same_panels_as_depth_first(self, f, path, monkeypatch):
         want, want_panels = reference_integrate(f, path, 1e-11)
@@ -314,3 +325,166 @@ class TestPanelContract:
         )
         with pytest.raises(PathThroughPole):
             period_triple(data, path)
+
+
+LAT = Lattice(1j)
+BASE = -0.4871 - 0.3631j
+
+
+def elliptic(z):
+    """wp(u - 0.3i) + 2 wp(u + 0.25): elliptic, with no pole near A or B."""
+    return wp(z - 0.3j, LAT) + 2.0 * wp(z + 0.25, LAT)
+
+
+class TestPeriodicRule:
+    """Full-turn circles and marked torus generators take the nested
+    periodic trapezoidal rule; everything else, and every fallback, takes
+    Gauss-Kronrod."""
+
+    def test_periodic_paths(self):
+        assert circle(0.2, 0.5).periodic and circle(0.2, 0.5, -1).periodic
+        assert circle(0.2, 0.5).reversed().periodic
+        assert generator(BASE, 1j).periodic
+        assert generator(BASE, 1j).reversed().periodic
+        assert not polyline([BASE, BASE + 1]).periodic
+        assert not MIXED_PATHS[5].periodic
+        assert not rectangle(0, 1, 1j).periodic
+        with pytest.raises(ValueError):
+            PathSpec([Line(0, 1), Line(1, 2)], periodic=True)
+
+    @pytest.mark.parametrize("k", range(-3, 3))
+    def test_laurent_coefficients_closed_form(self, k, monkeypatch):
+        # exp(u) / u^3 = sum over k >= -3 of u^k / (k + 3)!
+        seen = engine_panels(monkeypatch)
+        w = parse_expr("exp(u)/u^3 du", PuncturedPlane((0,)))
+        got = laurent_coefficient(w, 0.0, k, radius=0.4)
+        assert abs(got - 1.0 / math.factorial(k + 3)) < 1e-13
+        assert not seen  # no Gauss-Kronrod panel
+
+    def test_residues_closed_form(self, monkeypatch):
+        seen = engine_panels(monkeypatch)
+        dom = torus(1j, (0.3j, -0.3j))
+        w = parse_expr("(0-i)*(zeta(u-0.3*i) - zeta(u+0.3*i)) du", dom)
+        got = residues(w, [0.3j, -0.3j, 0.2], 0.05)
+        for value, want in zip(got, (-1j, 1j, 0)):
+            assert abs(value - want) < 1e-13
+        z = parse_expr("zeta(u - 0.1) + 1/u^2 du", torus(1j))
+        assert abs(residue(z, 0.1, 0.05) - 1.0) < 1e-13
+        assert not seen
+
+    @pytest.mark.parametrize("span", [1, 1j], ids=["A", "B"])
+    def test_generator_matches_gauss_kronrod(self, span, monkeypatch):
+        want = integrate_path(elliptic, polyline([BASE, BASE + span]), 1e-13)
+        seen = engine_panels(monkeypatch)
+        got = integrate_path(elliptic, generator(BASE, span), 1e-12)
+        assert abs(got - want) < 1e-12
+        assert not seen
+
+    def test_quasi_periodic_generator_falls_back(self, monkeypatch):
+        # zeta(u + 1) = zeta(u) + 2 eta1: the ends disagree, so the marked
+        # generator takes the same Gauss-Kronrod run as the plain Line
+        f = lambda z: zeta_w(z, LAT)
+        want = integrate_path(f, polyline([BASE, BASE + 1]), 1e-10)
+        seen = engine_panels(monkeypatch)
+        got = integrate_path(f, generator(BASE, 1), 1e-10)
+        assert got == want and seen
+        # zeta = (log sigma)', and sigma(u + 1) = -exp(eta1 (u + 1/2)) sigma(u)
+        exact = LAT.eta1 * (BASE + 0.5) + 1j * math.pi
+        assert abs(got - exact) < 1e-10
+
+    def test_slow_convergence_falls_back(self, monkeypatch):
+        # a pole 1e-3 from the circle: the doubling misses tol at the cap
+        f = lambda z: 1.0 / (z - 1.001)
+        seen = engine_panels(monkeypatch)
+        got = integrate_path(f, circle(0, 1.0), 1e-12)
+        assert seen and abs(got) < 1e-12
+
+    def test_node_on_pole_raises_as_before(self, monkeypatch):
+        # the circle's point at t = 1/2 is a node of both rules: the
+        # trapezoid hands the path to Gauss-Kronrod, which raises there
+        pole = complex(Arc(0.3, 0.5, 0.0, 2 * math.pi).point(0.5))
+
+        def f(z):
+            if np.any(z == pole):
+                raise PoleAt(f"pole at {pole}")
+            return 1.0 / (z - pole)
+
+        with pytest.raises(PoleAt):
+            integrate_path(f, circle(0.3, 0.5), 1e-10)
+        data = WeierstrassData(
+            g=parse_expr("1/(u - 1)", Plane()), dh=parse_expr("1 du", Plane()),
+            basepoint=0.0,
+        )
+        # the pole is the trapezoid's node t = 0 and no Gauss-Kronrod node
+        monkeypatch.setattr(paths, "PANEL_BUDGET", 64)
+        with pytest.raises(NoConvergence):
+            period_triple(data, circle(0, 1.0))
+
+    def test_pole_on_one_path_leaves_the_others(self, monkeypatch):
+        # f raises PoleAt at the first trapezoid node of one circle, a point
+        # no Gauss-Kronrod node meets: that circle alone falls back
+        flagged = complex(circle(0.1 - 0.2j, 0.2).first)
+
+        def f(z):
+            if np.any(z == flagged):
+                raise PoleAt(f"pole at {flagged}")
+            return elliptic(z)
+
+        runs = [circle(0.6 + 0.6j, 0.15), circle(0.1 - 0.2j, 0.2),
+                generator(BASE, 1)]
+        alone = [integrate_path(f, path, 1e-11) for path in runs]
+        seen = engine_panels(monkeypatch)
+        assert integrate_paths(f, runs, 1e-11).tolist() == alone
+        assert {seg for seg, _, _ in seen} == {1}
+        assert abs(alone[1] - integrate_path(elliptic, runs[1], 1e-12)) < 1e-11
+
+    def test_value_independent_of_run(self, monkeypatch):
+        runs = [
+            generator(BASE, 1), circle(0.1 + 0.2j, 0.2), generator(BASE, 1j),
+            polyline([0.1, 0.4 + 0.2j]), circle(-0.3j, 0.05, -1),
+            circle(0.3, 0.25),
+        ]
+        alone = [integrate_path(elliptic, path, 1e-11) for path in runs]
+        together = integrate_paths(elliptic, runs, 1e-11)
+        assert together.tolist() == alone
+        assert integrate_paths(elliptic, runs[::-1], 1e-11).tolist() == alone[::-1]
+        sizes = []
+
+        def f(z):
+            sizes.append(z.size)
+            return elliptic(z)
+
+        monkeypatch.setattr(paths, "BLOCK_PANELS", 3)
+        assert integrate_paths(f, runs, 1e-11).tolist() == alone
+        assert max(sizes) == 45
+
+    def test_vector_integrand_joint_test(self):
+        pair = lambda z: np.stack([elliptic(z), z * elliptic(z)])
+        cycles = [generator(BASE, 1), circle(0.3, 0.2)]
+        both = integrate_paths(pair, cycles, 1e-11)
+        assert both.shape == (2, 2)
+        for row, path in zip(both, cycles):
+            assert abs(row[0] - integrate_path(elliptic, path, 1e-12)) < 1e-11
+            assert abs(
+                row[1] - integrate_path(lambda z: z * elliptic(z), path, 1e-12)
+            ) < 1e-11
+
+
+class TestLines:
+    def test_lines_match_one_path_each(self):
+        start = np.array([0.5 + 0.5j, 0.2 + 0.5j, -1 + 0.1j])
+        end = np.array([1.0 + 0.7j, 2.0 + 0.1j, -1 - 0.9j])
+        got = integrate_paths(mixed, Lines(start, end), 1e-11)
+        want = [integrate_path(mixed, polyline([a, b]), 1e-11)
+                for a, b in zip(start.tolist(), end.tolist())]
+        assert got.tolist() == want
+        # mixed with PathSpecs, in order
+        both = integrate_paths(
+            mixed, [MIXED_PATHS[2], Lines(start, end), MIXED_PATHS[0]], 1e-11
+        )
+        assert both[1:4].tolist() == want
+        assert both[0] == integrate_path(mixed, MIXED_PATHS[2], 1e-11)
+        assert both[4] == integrate_path(mixed, MIXED_PATHS[0], 1e-11)
+
+    def test_empty_batch(self):
+        assert integrate_paths(mixed, Lines([], []), 1e-10).shape == (0,)

@@ -1,13 +1,16 @@
 """Family construction, residual conditions, and the Newton/LM driver."""
 
+import os
+
 import numpy as np
 import pytest
 
-from helikon import divisor, paths, surface
+from helikon import cli, divisor, paths, solver, surface
 from helikon.divisor import residue
 from helikon.errors import AbelViolation, CoincidentPoints, SingularJacobian
 from helikon.expr import Plane, parse_expr
-from helikon.paths import circle, polyline
+from helikon.paths import circle, generator, polyline
+from helikon.scene import load_scene
 from helikon.solver import (
     FamilySpec,
     HorizontalPeriod,
@@ -16,7 +19,7 @@ from helikon.solver import (
     solve,
     standard_g1h_family,
 )
-from helikon.surface import WeierstrassData
+from helikon.surface import WeierstrassData, period_triples
 
 INIT = {"E1": 0.25 + 0.1j, "rho": 0.8, "c": 0.0}
 # the candidate scene's root: E1 = 0.25+0.1i is pinned, (rho, c) solved for
@@ -32,6 +35,25 @@ GENERATORS = (
     HorizontalPeriod(polyline([BASE, BASE + 1])),
     HorizontalPeriod(polyline([BASE, BASE + 1j])),
 )
+
+
+CANDIDATE_SCENE = os.path.join(
+    os.path.dirname(__file__), "..", "scenes", "periodic-candidate.scene"
+)
+
+
+def count_quadrature_runs(monkeypatch):
+    """Record one entry per integrate_paths run, wherever it is called."""
+    runs = []
+    real = paths.integrate_paths
+
+    def counting(*args, **kwargs):
+        runs.append(1)
+        return real(*args, **kwargs)
+
+    for module in (paths, surface, divisor, solver):
+        monkeypatch.setattr(module, "integrate_paths", counting)
+    return runs
 
 
 def toy_family(residual_fn, derivative_fn):
@@ -262,15 +284,7 @@ class TestPeriodProblem:
     def test_one_quadrature_run_per_cycle(self, monkeypatch):
         # building the family integrates the unit member; residuals and
         # Jacobians are algebra on those integrals, with no quadrature
-        runs = []
-        real = paths.integrate_paths
-
-        def counting(*args, **kwargs):
-            runs.append(1)
-            return real(*args, **kwargs)
-
-        for module in (paths, surface, divisor):
-            monkeypatch.setattr(module, "integrate_paths", counting)
+        runs = count_quadrature_runs(monkeypatch)
         fam = standard_g1h_family(tau=1j, shift=0.5)
         built = len(runs)
         assert built <= 2
@@ -279,3 +293,35 @@ class TestPeriodProblem:
             fam.residual_vector(x)
             fam.jacobian_matrix(x)
         assert len(runs) == built
+
+    def test_generator_triples_match_gauss_kronrod(self):
+        # the marked generators take the periodic trapezoidal rule; the
+        # plain Lines, adaptive Gauss-Kronrod at a tighter tol
+        fam = standard_g1h_family(tau=1j, shift=0.5)
+        scene_data = load_scene(CANDIDATE_SCENE).only_data()
+        for data in (scene_data, fam.build(fam.pack({"rho": ROOT_RHO,
+                                                     "c": ROOT_C}))):
+            got = period_triples(
+                data, [generator(BASE, 1), generator(BASE, 1j)], 1e-12
+            )
+            want = period_triples(data, [g.cycle for g in GENERATORS], 1e-13)
+            assert np.abs(got - want).max() < 1e-12
+
+    def test_asymptotic_residual_is_one_run(self, monkeypatch):
+        fam = standard_g1h_family(tau=1j, shift=0.5)
+        data = fam.build(fam.pack({"rho": ROOT_RHO, "c": ROOT_C}))
+        runs = count_quadrature_runs(monkeypatch)
+        assert asymptotic_residual(data, data.domain.punctures) < 1e-12
+        assert len(runs) == 1
+
+    def test_candidate_solve_runs(self, monkeypatch):
+        # two runs build the family, one checks the end regularity
+        scene = load_scene(CANDIDATE_SCENE)
+        runs = count_quadrature_runs(monkeypatch)
+        code, report = cli.run("solve", scene, {"json": False})
+        assert code == 0 and report["verdict"]
+        assert len(runs) <= 3
+        res = report["results"]
+        assert abs(res["parameters"]["rho"] - ROOT_RHO) < 1e-10
+        assert abs(res["parameters"]["c"] - ROOT_C) < 1e-10
+        assert res["asymptotic_residual"] < 1e-12

@@ -212,6 +212,18 @@ class TestCycleBasis:
         )
         assert len(basis.items()) == 2
 
+    def test_generators_are_marked_periodic(self):
+        # single Lines that close modulo the lattice take the periodic
+        # rule; a closed polyline stays as it is
+        b = -0.48 - 0.36j
+        cycles = [polyline([b, b + 1]), polyline([b, b + 1j]),
+                  polyline([0.1, 0.2, 0.2j], closed=True)]
+        basis = CycleBasis(cycles, ["A", "B", "C"], lattice=torus(1j).lattice)
+        assert [c.periodic for c in basis.cycles] == [True, True, False]
+        assert basis.cycles[0].segments == cycles[0].segments
+        assert basis.cycles[2] is cycles[2]
+        assert not cycles[0].periodic
+
     def test_open_path_rejected_without_lattice(self):
         with pytest.raises(ValueError):
             CycleBasis([polyline([0, 1])], ["A"])
