@@ -13,7 +13,7 @@ import os
 import sys
 
 from .divisor import (
-    classify_fixed_point,
+    classify_fixed_points,
     divisor_audit,
     residues,
 )
@@ -224,11 +224,9 @@ def cmd_classify_fixed(scene, flags):
     opts = _settings(scene, "classify-fixed")
     data = _pick_data(scene, opts)
     inv = scene.resolve_involution(opts.get("involution", "I"))
-    results = []
-    for p in inv.fixed_points:
-        results.append(
-            {"point": p, "case": classify_fixed_point(data.dh, inv, p)}
-        )
+    points = inv.fixed_points
+    cases = classify_fixed_points(data.dh, inv, points)
+    results = [{"point": p, "case": c} for p, c in zip(points, cases)]
     return {"results": results, "verdict": True, "settings": {}}
 
 

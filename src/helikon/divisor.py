@@ -1,12 +1,17 @@
 """Residues, divisor audits, and fixed-point classification.
 
 Zeros and poles are located by the argument principle on a jittered grid of
-parallelogram cells covering the fundamental domain, then polished by
-Newton iteration using the exact AST derivative.  The winding integrals of
-a whole grid come from one quadrature run over its distinct cell sides, and
-those of each refinement round (every subcell of every hot cell) from one
-more.  They only need to distinguish integers, so they run at loose
-quadrature tolerance.
+parallelogram cells covering the fundamental domain.  The winding integrals
+of a whole grid come from one quadrature run over its distinct cell sides,
+and those of each of two refinement rounds (every subcell of every hot
+cell) from one more.  They only need to distinguish integers, so they run
+at loose quadrature tolerance.  The last round's hot subcells then take the
+argument-principle moments m_j = (1/2 pi i) * integral of u^j f'/f du,
+j = 0, 1, 2, on a circle around each, all circles in one run of the
+periodic trapezoidal rule: a subcell of winding k holds the point m1 / k,
+and m2 / k - (m1 / k)^2 vanishes unless it holds several distinct points
+(Delves & Lyness, Math. Comp. 21, 1967; Kravanja & Van Barel, LNM 1727,
+2000).
 """
 
 import cmath
@@ -17,6 +22,7 @@ import numpy as np
 from .errors import (
     AbelViolation,
     AuditFailed,
+    ClusteredDivisor,
     DomainViolation,
     NoConvergence,
     NonFiniteSample,
@@ -27,6 +33,19 @@ from .expr import FormExpr, differentiate, eval_expr, pullback
 from .paths import Lines, circle, integrate_path, integrate_paths
 
 TWO_PI_I = 2j * cmath.pi
+# a contour that meets (or nearly meets) a zero or pole of f raises these
+CONTOUR_ERRORS = (
+    NonFiniteSample, NoConvergence, PoleAt, DomainViolation, ZeroDivisionError,
+)
+# the last step's circles: CIRCLE_SCALE times each hot cell's circumradius,
+# integrated at MOMENT_TOL
+CIRCLE_SCALE = 1.02
+MOMENT_TOL = 1e-10
+# largest |m2/k - (m1/k)^2| taken for one point of order k.  Two simple
+# points d apart spread d^2 / 4, so points more than 6.3e-5 apart are told
+# apart; a point whose moments are off by delta spreads about 2 |u| delta,
+# and the kernels' floor gives 2.7e-12 on the audits
+MAX_SPREAD = 1e-9
 
 
 def residues(w, points, radius, tol=1e-12):
@@ -74,33 +93,13 @@ def _coefficient(obj):
     return obj.coeff if isinstance(obj, FormExpr) else obj
 
 
-def _newton_polish(f, fp, u0, pole, max_iter=60, tol=1e-12):
-    """Newton iteration toward a zero (pole=False) or pole (pole=True) of f."""
-    u = complex(u0)
-    sign = 1.0 if pole else -1.0
-    for _ in range(max_iter):
-        try:
-            fv = eval_expr(f, u)
-            fpv = eval_expr(fp, u)
-        except (PoleAt, DomainViolation):
-            u += 1e-9 * (1 + 1j)
-            continue
-        if abs(fpv) == 0:
-            break
-        step = sign * fv / fpv
-        # damp wild steps; multiple zeros converge linearly but steadily
-        if abs(step) > 0.2:
-            step *= 0.2 / abs(step)
-        u += step
-        if abs(step) < tol:
-            break
-    return u
-
-
 def locate_divisor(obj, grid=8, jitter_tries=5, genus=1):
     """Locate zeros and poles of a torus Expr/FormExpr in the fundamental cell.
 
-    Raises ZeroOnContour when every jittered grid fails.
+    Raises ZeroOnContour when every jittered grid fails, and
+    ClusteredDivisor when distinct points share a subcell of the last
+    refinement round (1/(4 grid) of a period wide); a larger grid separates
+    them.
     """
     f = _coefficient(obj)
     lat = f.domain.lattice
@@ -121,14 +120,16 @@ def locate_divisor(obj, grid=8, jitter_tries=5, genus=1):
     )
 
 
-def _cell_windings(f, fp, base, e1, e2, cells, tol=2e-3):
-    """Net number of zeros minus poles of f inside every cell (s0, t0, s1,
-    t1) of the grid base + s e1 + t e2; ZeroOnContour if any cell fails.
+def _cell_integrals(integrand, base, e1, e2, cells, tol):
+    """Contour integral of integrand around every cell (s0, t0, s1, t1) of
+    the grid base + s e1 + t e2, counterclockwise; ZeroOnContour if the
+    quadrature fails on any side.
 
-    Cells share sides, so one quadrature run integrates fp / f once over
-    each distinct side, with s or t increasing, at tol / 4 (the per-side
-    tolerance of a four-sided contour at tol), and each cell sums its
-    sides with signs: bottom + right - top - left.
+    Cells share sides, so one quadrature run integrates over each distinct
+    side once, with s or t increasing, at tol / 4 (the per-side tolerance
+    of a four-sided contour at tol), and each cell sums its sides with
+    signs: bottom + right - top - left.  A vector integrand gives one row
+    of forms per cell.
     """
     s0, t0, s1, t1 = np.array(cells, dtype=float).T
     # every cell's bottom, right, top and left side as (s, t) -> (s', t')
@@ -138,32 +139,86 @@ def _cell_windings(f, fp, base, e1, e2, cells, tol=2e-3):
     ).reshape(-1, 4)
     distinct, which = np.unique(sides, axis=0, return_inverse=True)
     sa, ta, sb, tb = distinct.T
-
-    def integrand(z):
-        den = eval_expr(f, z)
-        return eval_expr(fp, z) / den
-
     try:
         vals = integrate_paths(
             integrand,
             Lines(base + sa * e1 + ta * e2, base + sb * e1 + tb * e2),
             tol / 4,
         )
-    except (
-        NonFiniteSample,
-        NoConvergence,
-        PoleAt,
-        DomainViolation,
-        ZeroDivisionError,
-    ) as exc:
+    except CONTOUR_ERRORS as exc:
         raise ZeroOnContour(str(exc)) from exc
-    bottom, right, top, left = vals[which.reshape(-1, 4)].T
-    w = ((bottom + right - top - left) / TWO_PI_I).real
+    bottom, right, top, left = np.moveaxis(vals[which.reshape(-1, 4)], 1, 0)
+    return bottom + right - top - left
+
+
+def _cell_windings(f, fp, base, e1, e2, cells, tol=2e-3):
+    """Net number of zeros minus poles of f inside every cell of the grid
+    (see _cell_integrals); ZeroOnContour if any cell fails."""
+
+    def integrand(z):
+        den = eval_expr(f, z)
+        return eval_expr(fp, z) / den
+
+    w = (_cell_integrals(integrand, base, e1, e2, cells, tol) / TWO_PI_I).real
     k = np.round(w)
     off = np.abs(w - k) > 0.2
     if np.count_nonzero(off):
         raise ZeroOnContour(f"non-integer winding {w[off][0]:.3f}")
     return k.astype(int).tolist()
+
+
+def _moment_points(f, fp, base, e1, e2, hot):
+    """The point m1 / k of every hot cell (s0, t0, s1, t1, k), from the
+    argument-principle moments m_j = (1/2 pi i) * contour integral of
+    u^j f'/f du, j = 0, 1, 2.
+
+    Every cell's circle (centred on it, CIRCLE_SCALE times its circumradius)
+    goes into one quadrature run, where full circles take the periodic
+    trapezoidal rule.  A circle whose m0 does not round to k, or whose
+    spread |m2/k - (m1/k)^2| is above MAX_SPREAD, may hold a neighbour's
+    point as well; such a cell takes its moments from its own four sides
+    instead, all of them in one more run.  If its sides still disagree,
+    this raises ZeroOnContour (m0) or ClusteredDivisor (the spread).
+    """
+    s0, t0, s1, t1, k = np.array(hot, dtype=float).T
+    center = base + 0.5 * (s0 + s1) * e1 + 0.5 * (t0 + t1) * e2
+    ds, dt = (s1 - s0) * e1, (t1 - t0) * e2
+    radius = CIRCLE_SCALE * 0.5 * np.maximum(abs(ds + dt), abs(ds - dt))
+
+    def integrand(z):
+        d = eval_expr(fp, z) / eval_expr(f, z)
+        return np.stack([d, z * d, z * z * d])
+
+    def checks(m):
+        miscount = np.round(m[:, 0].real) != k
+        spread = np.abs(m[:, 2] / k - (m[:, 1] / k) ** 2)
+        return miscount, spread
+
+    try:
+        m = integrate_paths(
+            integrand,
+            [circle(c, r) for c, r in zip(center.tolist(), radius.tolist())],
+            MOMENT_TOL,
+        ) / TWO_PI_I
+    except CONTOUR_ERRORS as exc:
+        raise ZeroOnContour(str(exc)) from exc
+    miscount, spread = checks(m)
+    redo = miscount | (spread > MAX_SPREAD)
+    if np.count_nonzero(redo):
+        cells = np.stack([s0, t0, s1, t1], axis=1)[redo]
+        m[redo] = _cell_integrals(
+            integrand, base, e1, e2, cells, MOMENT_TOL
+        ) / TWO_PI_I
+        miscount, spread = checks(m)
+        if np.count_nonzero(miscount):
+            raise ZeroOnContour("moment count disagrees with the winding")
+        if np.count_nonzero(spread > MAX_SPREAD):
+            raise ClusteredDivisor(
+                f"distinct points share a cell 1/{round(1 / (s1 - s0)[0])}"
+                f" of a period wide (spread {spread.max():.3g});"
+                " locate on a finer grid"
+            )
+    return m[:, 1] / k
 
 
 def _locate_with_base(f, fp, lat, base, grid, genus):
@@ -176,6 +231,8 @@ def _locate_with_base(f, fp, lat, base, grid, genus):
     ]
     windings = _cell_windings(f, fp, base, e1, e2, cells)
     hot = [(*c, k) for c, k in zip(cells, windings) if k != 0]
+    if not hot:
+        return Divisor(entries=[], genus=genus)
 
     # subdivide hot cells to separate nearby points
     for _ in range(2):
@@ -193,9 +250,8 @@ def _locate_with_base(f, fp, lat, base, grid, genus):
         hot = [(*c, k) for c, k in zip(subcells, windings) if k != 0]
 
     entries = []
-    for s0, t0, s1, t1, k in hot:
-        center = base + 0.5 * (s0 + s1) * e1 + 0.5 * (t0 + t1) * e2
-        point = _newton_polish(f, fp, center, pole=k < 0)
+    points = _moment_points(f, fp, base, e1, e2, hot)
+    for point, (*_, k) in zip(points.tolist(), hot):
         merged = False
         for i, (p, n) in enumerate(entries):
             if lat.same_point(p, point, 1e-6):
@@ -227,16 +283,29 @@ IDENTICALLY_ZERO = "IdenticallyZero"
 REGULAR = "Regular"
 
 
-def classify_fixed_point(w, inv, p, radius=0.05, res_tol=1e-8):
-    """Behaviour of w + I*w at a fixed point p of the involution.
+def classify_fixed_points(w, inv, points, radius=0.05, res_tol=1e-8):
+    """Behaviour of w + I*w at every fixed point of the involution, with
+    the residues of w at all the points from one residues run.
 
     SimplePole iff the residue of w at p is nonzero; IdenticallyZero iff the
     symmetrized form is uniformly tiny on two concentric circles; ZeroAt when
     it vanishes in the limit at p; Regular otherwise.
     """
-    p = complex(p)
+    points = [complex(p) for p in points]
     sym = w + pullback(w, inv)
-    b = residue(w, p, radius)
+    return [
+        _classify(sym, p, b, radius, res_tol)
+        for p, b in zip(points, residues(w, points, radius))
+    ]
+
+
+def classify_fixed_point(w, inv, p, radius=0.05, res_tol=1e-8):
+    """classify_fixed_points at the one fixed point p."""
+    return classify_fixed_points(w, inv, [p], radius, res_tol)[0]
+
+
+def _classify(sym, p, b, radius, res_tol):
+    """The case of the symmetrized form sym at p, where w has residue b."""
     if abs(b) > res_tol:
         return SIMPLE_POLE
     # two circles of 8 points, then two of 6 close in; one evaluation each

@@ -45,6 +45,10 @@ class ZeroOnContour(HelikonError):
     """A counting-contour passed through (or too near) a zero or pole."""
 
 
+class ClusteredDivisor(HelikonError):
+    """Distinct zeros or poles too close together for the divisor grid."""
+
+
 class AuditFailed(HelikonError):
     """Divisor audit found counts inconsistent with an elliptic object."""
 

@@ -43,9 +43,6 @@ class Plane:
     def same_point(self, a, b, tol=1e-9):
         return abs(a - b) < tol
 
-    def describe(self):
-        return "plane"
-
 
 @dataclass(frozen=True)
 class PuncturedPlane:
@@ -62,9 +59,6 @@ class PuncturedPlane:
 
     def same_point(self, a, b, tol=1e-9):
         return abs(a - b) < tol
-
-    def describe(self):
-        return f"plane minus {list(self.punctures)}"
 
 
 @dataclass(frozen=True)
@@ -88,9 +82,6 @@ class Torus:
 
     def same_point(self, a, b, tol=1e-9):
         return self.lat.same_point(a, b, tol)
-
-    def describe(self):
-        return f"torus tau={self.lat.tau} minus {list(self.punctures)}"
 
 
 def torus(tau, punctures=(), series_tol=1e-14):

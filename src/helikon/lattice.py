@@ -7,6 +7,7 @@ Eisenstein-summation oracle, frozen as a regression value in the tests).
 """
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,23 @@ LEGENDRE_CONSTANT = 2j * cmath.pi
 def _series():
     # derived arrays, kept out of the lattice's equality, hash and repr
     return field(init=False, compare=False, repr=False)
+
+
+def _eta1(tau, tol):
+    """eta1 = pi^2/3 * E2(tau), from the Lambert series
+    E2 = 1 - 24 sum_{n >= 1} x^n / (1 - x^n)^2, x = exp(2 pi i tau).
+
+    Unlike -pi^2/3 * theta1'''(0)/theta1'(0), the series does not cancel
+    near Im(tau) = MIN_IM_TAU.  With r = |x|, the tail from the n-th term
+    on is at most r^n / ((1 - r) (1 - r^n)^2); the sum stops at the least
+    n with 24 r^n / (1 - r) <= tol, which bounds the truncation by about
+    tol relative to the leading 1.
+    """
+    r = math.exp(-2.0 * math.pi * tau.imag)
+    n = max(1, math.ceil(math.log(tol * (1.0 - r) / 24.0) / math.log(r)))
+    x = np.exp(2j * np.pi * tau * np.arange(1, n + 1))
+    e2 = 1.0 - 24.0 * complex(np.sum(x / (1.0 - x) ** 2))
+    return cmath.pi ** 2 / 3.0 * e2
 
 
 @dataclass(frozen=True)
@@ -54,10 +72,8 @@ class Lattice:
         q = cmath.exp(1j * cmath.pi * tau)
         n_terms = term_count(tau.imag, self.series_tol)
         k, c0, c1, c2 = theta_coefficients(q, n_terms)
-        # eta1 = -pi^2/3 * theta1'''(0)/theta1'(0) for half-period 1/2
         t1p0 = 2.0 * complex(np.sum(c1))
-        t1ppp0 = -2.0 * complex(np.sum(c2 * k))
-        eta1 = -(cmath.pi ** 2) / 3.0 * t1ppp0 / t1p0
+        eta1 = _eta1(tau, self.series_tol)
         for name, value in (
             ("tau", tau), ("q", q), ("n_terms", n_terms), ("k", k),
             ("c0", c0), ("c1", c1), ("c2", c2), ("t1p0", t1p0),

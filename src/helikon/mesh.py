@@ -28,13 +28,13 @@ from .errors import (
 from .expr import eval_expr
 from .paths import BLOCK_PANELS, Lines
 from .surface import (
-    is_vertical_flux,
     lopez_ros,
     lopez_ros_triples,
     period_triples,
     recombine,
     straight_route,
     triples_report,
+    vertical_flux_report,
 )
 
 # graph shortest paths overestimate geodesics; absorb mesh quality by
@@ -526,17 +526,18 @@ def lambda_sweep(
 
     Requires vertical flux (closure must survive the deformation); period
     residuals are re-verified per lambda when a cycle basis is given.  The
-    quadrature runs once, for data: its cycle triples and its mesh
-    integrals, which every lambda rescales (lopez_ros_triples).
+    quadrature runs once, for data: its cycle triples, at min(tol, 1e-10),
+    which give the flux test and which every lambda rescales
+    (lopez_ros_triples), and its mesh integrals.
     """
     triples = None
     if basis is not None:
-        vf = is_vertical_flux(data, basis)
+        triples = period_triples(data, basis.cycles, min(tol, 1e-10))
+        vf = vertical_flux_report(basis.labels, triples)
         if not (vf.vertical or vf.vacuous):
             raise NotVerticalFlux(
                 f"horizontal flux magnitudes {vf.horizontal_magnitudes}"
             )
-        triples = period_triples(data, basis.cycles, tol)
     integrals = _mesh_integrals(data, spec)
 
     def verdict(lam):

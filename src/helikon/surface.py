@@ -232,12 +232,17 @@ def period_report(data, basis, tol=1e-10):
     return triples_report(basis.labels, triples, tol)
 
 
-def fluxes(data, cycles, tol=1e-10):
-    """Flux vector of every closed cycle, from one period_triples run."""
+def _flux_vectors(triples):
+    """Flux vector of every stored period triple of a closed cycle."""
     return [
         FluxVector(tuple(v.imag for v in recombine(*row)))
-        for row in period_triples(data, cycles, tol).tolist()
+        for row in triples.tolist()
     ]
+
+
+def fluxes(data, cycles, tol=1e-10):
+    """Flux vector of every closed cycle, from one period_triples run."""
+    return _flux_vectors(period_triples(data, cycles, tol))
 
 
 def flux(data, cycle, tol=1e-10):
@@ -252,15 +257,21 @@ class VerticalFluxReport:
     horizontal_magnitudes: dict
 
 
-def is_vertical_flux(data, basis, tol=1e-9):
-    """True iff every basis cycle has vanishing horizontal flux."""
+def vertical_flux_report(labels, triples, tol=1e-9):
+    """VerticalFluxReport of stored period triples, one per labelled cycle."""
     mags = {
         label: f.horizontal_magnitude()
-        for label, f in zip(basis.labels, fluxes(data, basis.cycles))
+        for label, f in zip(labels, _flux_vectors(triples))
     }
     vacuous = not mags
     vertical = all(m < tol for m in mags.values())
     return VerticalFluxReport(vertical, vacuous, mags)
+
+
+def is_vertical_flux(data, basis, tol=1e-9):
+    """True iff every basis cycle has vanishing horizontal flux."""
+    triples = period_triples(data, basis.cycles)
+    return vertical_flux_report(basis.labels, triples, tol)
 
 
 def lopez_ros(data, lam):

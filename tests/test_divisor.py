@@ -4,6 +4,7 @@ import cmath
 import math
 import os
 
+import mpmath
 import pytest
 
 from helikon import divisor as divisor_module
@@ -14,10 +15,10 @@ from helikon.divisor import (
     TWO_PI_I,
     ZERO_AT,
     _locate_with_base,
-    _newton_polish,
     abel_defect,
     check_abel,
     classify_fixed_point,
+    classify_fixed_points,
     divisor_audit,
     exp_factor_coefficient,
     laurent_coefficient,
@@ -27,6 +28,7 @@ from helikon.divisor import (
 )
 from helikon.errors import (
     AbelViolation,
+    ClusteredDivisor,
     DomainViolation,
     NoConvergence,
     NonFiniteSample,
@@ -42,6 +44,7 @@ from helikon.expr import (
     pullback,
     torus,
 )
+from helikon.kernels import reduce_to_cell
 from helikon.lattice import Lattice
 from helikon.paths import integrate_path, polyline
 from helikon.scene import load_scene
@@ -114,6 +117,10 @@ class TestDivisorLocation:
         pole_pts = [p for p, _ in dv.poles()]
         assert any(LAT.same_point(p, a, 1e-8) for p in pole_pts)
         assert any(LAT.same_point(p, -a, 1e-8) for p in pole_pts)
+
+    def test_constant_has_no_divisor(self):
+        dv, ok = divisor_audit(parse_expr("1 du", TORUS))
+        assert ok and dv.entries == []
 
     def test_elliptic_function_degree(self):
         g = parse_expr(
@@ -209,12 +216,32 @@ class TestClassifier:
             dom = PuncturedPlane(punctures)
         w = parse_expr(text, dom)
         inv = Involution(center, dom)
+        cases = []
         for p in inv.fixed_points:
             try:
                 want = reference_classify(w, inv, p)
             except (PoleAt, DomainViolation):
                 continue
             assert classify_fixed_point(w, inv, p) == want
+            cases.append(want)
+        if len(cases) == len(inv.fixed_points):
+            assert classify_fixed_points(w, inv, inv.fixed_points) == cases
+
+    def test_one_residue_run_for_all_points(self, monkeypatch):
+        runs = []
+        integrate = divisor_module.integrate_paths
+
+        def counted(*args, **kwargs):
+            runs.append(len(args[1]))
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(divisor_module, "integrate_paths", counted)
+        dom = torus(1j, (0.3j, -0.3j))
+        w = parse_expr("(0-i)*(zeta(u-0.3*i) - zeta(u+0.3*i)) du", dom)
+        inv = Involution(0.0, dom)
+        cases = classify_fixed_points(w, inv, inv.fixed_points)
+        assert cases == [IDENTICALLY_ZERO] * 4
+        assert runs == [4]
 
 
 def reference_classify(w, inv, p, radius=0.05, res_tol=1e-8):
@@ -272,8 +299,8 @@ def _reference_winding(f, fp, contour, tol=2e-3):
     return k
 
 
-def _reference_with_base(f, fp, lat, base, grid):
-    e1, e2 = 1.0 + 0.0j, lat.tau
+def _reference_with_base(f, fp, tau, base, grid):
+    e1, e2 = 1.0 + 0.0j, tau
     hot = []
     for iy in range(grid):
         for ix in range(grid):
@@ -299,23 +326,12 @@ def _reference_with_base(f, fp, lat, base, grid):
             if found != k:
                 raise ZeroOnContour("subdivision lost winding")
         hot = refined
-    entries = []
-    for s0, t0, s1, t1, k in hot:
-        center = base + 0.5 * (s0 + s1) * e1 + 0.5 * (t0 + t1) * e2
-        point = _newton_polish(f, fp, center, pole=k < 0)
-        for i, (p, n) in enumerate(entries):
-            if lat.same_point(p, point, 1e-6):
-                entries[i] = (p, n + k)
-                break
-        else:
-            entries.append((point, k))
-    entries = [(p, n) for p, n in entries if n != 0]
-    entries.sort(key=lambda e: (e[0].real, e[0].imag))
-    return entries
+    return hot
 
 
-def reference_entries(form, grid=8, jitter_tries=5):
-    """locate_divisor's entries with one quadrature run per cell."""
+def reference_hot_cells(form, grid=8, jitter_tries=5):
+    """The grid base and the last round's hot subcells (s0, t0, s1, t1, k)
+    of locate_divisor, with one quadrature run per cell."""
     f = form.coeff
     fp = differentiate(f)
     lat = f.domain.lattice
@@ -324,10 +340,58 @@ def reference_entries(form, grid=8, jitter_tries=5):
             0.04629 + 0.02971 * attempt
         ) * lat.tau
         try:
-            return _reference_with_base(f, fp, lat, base, grid)
+            return base, _reference_with_base(f, fp, lat.tau, base, grid)
         except ZeroOnContour:
             continue
     raise ZeroOnContour("grid jitter exhausted")
+
+
+def assert_matches_reference(dv, form):
+    """Each entry of dv lies in its own hot subcell of the per-cell
+    reference, with that subcell's winding as its order."""
+    base, hot = reference_hot_cells(form)
+    tau = form.coeff.domain.lattice.tau
+    found = []
+    for p, n in dv.entries:
+        d = p - base
+        t = d.imag / tau.imag
+        s = d.real - t * tau.real
+        cells = [
+            c for c in hot
+            if c[0] - 1e-9 <= s <= c[2] + 1e-9
+            and c[1] - 1e-9 <= t <= c[3] + 1e-9
+        ]
+        assert len(cells) == 1 and cells[0][4] == n, (p, n, cells)
+        found.append(cells[0])
+    assert sorted(found) == sorted(hot)
+
+
+def mpmath_wp(tau):
+    """wp(u) on the lattice <1, tau> from mpmath.jtheta."""
+    pi = mpmath.pi
+    q = mpmath.exp(1j * pi * mpmath.mpc(tau.real, tau.imag))
+    eta1 = -pi**2 / 3 * mpmath.jtheta(1, 0, q, 3) / mpmath.jtheta(1, 0, q, 1)
+
+    def wp(u):
+        t0, t1, t2 = (mpmath.jtheta(1, pi * u, q, k) for k in range(3))
+        return -eta1 - pi**2 * (t2 * t0 - t1**2) / t0**2
+
+    return wp
+
+
+def closed_form_entries(text, tau, near):
+    """The divisor of wp du or wpp du: the pole of order 2 or 3 at 0, wp's
+    zeros (the double zero (1 + i)/2 at tau = i, else mpmath roots polished
+    from near) or wp''s simple zeros at the half-periods."""
+    if text == "wpp(u) du":
+        return [(0j, -3), (0.5, 1), (tau / 2, 1), ((1 + tau) / 2, 1)]
+    if tau == 1j:
+        return [(0j, -2), ((1 + 1j) / 2, 2)]
+    with mpmath.workdps(30):
+        wp = mpmath_wp(tau)
+        roots = [complex(mpmath.findroot(wp, mpmath.mpc(z.real, z.imag)))
+                 for z in near]
+    return [(0j, -2)] + [(z, 1) for z in roots]
 
 
 CANDIDATE_SCENE = os.path.join(
@@ -338,16 +402,59 @@ FIRST_BASE = 0.05371 + 0.04629j
 EDGE_ZERO = "0.24121 + 0.04629*i"  # FIRST_BASE + 3/16
 
 
+def distance(a, b, tau):
+    """|a - b| modulo the lattice <1, tau>."""
+    return abs(reduce_to_cell(complex(a) - complex(b), tau)[0])
+
+
+def assert_entries_near(entries, want, tau, tol):
+    """entries and want hold the same orders at points within tol modulo
+    the lattice, in any order."""
+    assert len(entries) == len(want)
+    for p, n in entries:
+        assert any(
+            m == n and distance(p, w, tau) <= tol for w, m in want
+        ), (p, n, want)
+
+
+def sigma_pair(a, b):
+    """sigma(u - a) sigma(u - b) / sigma(u)^2 du: simple zeros at a and b,
+    a double pole at 0."""
+    def arg(z):
+        return f"({z.real!r} + {z.imag!r}*i)"
+    return parse_expr(
+        f"sigma(u - {arg(a)})*sigma(u - {arg(b)})/sigma(u)^2 du", TORUS
+    )
+
+
 class TestBatchedDivisor:
     @pytest.mark.parametrize("tau", (1j, 0.3 + 0.8j, 0.1 + 0.2j))
     @pytest.mark.parametrize("text", ("wp(u) du", "wpp(u) du"))
     def test_matches_per_cell_reference(self, text, tau):
+        # the per-cell reference pins the hot subcells and their orders;
+        # the points match the closed forms (mpmath for wp's simple zeros),
+        # to 1e-11 at tau = 0.1 + 0.2i, where the kernels' accuracy limits
+        # wp' near its zeros
         form = parse_expr(text, torus(tau))
-        assert locate_divisor(form).entries == reference_entries(form)
+        dv = locate_divisor(form)
+        assert_matches_reference(dv, form)
+        want = closed_form_entries(text, tau, [p for p, _ in dv.zeros()])
+        tol = 1e-11 if tau == 0.1 + 0.2j else 1e-12
+        assert_entries_near(dv.entries, want, tau, tol)
 
     def test_candidate_dh_matches_per_cell_reference(self):
+        # simple poles at the punctures +-0.3i; dh is even, so its two
+        # zeros are z and -z, and Newton's step from each is below 1e-12
         dh = load_scene(CANDIDATE_SCENE).only_data().dh
-        assert locate_divisor(dh).entries == reference_entries(dh)
+        dv = locate_divisor(dh)
+        assert_matches_reference(dv, dh)
+        f = dh.coeff
+        fp = differentiate(f)
+        assert_entries_near(dv.poles(), [(0.3j, 1), (-0.3j, 1)], 1j, 1e-12)
+        (z, m), (z2, m2) = dv.zeros()
+        assert m == m2 == 1 and distance(z, -z2, 1j) <= 1e-12
+        for z, _ in dv.zeros():
+            assert abs(eval_expr(f, z) / eval_expr(fp, z)) <= 1e-12
 
     def test_zero_on_first_grid_edge_jitters(self):
         # sigma(u - z) sigma(u + z) / sigma(u)^2 vanishes at +-z, and z lies
@@ -360,14 +467,14 @@ class TestBatchedDivisor:
         with pytest.raises(ZeroOnContour):
             _locate_with_base(f, differentiate(f), LAT, FIRST_BASE, 8, 1)
         dv = locate_divisor(form)
-        assert dv.entries == reference_entries(form)
-        assert dv.zero_count() == dv.pole_count() == 2
-        assert any(LAT.same_point(p, 0.24121 + 0.04629j, 1e-8)
-                   for p, _ in dv.zeros())
+        assert_matches_reference(dv, form)
+        z = 0.24121 + 0.04629j
+        assert_entries_near(dv.entries, [(z, 1), (-z, 1), (0j, -2)], 1j, 1e-12)
 
     def test_quadrature_runs_per_grid(self, monkeypatch):
         # one run for the grid and one per refinement round, over the
-        # distinct cell sides: 8 x 9 horizontal and 9 x 8 vertical ones
+        # distinct cell sides (8 x 9 horizontal and 9 x 8 vertical ones on
+        # the grid), and one over the last round's circles
         runs, attempts = [], []
         integrate, locate = (
             divisor_module.integrate_paths, divisor_module._locate_with_base
@@ -385,5 +492,40 @@ class TestBatchedDivisor:
         monkeypatch.setattr(divisor_module, "_locate_with_base", counted_locate)
         dv, ok = divisor_audit(parse_expr("wp(u) du", TORUS))
         assert ok and attempts
-        assert len(runs) <= 3 * len(attempts)
+        assert len(runs) <= 4 * len(attempts)
         assert runs[0] == 144
+        # the moments: one circle per hot subcell, the double pole at 0
+        # and the double zero at (1 + i)/2
+        assert runs[-1] == 2
+
+    def test_clustered_points_fall_back_to_cell_sides(self, monkeypatch):
+        # the zeros a and b = a + 0.03 sit in neighbouring subcells, and b
+        # lies inside a's circle, so that subcell's m0 is 2, not 1: its
+        # moments come from its own four sides instead
+        a, b = 0.4 + 0.3j, 0.43 + 0.3j
+        sides = []
+        integrals = divisor_module._cell_integrals
+
+        def counted(integrand, base, e1, e2, cells, tol):
+            sides.append((len(cells), tol))
+            return integrals(integrand, base, e1, e2, cells, tol)
+
+        monkeypatch.setattr(divisor_module, "_cell_integrals", counted)
+        dv = locate_divisor(sigma_pair(a, b))
+        assert (1, divisor_module.MOMENT_TOL) in sides
+        assert_entries_near(
+            dv.entries, [(a, 1), (b, 1), (0j, -2)], 1j, 1e-12
+        )
+
+    def test_distinct_points_in_one_cell_raise(self):
+        # zeros 0.015 apart in one subcell of the 8 x 8 grid spread
+        # 0.015^2 / 4 = 5.6e-5 (Newton used to return one of them as a
+        # double zero); the 16 x 16 grid puts them in two subcells
+        a, b = 0.4 + 0.3j, 0.415 + 0.3j
+        form = sigma_pair(a, b)
+        with pytest.raises(ClusteredDivisor):
+            locate_divisor(form)
+        dv = locate_divisor(form, grid=16)
+        assert_entries_near(
+            dv.entries, [(a, 1), (b, 1), (0j, -2)], 1j, 1e-12
+        )

@@ -235,6 +235,20 @@ class TestMpmathOracle:
             with pytest.raises(PoleAt):
                 f(u, lat_g)
 
+    @pytest.mark.parametrize(
+        "tau", (0.05j, 1j, 0.3 + 0.8j, 0.2 + 0.05j, 0.1 + 0.2j)
+    )
+    def test_eta1_matches_jtheta(self, tau):
+        # the theta quotient -pi^2/3 theta1'''(0)/theta1'(0) cancels to
+        # 3.4e-11 relative at tau = 0.05i; the Lambert series does not
+        with mpmath.workdps(30):
+            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau.real, tau.imag))
+            ref = complex(
+                -mpmath.pi**2 / 3
+                * mpmath.jtheta(1, 0, q, 3) / mpmath.jtheta(1, 0, q, 1)
+            )
+        assert abs(Lattice(tau).eta1 - ref) <= 1e-14 * abs(ref)
+
     def test_legendre_defect_at_min_im_tau(self):
         lat = Lattice(0.2 + MIN_IM_TAU * 1j)
         assert lat.legendre_defect() <= 10 * lat.series_tol

@@ -42,7 +42,10 @@ from helikon.surface import (
     conformal_factor,
     gauss_normal,
     lopez_ros,
+    lopez_ros_triples,
+    period_triples,
     recombine,
+    triples_report,
 )
 
 PLANE = Plane()
@@ -584,6 +587,29 @@ class TestSweep:
         assert all(emb for _, emb, _ in res.table)
         assert all(resid < 1e-10 for _, _, resid in res.table)
         assert res.bracket is None
+
+    def test_one_period_run_per_sweep(self, monkeypatch):
+        # the flux test and every lambda's residuals come from one run over
+        # the basis cycles, at min(tol, 1e-10)
+        basis = CycleBasis([circle(0, 1.0)], ["neck"])
+        runs = []
+        integrate = surface_module.integrate_paths
+
+        def counted(f, paths, tol):
+            runs.append((paths, tol))
+            return integrate(f, paths, tol)
+
+        monkeypatch.setattr(surface_module, "integrate_paths", counted)
+        res = lambda_sweep(
+            catenoid(), [0.5, 1.3], catenoid_spec(8), basis=basis,
+            delta_ext=0.05, delta_int=2.0,
+        )
+        assert [tol for paths, tol in runs if paths is basis.cycles] == [1e-10]
+        triples = period_triples(catenoid(), basis.cycles, 1e-10)
+        for lam, _, resid in res.table:
+            scaled = lopez_ros_triples(triples, lam)
+            want = triples_report(basis.labels, scaled, 1e-8).max_residual
+            assert resid == want
 
     def test_horizontal_flux_rejected(self):
         data = WeierstrassData(
