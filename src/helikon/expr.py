@@ -18,6 +18,7 @@ A one-form is written "<expr> du" ("dz" is accepted as a synonym on plane
 domains).
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,18 +36,6 @@ _DIV_FLOOR = 1e-150
 @dataclass(frozen=True)
 class Plane:
     punctures: tuple = ()
-
-    @property
-    def lattice(self):
-        return None
-
-    def same_point(self, a, b, tol=1e-9):
-        return abs(a - b) < tol
-
-
-@dataclass(frozen=True)
-class PuncturedPlane:
-    punctures: tuple
 
     def __post_init__(self):
         object.__setattr__(
@@ -151,25 +140,21 @@ class Exp(Node):
     arg: Node
 
 
+# kind -> (name of its kernel in `kernels`, parity under u -> -u); the
+# kernel is looked up at call time, so a wrapped kernel is the one called
+_ELLIPTIC = {
+    "wp": ("wp", 1),
+    "wpp": ("wp_prime", -1),
+    "zeta": ("zeta_w", -1),
+    "sigma": ("sigma_w", -1),
+}
+
+
 @dataclass(frozen=True)
-class EllipticBlock(Node):
+class Elliptic(Node):
+    """The elliptic block kind(u - shift), kind one of _ELLIPTIC."""
+    kind: str
     shift: complex
-
-
-class WpB(EllipticBlock):
-    pass
-
-
-class WppB(EllipticBlock):
-    pass
-
-
-class ZetaB(EllipticBlock):
-    pass
-
-
-class SigmaB(EllipticBlock):
-    pass
 
 
 # folding constructors: keep derivative/pullback output from ballooning
@@ -269,14 +254,9 @@ def _eval_node(node, u, lat):
         return base ** node.n
     if isinstance(node, Exp):
         return np.exp(_eval_node(node.arg, u, lat))
-    if isinstance(node, WpB):
-        return kernels.wp(u - node.shift, lat)
-    if isinstance(node, WppB):
-        return kernels.wp_prime(u - node.shift, lat)
-    if isinstance(node, ZetaB):
-        return kernels.zeta_w(u - node.shift, lat)
-    if isinstance(node, SigmaB):
-        return kernels.sigma_w(u - node.shift, lat)
+    if isinstance(node, Elliptic):
+        kernel = getattr(kernels, _ELLIPTIC[node.kind][0])
+        return kernel(u - node.shift, lat)
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -311,18 +291,19 @@ def _diff_node(node, lat):
         )
     if isinstance(node, Exp):
         return mul(_diff_node(node.arg, lat), node)
-    if isinstance(node, WpB):
-        return WppB(node.shift)
-    if isinstance(node, WppB):
-        # wp'' = 6 wp^2 - g2/2
-        return sub(
-            mul(Const(6), power(WpB(node.shift), 2)),
-            Const(lat.g2() / 2.0),
-        )
-    if isinstance(node, ZetaB):
-        return neg(WpB(node.shift))
-    if isinstance(node, SigmaB):
-        return mul(node, ZetaB(node.shift))
+    if isinstance(node, Elliptic):
+        kind, shift = node.kind, node.shift
+        if kind == "wp":
+            return Elliptic("wpp", shift)
+        if kind == "wpp":
+            # wp'' = 6 wp^2 - g2/2
+            return sub(
+                mul(Const(6), power(Elliptic("wp", shift), 2)),
+                Const(lat.g2() / 2.0),
+            )
+        if kind == "zeta":
+            return neg(Elliptic("wp", shift))
+        return mul(node, Elliptic("zeta", shift))
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -345,15 +326,10 @@ def _pullback_node(node, c):
         return power(_pullback_node(node.base, c), node.n)
     if isinstance(node, Exp):
         return Exp(_pullback_node(node.arg, c))
-    # elliptic blocks: f(c - u - a) = f(-(u - (c - a))), then use parity
-    if isinstance(node, WpB):
-        return WpB(c - node.shift)
-    if isinstance(node, WppB):
-        return neg(WppB(c - node.shift))
-    if isinstance(node, ZetaB):
-        return neg(ZetaB(c - node.shift))
-    if isinstance(node, SigmaB):
-        return neg(SigmaB(c - node.shift))
+    if isinstance(node, Elliptic):
+        # f(c - u - a) = f(-(u - (c - a))), then use parity
+        block = Elliptic(node.kind, c - node.shift)
+        return block if _ELLIPTIC[node.kind][1] > 0 else neg(block)
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -371,13 +347,13 @@ def _logderiv_node(node, lat):
         return _diff_node(node.arg, lat)
     if isinstance(node, Const):
         return Const(0)
-    if isinstance(node, SigmaB):
-        return ZetaB(node.shift)
+    if isinstance(node, Elliptic) and node.kind == "sigma":
+        return Elliptic("zeta", node.shift)
     return div(_diff_node(node, lat), node)
 
 
 def _has_elliptic(node):
-    if isinstance(node, EllipticBlock):
+    if isinstance(node, Elliptic):
         return True
     for attr in ("a", "b", "base", "arg"):
         child = getattr(node, attr, None)
@@ -429,11 +405,9 @@ def _print_node(node):
         return f"{_print_node(node.base)}^{node.n}"
     if isinstance(node, Exp):
         return f"exp({_print_node(node.arg)})"
-    names = {WpB: "wp", WppB: "wpp", ZetaB: "zeta", SigmaB: "sigma"}
-    name = names[type(node)]
     if node.shift == 0:
-        return f"{name}(u)"
-    return f"{name}(u - {_format_complex(node.shift)})"
+        return f"{node.kind}(u)"
+    return f"{node.kind}(u - {_format_complex(node.shift)})"
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +444,6 @@ class Expr:
 
     def __neg__(self):
         return Expr(neg(self.node), self.domain)
-
-    def reciprocal(self):
-        return Expr(div(Const(1), self.node), self.domain)
 
     # -- semantics ----------------------------------------------------------
     def __call__(self, u):
@@ -563,11 +534,11 @@ def log_derivative(g):
 
 
 def pullback(e, inv):
-    """Pullback under the involution u -> c - u.
+    """Pullback under the Involution inv, u -> c - u.
 
     Functions compose; forms pick up the Jacobian d(c-u) = -du.
     """
-    c = complex(inv.center) if hasattr(inv, "center") else complex(inv)
+    c = inv.center
     if isinstance(e, FormExpr):
         coeff = e.coeff
         return FormExpr(Expr(neg(_pullback_node(coeff.node, c)), coeff.domain))
@@ -603,14 +574,11 @@ class Involution:
     def apply(self, u):
         return self.center - complex(u)
 
-    def __call__(self, u):
-        return self.apply(u)
-
 
 # ---------------------------------------------------------------------------
 # parser
 
-_FUNCS = ("exp", "wp", "wpp", "zeta", "sigma")
+_NUMBER = re.compile(r"[0-9.]+(?:[eE][+-]?[0-9]+)?")
 
 
 class _Parser:
@@ -650,23 +618,8 @@ class _Parser:
 
     def number(self):
         self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isdigit() or self.text[self.pos] == "."
-        ):
-            self.pos += 1
-        # exponent part
-        if self.pos < len(self.text) and self.text[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(self.text) and self.text[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < len(self.text) and self.text[self.pos].isdigit():
-                while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark
-        token = self.text[start:self.pos]
+        token = _NUMBER.match(self.text, self.pos).group()
+        self.pos += len(token)
         try:
             return float(token)
         except ValueError:
@@ -724,7 +677,7 @@ class _Parser:
                 return Const(1j)
             if name == "u":
                 return Var()
-            if name in _FUNCS:
+            if name == "exp" or name in _ELLIPTIC:
                 self.expect("(")
                 arg = self.parse_expr()
                 self.expect(")")
@@ -735,53 +688,20 @@ class _Parser:
         self.error(f"unexpected character {ch!r}")
 
     def elliptic(self, name, arg):
-        slope, offset = _affine_parts(arg)
-        if slope is None or abs(slope - 1.0) > 1e-12:
-            self.error(
-                f"{name} argument must be u plus a constant, got a non-affine"
-                " or rescaled argument"
-            )
-        shift = -offset
-        cls = {"wp": WpB, "wpp": WppB, "zeta": ZetaB, "sigma": SigmaB}[name]
-        return cls(shift)
-
-
-def _affine_parts(node):
-    """(slope, offset) for nodes affine in u; (None, None) otherwise."""
-    if isinstance(node, Const):
-        return 0.0 + 0.0j, node.value
-    if isinstance(node, Var):
-        return 1.0 + 0.0j, 0.0 + 0.0j
-    if isinstance(node, Neg):
-        s, o = _affine_parts(node.a)
-        if s is None:
-            return None, None
-        return -s, -o
-    if isinstance(node, (Add, Sub)):
-        sa, oa = _affine_parts(node.a)
-        sb, ob = _affine_parts(node.b)
-        if sa is None or sb is None:
-            return None, None
-        if isinstance(node, Add):
-            return sa + sb, oa + ob
-        return sa - sb, oa - ob
-    if isinstance(node, Mul):
-        sa, oa = _affine_parts(node.a)
-        sb, ob = _affine_parts(node.b)
-        if sa is None or sb is None:
-            return None, None
-        if sa == 0:
-            return oa * sb, oa * ob
-        if sb == 0:
-            return sa * ob, oa * ob
-        return None, None
-    if isinstance(node, Div):
-        sa, oa = _affine_parts(node.a)
-        sb, ob = _affine_parts(node.b)
-        if sa is None or sb is None or sb != 0 or ob == 0:
-            return None, None
-        return sa / ob, oa / ob
-    return None, None
+        # u plus a constant: no elliptic block inside (its derivative would
+        # need a lattice), derivative 1, and a finite value at u = 0, which
+        # is minus the shift
+        if not _has_elliptic(arg):
+            slope = _diff_node(arg, None)
+            if isinstance(slope, Const) and abs(slope.value - 1.0) <= 1e-12:
+                try:
+                    return Elliptic(name, -complex(_eval_node(arg, 0j, None)))
+                except PoleAt:
+                    pass
+        self.error(
+            f"{name} argument must be u plus a constant, got a non-affine"
+            " or rescaled argument"
+        )
 
 
 def parse_expr(text, domain):

@@ -268,7 +268,8 @@ def _mesh_integrals(data, spec, tol=1e-10):
 
 
 def _gauss_normals(g_values):
-    """surface.gauss_normal for an array of g values (nan marks a pole)."""
+    """Unit normals, the inverse stereographic images of an array of g
+    values (nan marks a pole, which maps to the north pole)."""
     # |g| <= 1e8 (so |g|^2 <= 1e16) is tested before squaring, which
     # would overflow for |g| above about 1.3e154; nan fails it too
     ok = np.abs(g_values) <= 1e8

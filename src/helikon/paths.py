@@ -192,15 +192,6 @@ class PathSpec:
             periodic=self.periodic and isinstance(rev[0], Line),
         )
 
-    def samples(self, n_per_segment=16):
-        """Points along the path trace, for collision checks."""
-        pts = []
-        for seg in self.segments:
-            for k in range(n_per_segment):
-                pts.append(seg.point(k / n_per_segment))
-        pts.append(self.segments[-1].last)
-        return pts
-
 
 def circle(center, radius, orientation=1):
     """Closed circular path about center; orientation +1 = counterclockwise."""

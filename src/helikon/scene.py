@@ -18,7 +18,6 @@ from .errors import (
 from .expr import (
     Involution,
     Plane,
-    PuncturedPlane,
     eval_expr,
     parse_expr,
     torus,
@@ -138,12 +137,8 @@ def _read_sections(path):
 
 def _build_domain(kind, lineno, lat, punctures, series_tol):
     kind = kind.lower()
-    if kind == "plane":
-        if punctures:
-            return PuncturedPlane(tuple(punctures))
-        return Plane()
-    if kind in ("punctured-plane", "punctured_plane"):
-        return PuncturedPlane(tuple(punctures))
+    if kind in ("plane", "punctured-plane", "punctured_plane"):
+        return Plane(tuple(punctures))
     if kind == "torus":
         if lat is None:
             raise SceneValidationError(

@@ -26,13 +26,12 @@ from .divisor import TWO_PI_I, check_abel, exp_factor_coefficient
 from .errors import CoincidentPoints, SingularJacobian
 from .expr import (
     Const,
+    Elliptic,
     Exp,
     Expr,
     FormExpr,
-    SigmaB,
     Torus,
     Var,
-    ZetaB,
     add,
     div,
     eval_expr,
@@ -177,14 +176,15 @@ def periodic_g1h_family(params):
     if a != 0:
         gnode = mul(gnode, Exp(mul(Const(a), Var())))
     for z in zeros:
-        gnode = mul(gnode, SigmaB(z))
+        gnode = mul(gnode, Elliptic("sigma", z))
     for w in poles:
-        gnode = div(gnode, SigmaB(w))
+        gnode = div(gnode, Elliptic("sigma", w))
     g = Expr(gnode, dom)
 
     c = complex(params.get("c", 0.0))
     dhnode = add(
-        mul(Const(-1j), sub(ZetaB(E1), ZetaB(E2))), Const(c)
+        mul(Const(-1j), sub(Elliptic("zeta", E1), Elliptic("zeta", E2))),
+        Const(c),
     )
     dh = FormExpr(Expr(dhnode, dom))
     return WeierstrassData(

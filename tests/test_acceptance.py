@@ -23,7 +23,7 @@ from helikon.divisor import (
     residue,
 )
 from helikon.errors import AbelViolation
-from helikon.expr import Involution, Plane, PuncturedPlane, parse_expr, torus
+from helikon.expr import Involution, Plane, parse_expr, torus
 from helikon.kernels import sigma_w, wp, wp_prime, zeta_w
 from helikon.lattice import Lattice
 from helikon.mesh import (
@@ -126,7 +126,7 @@ def test_criterion_3_catenoid_suite():
     """Period residuals < 1e-10; flux (0,0,2pi) to 1e-9; Lopez-Ros at
     lambda = 2 and 0.5 preserves residuals < 1e-10; < 5 s."""
     with Budget(5):
-        dom = PuncturedPlane((0,))
+        dom = Plane((0,))
         data = WeierstrassData(
             g=parse_expr("u", dom),
             dh=parse_expr("1/u du", dom),
@@ -146,7 +146,7 @@ def test_criterion_4_fixed_point_classifier():
     """du/u, u du, du/u^2 -> SimplePole / ZeroAt / IdenticallyZero, plus an
     elliptic zeta-difference instance consistent with its residue; < 5 s."""
     with Budget(5):
-        dom = PuncturedPlane((0,))
+        dom = Plane((0,))
         inv = Involution(0.0, dom)
         cases = [
             ("1/u du", SIMPLE_POLE),

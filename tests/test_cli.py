@@ -7,6 +7,7 @@ import time
 import pytest
 
 from helikon.cli import COMMANDS, _report_json, main, run
+from helikon.errors import HelikonError
 from helikon.scene import load_scene
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
@@ -120,6 +121,56 @@ class TestReports:
             "audit", "classify-fixed", "flux", "involution", "mesh",
             "periods", "probe", "residues", "solve", "sweep", "symmetry",
         ]
+
+
+# exit code of every bundled scene x command through cli.run: 0 success,
+# 2 a failed verdict, 1 a HelikonError
+EXIT_CODES = {
+    "catenoid.scene": {
+        0: "flux mesh periods probe residues sweep",
+        1: "audit classify-fixed involution solve symmetry",
+    },
+    "helicoid.scene": {
+        0: "classify-fixed flux involution mesh periods probe residues sweep"
+           " symmetry",
+        1: "audit solve",
+    },
+    "periodic-candidate.scene": {
+        0: "audit classify-fixed flux involution residues solve symmetry",
+        1: "mesh probe sweep",
+        2: "periods",
+    },
+}
+SCENE_COMMAND_CODES = [
+    (scene_file, command, code)
+    for scene_file, by_code in EXIT_CODES.items()
+    for code, commands in by_code.items()
+    for command in commands.split()
+]
+
+
+class TestExitCodes:
+    def test_table_covers_every_scene_and_command(self):
+        scene_files = sorted(
+            f for f in os.listdir(SCENES) if f.endswith(".scene")
+        )
+        assert sorted(EXIT_CODES) == scene_files
+        for scene_file in scene_files:
+            commands = [
+                c for f, c, _ in SCENE_COMMAND_CODES if f == scene_file
+            ]
+            assert sorted(commands) == sorted(COMMANDS)
+
+    @pytest.mark.parametrize(
+        "scene_file, command, code", SCENE_COMMAND_CODES,
+        ids=[f"{f}:{c}" for f, c, _ in SCENE_COMMAND_CODES],
+    )
+    def test_bundled_exit_code(self, scene_file, command, code):
+        try:
+            got, _ = run(command, load_scene(scene_path(scene_file)), NO_FLAGS)
+        except HelikonError:
+            got = 1
+        assert got == code
 
 
 class TestDeterminism:

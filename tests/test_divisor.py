@@ -37,7 +37,7 @@ from helikon.errors import (
 )
 from helikon.expr import (
     Involution,
-    PuncturedPlane,
+    Plane,
     differentiate,
     eval_expr,
     parse_expr,
@@ -55,11 +55,11 @@ TORUS = torus(1j)
 
 class TestResidue:
     def test_simple_pole(self):
-        w = parse_expr("1/u du", PuncturedPlane((0,)))
+        w = parse_expr("1/u du", Plane((0,)))
         assert abs(residue(w, 0.0, 0.4) - 1.0) < 1e-12
 
     def test_shifted_double_pole(self):
-        w = parse_expr("1/(u - 0.5)^2 du", PuncturedPlane((0.5,)))
+        w = parse_expr("1/(u - 0.5)^2 du", Plane((0.5,)))
         assert abs(residue(w, 0.5, 0.3)) < 1e-12
 
     def test_zeta_residue(self):
@@ -68,7 +68,7 @@ class TestResidue:
 
     def test_laurent_coefficients(self):
         # (u - p)^-2 + 3 (u - p)^-1 + 5
-        dom = PuncturedPlane((0.25j,))
+        dom = Plane((0.25j,))
         w = parse_expr("1/(u - 0.25*i)^2 + 3/(u - 0.25*i) + 5 du", dom)
         assert abs(laurent_coefficient(w, 0.25j, -2, 0.1) - 1.0) < 1e-11
         assert abs(laurent_coefficient(w, 0.25j, -1, 0.1) - 3.0) < 1e-11
@@ -165,10 +165,10 @@ class TestAbel:
 
 class TestClassifier:
     def test_three_analytic_cases(self):
-        inv = Involution(0.0, PuncturedPlane((0,)))
-        du_over_u = parse_expr("1/u du", PuncturedPlane((0,)))
-        u_du = parse_expr("u du", PuncturedPlane((0,)))
-        du_over_u2 = parse_expr("1/u^2 du", PuncturedPlane((0,)))
+        inv = Involution(0.0, Plane((0,)))
+        du_over_u = parse_expr("1/u du", Plane((0,)))
+        u_du = parse_expr("u du", Plane((0,)))
+        du_over_u2 = parse_expr("1/u^2 du", Plane((0,)))
         assert classify_fixed_point(du_over_u, inv, 0.0) == SIMPLE_POLE
         assert classify_fixed_point(u_du, inv, 0.0) == ZERO_AT
         assert classify_fixed_point(du_over_u2, inv, 0.0) == IDENTICALLY_ZERO
@@ -182,14 +182,14 @@ class TestClassifier:
         assert classify_fixed_point(w, inv, 0.0) == IDENTICALLY_ZERO
 
     def test_even_coefficient_cancels(self):
-        inv = Involution(0.0, PuncturedPlane((0,)))
-        w = parse_expr("1 du", PuncturedPlane((0,)))
+        inv = Involution(0.0, Plane((0,)))
+        w = parse_expr("1 du", Plane((0,)))
         # even coefficient: I*(du) = -du, so w + I*w vanishes identically
         assert classify_fixed_point(w, inv, 0.0) == IDENTICALLY_ZERO
 
     def test_fallthrough_case(self):
-        inv = Involution(0.0, PuncturedPlane((0,)))
-        w = parse_expr("1/u^3 du", PuncturedPlane((0,)))
+        inv = Involution(0.0, Plane((0,)))
+        w = parse_expr("1/u^3 du", Plane((0,)))
         # residue-free triple pole: symmetrized form neither vanishes nor
         # decays toward the fixed point
         assert classify_fixed_point(w, inv, 0.0) == REGULAR
@@ -213,7 +213,7 @@ class TestClassifier:
         if punctures is None:
             dom = torus(1j, (0.3j, -0.3j))
         else:
-            dom = PuncturedPlane(punctures)
+            dom = Plane(punctures)
         w = parse_expr(text, dom)
         inv = Involution(center, dom)
         cases = []
@@ -456,6 +456,16 @@ class TestBatchedDivisor:
         for z, _ in dv.zeros():
             assert abs(eval_expr(f, z) / eval_expr(fp, z)) <= 1e-12
 
+    def test_candidate_dh_poles_in_order(self):
+        # the poles +-0.3i reduce to 1 + 0.3i and 1 + 0.7i, whose computed
+        # real parts differ in the last bits; the entries are sorted by
+        # (Re, Im) rounded to 1e-9, so 1 + 0.3i comes first
+        dh = load_scene(CANDIDATE_SCENE).only_data().dh
+        poles = locate_divisor(dh).poles()
+        assert len(poles) == 2
+        for (p, m), want in zip(poles, (1 + 0.3j, 1 + 0.7j)):
+            assert m == 1 and abs(p - want) <= 1e-12, poles
+
     def test_zero_on_first_grid_edge_jitters(self):
         # sigma(u - z) sigma(u + z) / sigma(u)^2 vanishes at +-z, and z lies
         # on the bottom edge of the first grid
@@ -465,7 +475,7 @@ class TestBatchedDivisor:
         )
         f = form.coeff
         with pytest.raises(ZeroOnContour):
-            _locate_with_base(f, differentiate(f), LAT, FIRST_BASE, 8, 1)
+            _locate_with_base(f, differentiate(f), LAT, FIRST_BASE, 8)
         dv = locate_divisor(form)
         assert_matches_reference(dv, form)
         z = 0.24121 + 0.04629j

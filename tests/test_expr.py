@@ -16,7 +16,6 @@ from helikon.expr import (
     FormExpr,
     Involution,
     Plane,
-    PuncturedPlane,
     constant,
     coordinate,
     differentiate,
@@ -44,7 +43,7 @@ class TestParser:
         assert abs(eval_expr(e, u) - (1 + 2 * u**2 - u / 4)) < 1e-13
 
     def test_negative_powers(self):
-        e = parse_expr("u^-2", PuncturedPlane((0,)))
+        e = parse_expr("u^-2", Plane((0,)))
         assert abs(eval_expr(e, 2.0) - 0.25) < 1e-14
 
     def test_form_suffix(self):
@@ -78,6 +77,22 @@ class TestParser:
             parse_expr("wp(u^2)", TORUS)
         with pytest.raises(ExprSyntaxError):
             parse_expr("zeta(2*u)", TORUS)
+        # a pole at u = 0, and elliptic blocks inside the argument
+        for text in ("wp(u + 1/0)", "wp(u + wp(u))", "sigma(u + wpp(u))"):
+            with pytest.raises(ExprSyntaxError):
+                parse_expr(text, TORUS)
+        # u plus a constant, however written; the shift is minus the
+        # argument's value at u = 0 (exp(0) is the one constant that the
+        # grammar folds only at evaluation)
+        for text, shift in (
+            ("wp(u - 0.3*i)", 0.3j),
+            ("zeta(2*(u/2) + 1)", -1),
+            ("sigma(u + u - u)", 0),
+            ("wpp(u + exp(0))", -1),
+        ):
+            node = parse_expr(text, TORUS).node
+            assert node.kind == text.split("(")[0]
+            assert node.shift == shift, text
 
     def test_syntax_error_position(self):
         with pytest.raises(ExprSyntaxError) as err:
@@ -102,7 +117,7 @@ class TestParser:
 
 class TestEvaluation:
     def test_division_pole(self):
-        e = parse_expr("1/u", PuncturedPlane((0,)))
+        e = parse_expr("1/u", Plane((0,)))
         with pytest.raises(DomainViolation):
             eval_expr(e, 0.0)
 

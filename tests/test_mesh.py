@@ -15,7 +15,7 @@ from helikon.errors import (
 from helikon.expr import (
     FormExpr,
     Plane,
-    PuncturedPlane,
+    constant,
     coordinate,
     parse_expr,
 )
@@ -39,8 +39,6 @@ from helikon.paths import circle
 from helikon.surface import (
     CycleBasis,
     WeierstrassData,
-    conformal_factor,
-    gauss_normal,
     lopez_ros,
     lopez_ros_triples,
     period_triples,
@@ -48,8 +46,10 @@ from helikon.surface import (
     triples_report,
 )
 
+from references import conformal_factor, gauss_normal
+
 PLANE = Plane()
-PUNCTURED = PuncturedPlane((0,))
+PUNCTURED = Plane((0,))
 
 
 def helicoid():
@@ -245,7 +245,7 @@ class TestBuildMesh:
         p = complex((u0 + mesh_module._GL_S * (u1 - u0))[3])
         u = coordinate(PLANE)
         data = WeierstrassData(
-            g=u.reciprocal() + (u - p).reciprocal(),
+            g=constant(1, PLANE) / u + constant(1, PLANE) / (u - p),
             dh=FormExpr(u * (u - p)),
             basepoint=0.0,
         )

@@ -13,7 +13,7 @@ from helikon.errors import (
     PathThroughPole,
     PoleAt,
 )
-from helikon.expr import Plane, PuncturedPlane, parse_expr, torus
+from helikon.expr import Plane, parse_expr, torus
 from helikon.kernels import wp, zeta_w
 from helikon.lattice import Lattice
 from helikon.paths import (
@@ -127,7 +127,7 @@ class TestGaussKronrodRule:
         # |1/u^3| = 8000 on r = 0.05: weights off by 6e-15 leave a K-G gap
         # on every panel that no subdivision brings under tol 1e-12
         monkeypatch.setattr(paths, "PANEL_BUDGET", 64)
-        w = parse_expr("1/u^3 du", PuncturedPlane((0,)))
+        w = parse_expr("1/u^3 du", Plane((0,)))
         assert abs(residue(w, 0.0, 0.05, tol=1e-12)) < 1e-12
 
 
@@ -356,7 +356,7 @@ class TestPeriodicRule:
     def test_laurent_coefficients_closed_form(self, k, monkeypatch):
         # exp(u) / u^3 = sum over k >= -3 of u^k / (k + 3)!
         seen = engine_panels(monkeypatch)
-        w = parse_expr("exp(u)/u^3 du", PuncturedPlane((0,)))
+        w = parse_expr("exp(u)/u^3 du", Plane((0,)))
         got = laurent_coefficient(w, 0.0, k, radius=0.4)
         assert abs(got - 1.0 / math.factorial(k + 3)) < 1e-13
         assert not seen  # no Gauss-Kronrod panel

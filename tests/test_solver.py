@@ -174,9 +174,7 @@ class TestFamilySpec:
 
 class TestResidualConditions:
     def test_horizontal_period_catenoid(self):
-        from helikon.expr import PuncturedPlane
-
-        dom = PuncturedPlane((0,))
+        dom = Plane((0,))
         data = WeierstrassData(
             g=parse_expr("u", dom),
             dh=parse_expr("1/u du", dom),

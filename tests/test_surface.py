@@ -14,7 +14,6 @@ from helikon.expr import (
     Expr,
     Involution,
     Plane,
-    PuncturedPlane,
     eval_expr,
     mul,
     parse_expr,
@@ -28,11 +27,9 @@ from helikon.surface import (
     WeierstrassData,
     _generic_samples,
     _involute_path,
-    conformal_factor,
     exactness_check,
     flux,
     fluxes,
-    gauss_normal,
     immerse,
     involution_report,
     is_vertical_flux,
@@ -45,8 +42,10 @@ from helikon.surface import (
     symmetry_verify,
 )
 
+from references import conformal_factor, gauss_normal
+
 PLANE = Plane()
-PUNCTURED = PuncturedPlane((0,))
+PUNCTURED = Plane((0,))
 
 
 def helicoid():
