@@ -281,9 +281,9 @@ def cmd_mesh(scene, flags):
     m = build_mesh(data, spec)
     report = {
         "results": {
-            "vertices": len(m.vertices),
+            "vertices": len(m.u),
             "faces": len(m.faces),
-            "edges": len(m.edges),
+            "edges": len(m.edge_ends),
             "bounding_box_diagonal": m.bounding_box_diagonal(),
         },
         "verdict": True,
@@ -313,8 +313,8 @@ def cmd_probe(scene, flags):
         {
             "a": int(a),
             "b": int(b),
-            "u_a": m.vertices[a][0],
-            "u_b": m.vertices[b][0],
+            "u_a": complex(m.u[a]),
+            "u_b": complex(m.u[b]),
             "extrinsic": float(de),
             "intrinsic": float(di),
         }

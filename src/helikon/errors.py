@@ -93,7 +93,8 @@ class DisconnectedSampling(HelikonError):
 
 
 class ThresholdOrder(HelikonError):
-    """Probe thresholds incompatible with the mesh resolution."""
+    """Probe thresholds that are not finite positive lengths, or that are
+    incompatible with the mesh resolution."""
 
 
 class NotVerticalFlux(HelikonError):

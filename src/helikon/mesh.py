@@ -5,16 +5,23 @@ tree of grid edges.  The period triples of all the tree edges come from one
 level-synchronous quadrature run, and g at the vertices and at the edge
 length nodes from blocked array evaluations, so an n x m mesh costs O(nm)
 work in O(nm / paths.BLOCK_PANELS) array calls; a lambda sweep pays them
-once and recombines them for every lambda.  The
-self-intersection probe pairs a spatial hash (extrinsic nearness) with
+once and recombines them for every lambda.  A mesh holds arrays from
+assembly to verdict: its vertex and edge lists are built only when read.
+
+The self-intersection probe pairs a spatial hash (extrinsic nearness) with
 shortest paths on the mesh edge graph (intrinsic separation) — the
-discretized form of a near-pair with large intrinsic distance.
+discretized form of a near-pair with large intrinsic distance.  The graph
+is a CSR form of the edge arrays, built only when there are candidates.
+Far pairs come source by source from one generator: the probe lists them
+all, while a lambda sweep's verdict stops at the first.
 """
 
 import heapq
+import itertools
 import math
+import operator
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -86,22 +93,54 @@ class SamplingSpec:
         return mask
 
 
-@dataclass
+@dataclass(eq=False)
 class SurfaceMesh:
-    vertices: list  # of (u: complex, position: ndarray(3), normal: ndarray(3))
+    """A triangulated grid held as arrays: per vertex its u, position and
+    unit normal; the faces; per grid edge its two vertex indices and its
+    intrinsic length."""
+
+    u: np.ndarray  # complex, one per vertex
+    xyz: np.ndarray  # (V, 3) positions
+    normals: np.ndarray  # (V, 3)
     faces: list  # of (i, j, k) vertex indices
-    edges: list  # of (i, j, intrinsic length)
+    edge_ends: np.ndarray  # (E, 2) vertex indices
+    edge_lengths: np.ndarray  # (E,) intrinsic lengths
     label: str = ""
+    _lists: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def vertices(self):
+        """(u: complex, position: ndarray(3), normal: ndarray(3)) per
+        vertex, built on first access."""
+        if "vertices" not in self._lists:
+            self._lists["vertices"] = list(
+                zip(self.u.tolist(), self.xyz, self.normals)
+            )
+        return self._lists["vertices"]
+
+    @property
+    def edges(self):
+        """(i, j, intrinsic length) per grid edge, built on first access."""
+        if "edges" not in self._lists:
+            ia, ib = self.edge_ends.T.tolist()
+            self._lists["edges"] = list(
+                zip(ia, ib, self.edge_lengths.tolist())
+            )
+        return self._lists["edges"]
 
     def positions(self):
-        return np.array([p for _, p, _ in self.vertices])
+        """The (V, 3) vertex positions as a read-only view of xyz."""
+        view = self.xyz.view()
+        view.flags.writeable = False
+        return view
 
     def bounding_box_diagonal(self):
-        pos = self.positions()
-        return float(np.linalg.norm(pos.max(axis=0) - pos.min(axis=0)))
+        box = self.xyz.max(axis=0) - self.xyz.min(axis=0)
+        return float(np.linalg.norm(box))
 
     def max_edge_length(self):
-        return max((l for _, _, l in self.edges), default=0.0)
+        lengths = self.edge_lengths
+        return float(lengths.max()) if len(lengths) else 0.0
 
 
 # points per expression evaluation, the node count of one integrand call
@@ -166,10 +205,10 @@ class _MeshIntegrals(NamedTuple):
     and depth[k] is child[k]'s depth in the tree (non-decreasing in k).
     """
 
-    verts: list  # of u per vertex
+    verts: np.ndarray  # complex u per vertex
     faces: list
-    child: list
-    parent: list
+    child: np.ndarray
+    parent: np.ndarray
     depth: list
     triples: np.ndarray  # complex, one (P+, P-, P3) row per tree edge
     g_values: np.ndarray  # complex g per vertex, nan at poles
@@ -194,7 +233,6 @@ def _mesh_integrals(data, spec, tol=1e-10):
     index = -np.ones(mask.shape, dtype=int)
     index[mask] = np.arange(np.count_nonzero(mask))
     points = grid[mask]
-    verts = points.tolist()
 
     root = int(np.argmin(np.abs(points - data.basepoint)))
     root_ij = tuple(np.argwhere(mask)[root].tolist())
@@ -214,14 +252,14 @@ def _mesh_integrals(data, spec, tol=1e-10):
                 child.append(index[a, b])
                 parent.append(index[i, j])
                 depth.append(d + 1)
-    if len(child) < len(verts):
+    if len(child) < len(points):
         raise DisconnectedSampling(
-            f"exclusion disks split the region: {len(verts) - len(child)}"
+            f"exclusion disks split the region: {len(points) - len(child)}"
             " vertices unreachable"
         )
 
     edges = Lines(points[parent[1:]], points[child[1:]])
-    root_u = verts[root]
+    root_u = complex(points[root])
     if abs(root_u - data.basepoint) < 1e-13:
         triples = np.concatenate(
             [np.zeros((1, 3), dtype=complex), period_triples(data, edges, tol)]
@@ -254,10 +292,10 @@ def _mesh_integrals(data, spec, tol=1e-10):
     u0, u1 = grid[i, j], grid[i + 1 - e, j + e]
 
     return _MeshIntegrals(
-        verts=verts,
+        verts=points,
         faces=faces,
-        child=child,
-        parent=parent,
+        child=np.array(child),
+        parent=np.array(parent),
         depth=depth,
         triples=triples,
         g_values=g_values,
@@ -298,27 +336,25 @@ def _assemble_mesh(integrals, lam, label):
     deltas = np.array(recombine(*triples.T)).real.T
 
     positions = np.empty((len(integrals.verts), 3))
-    child, parent = np.array(integrals.child), np.array(integrals.parent)
+    child, parent = integrals.child, integrals.parent
     positions[child[0]] = deltas[0]
     # one level of the tree at a time: its parents, one level up, are placed
     starts = np.flatnonzero(np.diff(integrals.depth)) + 1
     for lo, hi in zip(starts, np.append(starts[1:], len(child))):
         positions[child[lo:hi]] = positions[parent[lo:hi]] + deltas[lo:hi]
 
-    normals = _gauss_normals(g_values)
-    vertices = list(zip(integrals.verts, positions, normals))
-
     ia, ib = integrals.edges.T
     length = 0.25 * integrals.edge_du * (lam * sum_a + sum_b / lam)
     chord = np.linalg.norm(positions[ib] - positions[ia], axis=1)
     # intrinsic arc length can never undercut the chord
     length = np.maximum(length, chord)
-    edges = list(zip(ia.tolist(), ib.tolist(), length.tolist()))
-
     return SurfaceMesh(
-        vertices=vertices,
+        u=integrals.verts,
+        xyz=positions,
+        normals=_gauss_normals(g_values),
         faces=integrals.faces,
-        edges=edges,
+        edge_ends=integrals.edges,
+        edge_lengths=length,
         label=label,
     )
 
@@ -337,13 +373,10 @@ def export_mesh(mesh, fmt="obj"):
     """Serialize the mesh; OBJ with v/vn/f records, 9 significant digits."""
     if fmt.lower() != "obj":
         raise ValueError(f"unsupported mesh format: {fmt}")
-    if not mesh.vertices:
+    if not len(mesh.u):
         raise ValueError("refusing to export an empty mesh")
-    lines = []
-    for _, p, _ in mesh.vertices:
-        lines.append("v %.9g %.9g %.9g" % (p[0], p[1], p[2]))
-    for _, _, n in mesh.vertices:
-        lines.append("vn %.9g %.9g %.9g" % (n[0], n[1], n[2]))
+    lines = ["v %.9g %.9g %.9g" % tuple(p) for p in mesh.xyz.tolist()]
+    lines += ["vn %.9g %.9g %.9g" % tuple(n) for n in mesh.normals.tolist()]
     for a, b, c in mesh.faces:
         lines.append(f"f {a + 1}//{a + 1} {b + 1}//{b + 1} {c + 1}//{c + 1}")
     return ("\n".join(lines) + "\n").encode("ascii")
@@ -425,15 +458,31 @@ def _spatial_hash_pairs(positions, cell):
     return list(zip(a[near].tolist(), b[near].tolist(), d[near].tolist()))
 
 
-def _graph_distance(adjacency, source, targets, cutoff):
-    """Dijkstra from source, stopped once every target is settled or the
-    smallest heap entry exceeds cutoff; returns the targets' distances.
+def _csr_graph(mesh):
+    """The edge graph as (ptr, nbr, length) lists: the neighbours of v and
+    the lengths of the edges to them are nbr[ptr[v]:ptr[v + 1]] and
+    length[ptr[v]:ptr[v + 1]], in the order of mesh.edge_ends."""
+    # edge k as the half-edges 2k (i -> j) and 2k + 1 (j -> i); a stable
+    # sort by the tail keeps each vertex's half-edges in edge order
+    half = np.stack([mesh.edge_ends, mesh.edge_ends[:, ::-1]], axis=1)
+    tail, head = half.reshape(-1, 2).T
+    order = np.argsort(tail, kind="stable")
+    ptr = np.searchsorted(tail[order], np.arange(len(mesh.u) + 1))
+    length = np.repeat(mesh.edge_lengths, 2)[order]
+    return ptr.tolist(), head[order].tolist(), length.tolist()
+
+
+def _graph_distance(graph, source, targets, cutoff):
+    """Dijkstra on a _csr_graph from source, stopped once every target is
+    settled or the smallest heap entry exceeds cutoff; returns the targets'
+    distances.
 
     A settled target's distance is final.  An unsettled one keeps its
     tentative value (inf if never reached), which is what a search run to
     exhaustion with the same cutoff would hold: every later pop is above
     the cutoff or stale, so it relaxes nothing.
     """
+    ptr, nbr, length = graph
     dist = {source: 0.0}
     pending = set(targets)
     heap = [(0.0, source)]
@@ -444,8 +493,9 @@ def _graph_distance(adjacency, source, targets, cutoff):
         pending.discard(v)
         if not pending:
             break
-        for w, length in adjacency[v]:
-            nd = d + length
+        for k in range(ptr[v], ptr[v + 1]):
+            w = nbr[k]
+            nd = d + length[k]
             if nd < dist.get(w, math.inf):
                 dist[w] = nd
                 heapq.heappush(heap, (nd, w))
@@ -458,46 +508,59 @@ def default_thresholds(mesh):
     return d_ext, 20.0 * d_ext
 
 
-def probe_self_intersection(mesh, delta_ext=None, delta_int=None):
-    """Near-pair probe: vertices extrinsically close but intrinsically far.
-
-    A reported pair witnesses (at mesh resolution) a self-intersection; an
-    empty report only means none was found at this resolution.
-    """
+def _thresholds(mesh, delta_ext, delta_int):
+    """(delta_ext, effective delta_int) of a probe of mesh: the defaults
+    fill in a missing threshold, and both must be finite, positive and
+    delta_int above twice the longest edge."""
     if delta_ext is None or delta_int is None:
         d_ext_default, d_int_default = default_thresholds(mesh)
         delta_ext = d_ext_default if delta_ext is None else delta_ext
         delta_int = d_int_default if delta_int is None else delta_int
+    for name, value in (("delta_ext", delta_ext), ("delta_int", delta_int)):
+        if not (math.isfinite(value) and value > 0):
+            raise ThresholdOrder(
+                f"{name} = {value:.3g} must be a finite positive length"
+            )
     max_edge = mesh.max_edge_length()
     if delta_int <= 2.0 * max_edge:
         raise ThresholdOrder(
             f"delta_int = {delta_int:.3g} must exceed twice the max edge"
             f" length {max_edge:.3g}; refine the mesh or raise the threshold"
         )
-    eff_int = INTRINSIC_SLACK * delta_int
+    return delta_ext, INTRINSIC_SLACK * delta_int
 
-    positions = mesh.positions()
-    candidates = _spatial_hash_pairs(positions, delta_ext)
-    adjacency = [[] for _ in mesh.vertices]
-    for a, b, length in mesh.edges:
-        adjacency[a].append((b, length))
-        adjacency[b].append((a, length))
 
-    targets = {}
-    for a, b, _ in candidates:
-        targets.setdefault(a, []).append(b)
-    dist_to = {
-        a: dict(zip(bs, _graph_distance(adjacency, a, bs, eff_int * 1.01)))
-        for a, bs in targets.items()
-    }
+def _far_pairs(mesh, delta_ext, eff_int):
+    """Yield (a, b, extrinsic, intrinsic) for every candidate pair closer
+    than delta_ext in space and farther than eff_int on the edge graph, one
+    source a at a time, in candidate order."""
+    candidates = _spatial_hash_pairs(mesh.xyz, delta_ext)
+    if not candidates:
+        return
+    graph = _csr_graph(mesh)
+    # candidates are sorted by (a, b), so each source's targets are a run
+    for a, run in itertools.groupby(candidates, key=operator.itemgetter(0)):
+        run = list(run)
+        intrinsic = _graph_distance(
+            graph, a, [b for _, b, _ in run], eff_int * 1.01
+        )
+        for (_, b, d), far in zip(run, intrinsic):
+            if far > eff_int:
+                yield a, b, d, float(far)
 
-    pairs = []
-    for a, b, d in candidates:
-        intrinsic = dist_to[a][b]
-        if intrinsic > eff_int:
-            pairs.append((a, b, d, float(intrinsic)))
+
+def probe_self_intersection(mesh, delta_ext=None, delta_int=None):
+    """Near-pair probe: vertices extrinsically close but intrinsically far.
+
+    A reported pair witnesses (at mesh resolution) a self-intersection; an
+    empty report only means none was found at this resolution.
+    """
+    delta_ext, eff_int = _thresholds(mesh, delta_ext, delta_int)
     # mirror-image pairs tie in exact arithmetic: the indices break ties
-    pairs.sort(key=lambda t: (t[2], t[0], t[1]))
+    pairs = sorted(
+        _far_pairs(mesh, delta_ext, eff_int),
+        key=lambda t: (t[2], t[0], t[1]),
+    )
     return ProbeReport(
         pairs=pairs,
         delta_ext=delta_ext,
@@ -548,8 +611,9 @@ def lambda_sweep(
             scaled = lopez_ros_triples(triples, lam)
             resid = triples_report(basis.labels, scaled, tol).max_residual
         m = _assemble_mesh(integrals, lam, deformed.label)
-        report = probe_self_intersection(m, delta_ext, delta_int)
-        return report.embedded, resid
+        # the verdict needs one far pair, not the list
+        far = _far_pairs(m, *_thresholds(m, delta_ext, delta_int))
+        return next(far, None) is None, resid
 
     lambdas = sorted(float(l) for l in lambdas)
     table = []

@@ -268,6 +268,28 @@ class TestMain:
         code = main(["periods", "--scene", str(open_scene), "--no-json"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("delta_int", "nan"), ("delta_ext", "0"), ("delta_ext", "-0.05"),
+         ("delta_ext", "inf")],
+    )
+    @pytest.mark.parametrize("command", ["probe", "sweep"])
+    def test_bad_threshold_exit_code(self, tmp_path, capsys, command, key,
+                                     value):
+        # a threshold that is not a finite positive length is refused,
+        # never read as an embedded verdict
+        with open(scene_path("helicoid.scene")) as fh:
+            text = fh.read()
+        thresholds = {"delta_ext": "0.05", "delta_int": "1.0", key: value}
+        body = "".join(f"{k} = {v}\n" for k, v in thresholds.items())
+        text = text[:text.index("[probe]")]
+        text += f"[probe]\n{body}\n[sweep]\nlambdas = 1\n{body}"
+        bad = tmp_path / "bad.scene"
+        bad.write_text(text)
+        code = main([command, "--scene", str(bad), "--no-json"])
+        assert code == 1
+        assert "must be a finite positive length" in capsys.readouterr().err
+
     def test_resolution_flag_overrides_scene(self, capsys):
         code = main(
             [

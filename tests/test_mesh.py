@@ -26,6 +26,7 @@ from helikon.mesh import (
     SamplingSpec,
     SurfaceMesh,
     _assemble_mesh,
+    _csr_graph,
     _mesh_integrals,
     _graph_distance,
     _spatial_hash_pairs,
@@ -157,7 +158,7 @@ class TestGridEnumeration:
         mask, verts, faces, edges = reference_grid(spec)
         assert np.array_equal(spec.inclusion_mask(), mask)
         got = _mesh_integrals(helicoid(), spec)
-        assert got.verts == verts
+        assert got.verts.tolist() == verts
         assert got.faces == faces
         assert got.edges.tolist() == [list(e) for e in edges]
         assert np.array_equal(
@@ -210,6 +211,31 @@ class TestBuildMesh:
         for u, p, _ in mesh.vertices:
             assert abs(p[2] - math.log(abs(u))) < 1e-9
 
+    def test_list_views(self):
+        # vertices and edges are lists built from the arrays, with Python
+        # scalars and ndarray(3) rows; they and positions() are read-only
+        mesh = build_mesh(catenoid(), catenoid_spec(8))
+        assert len(mesh.vertices) == len(mesh.u) > 0
+        for k, (u, p, n) in enumerate(mesh.vertices):
+            assert type(u) is complex and u == mesh.u[k]
+            assert isinstance(p, np.ndarray) and p.shape == (3,)
+            assert np.array_equal(p, mesh.xyz[k])
+            assert np.array_equal(n, mesh.normals[k])
+        assert len(mesh.edges) == len(mesh.edge_ends) > 0
+        for k, (a, b, length) in enumerate(mesh.edges):
+            assert type(a) is int and type(b) is int and type(length) is float
+            assert [a, b] == mesh.edge_ends[k].tolist()
+            assert length == mesh.edge_lengths[k]
+        assert mesh.vertices is mesh.vertices and mesh.edges is mesh.edges
+        with pytest.raises(AttributeError):
+            mesh.vertices = []
+        with pytest.raises(AttributeError):
+            mesh.edges = []
+        pos = mesh.positions()
+        assert np.array_equal(pos, np.array([p for _, p, _ in mesh.vertices]))
+        with pytest.raises(ValueError):
+            pos[0, 0] = 1.0
+
     def test_intrinsic_length_dominates_chord(self):
         mesh = build_mesh(catenoid(), catenoid_spec(12))
         pos = mesh.positions()
@@ -253,7 +279,7 @@ class TestBuildMesh:
         lengths = [length for _, _, length in mesh.edges]
         assert lengths[k] == math.inf
         assert all(math.isfinite(x) for i, x in enumerate(lengths) if i != k)
-        origin = first.verts.index(0j)
+        origin = first.verts.tolist().index(0j)
         for v, (u, _, normal) in enumerate(mesh.vertices):
             if v == origin:
                 assert normal.tolist() == [0.0, 0.0, 1.0]
@@ -316,10 +342,27 @@ class TestExport:
         assert np.linalg.norm(got - mesh.vertices[0][1]) < 1e-7
 
     def test_empty_mesh_refused(self):
-        from helikon.mesh import SurfaceMesh
-
+        empty = SurfaceMesh(
+            u=np.zeros(0, dtype=complex),
+            xyz=np.zeros((0, 3)),
+            normals=np.zeros((0, 3)),
+            faces=[],
+            edge_ends=np.zeros((0, 2), dtype=int),
+            edge_lengths=np.zeros(0),
+        )
         with pytest.raises(ValueError):
-            export_mesh(SurfaceMesh(vertices=[], faces=[], edges=[]))
+            export_mesh(empty)
+
+    def test_obj_bytes_match_list_reference(self):
+        # the arrays give the bytes the vertex and face lists give
+        mesh = build_mesh(helicoid(), SamplingSpec(-1, 1, -1, 1, nx=5, ny=4))
+        lines = ["v %.9g %.9g %.9g" % (p[0], p[1], p[2])
+                 for _, p, _ in mesh.vertices]
+        lines += ["vn %.9g %.9g %.9g" % (n[0], n[1], n[2])
+                  for _, _, n in mesh.vertices]
+        lines += [f"f {a + 1}//{a + 1} {b + 1}//{b + 1} {c + 1}//{c + 1}"
+                  for a, b, c in mesh.faces]
+        assert export_mesh(mesh) == ("\n".join(lines) + "\n").encode("ascii")
 
     def test_unknown_format_refused(self):
         spec = SamplingSpec(-1, 1, -1, 1, nx=2, ny=2)
@@ -360,9 +403,12 @@ class TestProbe:
             (10.049, 10.049, 10.049),
         ]
         mesh = SurfaceMesh(
-            vertices=[(0j, np.array(p), np.zeros(3)) for p in points],
+            u=np.zeros(len(points), dtype=complex),
+            xyz=np.array(points),
+            normals=np.zeros((len(points), 3)),
             faces=[],
-            edges=[],
+            edge_ends=np.zeros((0, 2), dtype=int),
+            edge_lengths=np.zeros(0),
         )
         rep = probe_self_intersection(mesh, delta_ext=0.05, delta_int=1.0)
         assert [(a, b) for a, b, _, _ in rep.pairs] == [(1, 2), (3, 4)]
@@ -373,6 +419,34 @@ class TestProbe:
         mesh = build_mesh(helicoid(), spec)
         with pytest.raises(ThresholdOrder):
             probe_self_intersection(mesh, delta_ext=0.05, delta_int=0.01)
+
+    @pytest.mark.parametrize(
+        "delta_ext, delta_int",
+        [(0.05, math.nan), (math.nan, 2.0), (0.0, 2.0), (-0.05, 2.0),
+         (math.inf, 2.0), (0.05, math.inf)],
+    )
+    def test_bad_thresholds_refused(self, delta_ext, delta_int):
+        # a nan compares false with everything, so it once certified
+        # embeddedness; 0 divided by zero in the spatial hash, a negative
+        # delta_ext found nothing, and inf made every pair a candidate.
+        # delta_int = 2 exceeds twice the longest edge at both lambdas
+        spec = SamplingSpec(-1, 1, -1, 1, nx=16, ny=16)
+        mesh = build_mesh(enneper(), spec)
+        probe_self_intersection(mesh, 0.05, 2.0)
+        lambda_sweep(enneper(), [0.5, 1.0], spec, delta_ext=0.05,
+                     delta_int=2.0)
+        with pytest.raises(ThresholdOrder):
+            probe_self_intersection(mesh, delta_ext, delta_int)
+        with pytest.raises(ThresholdOrder):
+            lambda_sweep(enneper(), [0.5, 1.0], spec, delta_ext=delta_ext,
+                         delta_int=delta_int)
+
+    def test_zero_default_thresholds_refused(self):
+        # a single vertex has a zero bounding box, so zero default thresholds
+        mesh = build_mesh(helicoid(), SamplingSpec(-1, 1, -1, 1, nx=1, ny=1))
+        assert default_thresholds(mesh) == (0.0, 0.0)
+        with pytest.raises(ThresholdOrder):
+            probe_self_intersection(mesh)
 
     def test_default_thresholds_scale_with_bbox(self):
         spec = SamplingSpec(-math.pi, math.pi, -1.0, 1.0, nx=10, ny=10)
@@ -456,6 +530,10 @@ class TestBoundedSearch:
         for a, b, length in mesh.edges:
             adjacency[a].append((b, length))
             adjacency[b].append((a, length))
+        graph = _csr_graph(mesh)
+        for v, neighbours in enumerate(adjacency):
+            lo, hi = graph[0][v], graph[0][v + 1]
+            assert list(zip(graph[1][lo:hi], graph[2][lo:hi])) == neighbours
         eff_int = INTRINSIC_SLACK * delta_int
         cutoff = eff_int * 1.01
         candidates = _spatial_hash_pairs(mesh.positions(), delta_ext)
@@ -467,7 +545,7 @@ class TestBoundedSearch:
         full = {a: exhaustive_dijkstra(adjacency, a) for a in targets}
         settled = 0
         for a, bs in targets.items():
-            got = _graph_distance(adjacency, a, bs, cutoff)
+            got = _graph_distance(graph, a, bs, cutoff)
             # every target holds what the search run to exhaustion with the
             # same cutoff holds; one settled within the cutoff is final
             assert got == list(exhaustive_dijkstra(adjacency, a, cutoff)[bs])
@@ -493,18 +571,18 @@ class TestBoundedSearch:
         every = list(range(len(mesh.vertices)))
         for source in (0, len(every) // 2):
             for c in (0.5, 1.0, 2.0):
-                got = _graph_distance(adjacency, source, every, c)
+                got = _graph_distance(graph, source, every, c)
                 assert got == list(exhaustive_dijkstra(adjacency, source, c))
 
     def test_stops_at_cutoff(self):
         # a path graph 0 - 1 - 2 - 3 with unit edges: the search from 0
         # pops nothing past the cutoff, so 3 keeps its tentative value (or
         # inf when the search stops before reaching it)
-        adjacency = [[(1, 1.0)], [(0, 1.0), (2, 1.0)],
-                     [(1, 1.0), (3, 1.0)], [(2, 1.0)]]
-        assert _graph_distance(adjacency, 0, [1, 3], 2.5) == [1.0, 3.0]
-        assert _graph_distance(adjacency, 0, [3], 1.5) == [math.inf]
-        assert _graph_distance(adjacency, 0, [2, 3], 10.0) == [2.0, 3.0]
+        # in CSR form: the neighbours of v are nbr[ptr[v]:ptr[v + 1]]
+        graph = ([0, 1, 3, 5, 6], [1, 0, 2, 1, 3, 2], [1.0] * 6)
+        assert _graph_distance(graph, 0, [1, 3], 2.5) == [1.0, 3.0]
+        assert _graph_distance(graph, 0, [3], 1.5) == [math.inf]
+        assert _graph_distance(graph, 0, [2, 3], 10.0) == [2.0, 3.0]
 
 
 class TestLambdaReuse:
@@ -520,14 +598,14 @@ class TestLambdaReuse:
     )
     def test_swept_mesh_matches_rebuild(self, data, spec, monkeypatch):
         swept = {}
-        probe = mesh_module.probe_self_intersection
+        far_pairs = mesh_module._far_pairs
 
-        def capture(m, delta_ext, delta_int):
+        def capture(m, delta_ext, eff_int):
             lam = float(m.label.rsplit("=", 1)[1]) if "=" in m.label else 1.0
             swept[lam] = m
-            return probe(m, delta_ext, delta_int)
+            return far_pairs(m, delta_ext, eff_int)
 
-        monkeypatch.setattr(mesh_module, "probe_self_intersection", capture)
+        monkeypatch.setattr(mesh_module, "_far_pairs", capture)
         # 0.5 and 2 scale the integrals exactly; 1.3 rounds
         lambda_sweep(
             data, [0.5, 1.3, 2.0], spec, delta_ext=0.05, delta_int=5.0
@@ -587,6 +665,33 @@ class TestSweep:
         assert all(emb for _, emb, _ in res.table)
         assert all(resid < 1e-10 for _, _, resid in res.table)
         assert res.bracket is None
+
+    @pytest.mark.parametrize(
+        "data, spec, delta_ext, delta_int",
+        [
+            (catenoid(), catenoid_spec(), 0.05, 2.0),
+            (helicoid(), SamplingSpec(-math.pi, math.pi, -1.0, 1.0,
+                                      nx=24, ny=24), 0.3, 2.0),
+            (enneper(), SamplingSpec(-2, 2, -2, 2, nx=48, ny=48), 0.05, 2.0),
+        ],
+        ids=["catenoid", "helicoid", "enneper"],
+    )
+    def test_verdict_matches_probe(self, data, spec, delta_ext, delta_int):
+        # the sweep stops at the first far pair; its verdict is the full
+        # probe's on the same mesh.  The Enneper mesh has 4 far pairs at
+        # 0.859375 and none at 0.8515625, the bisection's closest calls
+        lambdas = [0.5, 0.75, 0.8515625, 0.859375, 0.875, 1.0, 2.0]
+        res = lambda_sweep(data, lambdas, spec, delta_ext=delta_ext,
+                           delta_int=delta_int)
+        integrals = _mesh_integrals(data, spec)
+        pairs = {}
+        for lam, embedded, _ in res.table:
+            m = _assemble_mesh(integrals, lam, "")
+            rep = probe_self_intersection(m, delta_ext, delta_int)
+            assert embedded == rep.embedded
+            pairs[lam] = len(rep.pairs)
+        if data.label == "enneper":
+            assert pairs[0.8515625] == 0 and pairs[0.859375] == 4
 
     def test_one_period_run_per_sweep(self, monkeypatch):
         # the flux test and every lambda's residuals come from one run over
