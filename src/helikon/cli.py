@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 from .divisor import (
     classify_fixed_points,
@@ -87,24 +88,62 @@ def _pick_basis(scene, opts):
     return scene.cycle_basis(names)
 
 
-def _sampling_spec(opts, flags):
-    rect = [float(v) for v in opts.get("rect", "-1,1,-1,1").split(",")]
-    res = flags.get("resolution") or opts.get("resolution", "40x40")
-    nx, ny = (int(v) for v in res.lower().split("x"))
-    exclusions = []
+def _parsed(text, parse, name):
+    """parse(text); a value that parse refuses (ValueError) raises
+    HelikonError naming the setting, name."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise HelikonError(f"{name} = {text!r}: {exc}") from None
+
+
+def _rect(text):
+    rect = [float(v) for v in text.split(",")]
+    if len(rect) != 4:
+        raise ValueError("expected umin, umax, vmin, vmax")
+    return rect
+
+
+def _grid_size(text):
+    size = text.lower().split("x")
+    if len(size) != 2:
+        raise ValueError("expected NxM")
+    return [int(v) for v in size]
+
+
+def _disks(text):
+    vals = _parse_complex_list(text)
+    if len(vals) % 2:
+        raise ValueError("exclusions need center,radius pairs")
+    return tuple((c, r.real) for c, r in zip(vals[::2], vals[1::2]))
+
+
+def _sampling_spec(opts, flags, sources=None):
+    """The SamplingSpec of the settings opts, the --resolution flag over
+    their resolution.  A value that does not parse raises HelikonError
+    naming its key and its section, sources[key] or else mesh."""
+
+    def name(key):
+        return f"[{(sources or {}).get(key, 'mesh')}] {key}"
+
+    rect = _parsed(opts.get("rect", "-1,1,-1,1"), _rect, name("rect"))
+    if flags.get("resolution"):
+        nx, ny = _parsed(flags["resolution"], _grid_size, "--resolution")
+    else:
+        res = opts.get("resolution", "40x40")
+        nx, ny = _parsed(res, _grid_size, name("resolution"))
+    exclusions = ()
     if "exclusions" in opts:
-        vals = _parse_complex_list(opts["exclusions"])
-        if len(vals) % 2:
-            raise HelikonError("exclusions need center,radius pairs")
-        for c, r in zip(vals[::2], vals[1::2]):
-            exclusions.append((c, r.real))
-    return SamplingSpec(
-        rect[0], rect[1], rect[2], rect[3], nx, ny, tuple(exclusions)
-    )
+        exclusions = _parsed(opts["exclusions"], _disks, name("exclusions"))
+    try:
+        return SamplingSpec(*rect, nx, ny, exclusions)
+    except ValueError as exc:
+        raise HelikonError(f"mesh settings: {exc}") from None
 
 
-def _mesh_spec(scene, data, opts, flags):
-    """The sampling spec of [mesh], overridden by opts and flags."""
+def _mesh_spec(scene, data, section, flags):
+    """The sampling spec of [mesh], overridden by the command's section and
+    by flags."""
     # a torus mesh needs its rectangle and the exclusion disks about the
     # punctures; the plane default (-1..1, none) runs into them
     if data.domain.lattice is not None and "mesh" not in scene.settings:
@@ -112,7 +151,19 @@ def _mesh_spec(scene, data, opts, flags):
             f"scene {scene.name!r} has no [mesh] section; a torus mesh needs"
             " its rect and the exclusions around the punctures"
         )
-    return _sampling_spec({**_settings(scene, "mesh"), **opts}, flags)
+    own = _settings(scene, section)
+    return _sampling_spec(
+        {**_settings(scene, "mesh"), **own}, flags,
+        sources=dict.fromkeys(own, section),
+    )
+
+
+def _probe_thresholds(opts, section):
+    """(delta_ext, delta_int) as a section sets them, None where unset."""
+    return tuple(
+        _parsed(opts[key], float, f"[{section}] {key}") if key in opts else None
+        for key in ("delta_ext", "delta_int")
+    )
 
 
 def cmd_periods(scene, flags):
@@ -159,12 +210,10 @@ def cmd_symmetry(scene, flags):
     n = int(opts.get("samples", 12))
     pts = _generic_samples(data.domain, n)
     samples = []
-    from dataclasses import replace
-
     moved = replace(data, basepoint=complex(inv.p0))
     for p in pts:
         samples.append((p, straight_route(moved, p)))
-    dev = symmetry_verify(data, inv, samples, tol=tol)
+    dev = symmetry_verify(data, inv, samples)
     return {
         "results": {"max_deviation": float(dev), "samples": n},
         "verdict": bool(dev < tol),
@@ -277,7 +326,7 @@ def cmd_solve(scene, flags):
 def cmd_mesh(scene, flags):
     opts = _settings(scene, "mesh")
     data = _pick_data(scene, opts)
-    spec = _mesh_spec(scene, data, opts, flags)
+    spec = _mesh_spec(scene, data, "mesh", flags)
     m = build_mesh(data, spec)
     report = {
         "results": {
@@ -304,11 +353,9 @@ def cmd_mesh(scene, flags):
 def cmd_probe(scene, flags):
     opts = _settings(scene, "probe")
     data = _pick_data(scene, opts)
-    spec = _mesh_spec(scene, data, opts, flags)
+    spec = _mesh_spec(scene, data, "probe", flags)
     m = build_mesh(data, spec)
-    d_ext = float(opts["delta_ext"]) if "delta_ext" in opts else None
-    d_int = float(opts["delta_int"]) if "delta_int" in opts else None
-    rep = probe_self_intersection(m, d_ext, d_int)
+    rep = probe_self_intersection(m, *_probe_thresholds(opts, "probe"))
     pairs = [
         {
             "a": int(a),
@@ -333,14 +380,13 @@ def cmd_probe(scene, flags):
 def cmd_sweep(scene, flags):
     opts = _settings(scene, "sweep")
     data = _pick_data(scene, opts)
-    spec = _mesh_spec(scene, data, opts, flags)
+    spec = _mesh_spec(scene, data, "sweep", flags)
     lambdas = flags.get("lambdas") or [
         float(v) for v in opts.get("lambdas", "0.5,1,2").split(",")
     ]
     tol = flags.get("tol") or float(opts.get("tol", 1e-8))
     basis = _pick_basis(scene, opts) if scene.cycles else None
-    d_ext = float(opts["delta_ext"]) if "delta_ext" in opts else None
-    d_int = float(opts["delta_int"]) if "delta_int" in opts else None
+    d_ext, d_int = _probe_thresholds(opts, "sweep")
     res = lambda_sweep(
         data, lambdas, spec, basis=basis, delta_ext=d_ext, delta_int=d_int,
         tol=tol,

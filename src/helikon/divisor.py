@@ -30,6 +30,7 @@ from .errors import (
     ZeroOnContour,
 )
 from .expr import FormExpr, differentiate, eval_expr, pullback
+from .kernels import reduce_to_cell
 from .paths import Lines, circle, integrate_path, integrate_paths
 
 TWO_PI_I = 2j * cmath.pi
@@ -46,6 +47,13 @@ MOMENT_TOL = 1e-10
 # apart; a point whose moments are off by delta spreads about 2 |u| delta,
 # and the kernels' floor gives 2.7e-12 on the audits
 MAX_SPREAD = 1e-9
+# locate_divisor moves the grid's base point this many times before it
+# gives up on a grid whose cell sides keep meeting a zero or pole
+JITTER_TRIES = 5
+# the fixed-point classifier's residues are taken on circles of
+# CLASSIFY_RADIUS, and a residue above CLASSIFY_RES_TOL is a simple pole
+CLASSIFY_RADIUS = 0.05
+CLASSIFY_RES_TOL = 1e-8
 
 
 def residues(w, points, radius, tol=1e-12):
@@ -92,7 +100,7 @@ def _coefficient(obj):
     return obj.coeff if isinstance(obj, FormExpr) else obj
 
 
-def locate_divisor(obj, grid=8, jitter_tries=5):
+def locate_divisor(obj, grid=8):
     """Locate zeros and poles of a torus Expr/FormExpr in the fundamental cell.
 
     Raises ZeroOnContour when every jittered grid fails, and
@@ -108,14 +116,14 @@ def locate_divisor(obj, grid=8, jitter_tries=5):
     tau = lat.tau
 
     last_exc = None
-    for attempt in range(jitter_tries):
+    for attempt in range(JITTER_TRIES):
         base = (0.05371 + 0.03813 * attempt) + (0.04629 + 0.02971 * attempt) * tau
         try:
             return _locate_with_base(f, fp, lat, base, grid)
         except ZeroOnContour as exc:
             last_exc = exc
     raise ZeroOnContour(
-        f"grid jitter exhausted after {jitter_tries} tries: {last_exc}"
+        f"grid jitter exhausted after {JITTER_TRIES} tries: {last_exc}"
     )
 
 
@@ -266,14 +274,14 @@ def _locate_with_base(f, fp, lat, base, grid):
     return Divisor(entries=entries)
 
 
-def divisor_audit(w, grid=8):
+def divisor_audit(w):
     """Divisor of a torus one-form plus the genus-one count verdict.
 
     Returns (divisor, ok).  A meromorphic one-form on a surface of genus k
     has #Z - #P = 2k - 2, so on the torus (k = 1) ok is True when #Z = #P;
     a False verdict signals data that is not actually elliptic.
     """
-    dv = locate_divisor(w, grid=grid)
+    dv = locate_divisor(w)
     return dv, dv.zero_count() == dv.pole_count()
 
 
@@ -283,34 +291,36 @@ IDENTICALLY_ZERO = "IdenticallyZero"
 REGULAR = "Regular"
 
 
-def classify_fixed_points(w, inv, points, radius=0.05, res_tol=1e-8):
+def classify_fixed_points(w, inv, points):
     """Behaviour of w + I*w at every fixed point of the involution, with
     the residues of w at all the points from one residues run.
 
-    SimplePole iff the residue of w at p is nonzero; IdenticallyZero iff the
+    SimplePole iff the residue of w at p (on the circle of CLASSIFY_RADIUS)
+    is above CLASSIFY_RES_TOL; IdenticallyZero iff the
     symmetrized form is uniformly tiny on two concentric circles; ZeroAt when
     it vanishes in the limit at p; Regular otherwise.
     """
     points = [complex(p) for p in points]
     sym = w + pullback(w, inv)
     return [
-        _classify(sym, p, b, radius, res_tol)
-        for p, b in zip(points, residues(w, points, radius))
+        _classify(sym, p, b)
+        for p, b in zip(points, residues(w, points, CLASSIFY_RADIUS))
     ]
 
 
-def classify_fixed_point(w, inv, p, radius=0.05, res_tol=1e-8):
+def classify_fixed_point(w, inv, p):
     """classify_fixed_points at the one fixed point p."""
-    return classify_fixed_points(w, inv, [p], radius, res_tol)[0]
+    return classify_fixed_points(w, inv, [p])[0]
 
 
-def _classify(sym, p, b, radius, res_tol):
+def _classify(sym, p, b):
     """The case of the symmetrized form sym at p, where w has residue b."""
-    if abs(b) > res_tol:
+    if abs(b) > CLASSIFY_RES_TOL:
         return SIMPLE_POLE
     # two circles of 8 points, then two of 6 close in; one evaluation each
     ring = np.exp(2j * np.pi * (np.arange(8) + 0.37) / 8)
-    far = np.abs(eval_expr(sym, p + np.outer([radius, 0.5 * radius], ring)))
+    radii = [CLASSIFY_RADIUS, 0.5 * CLASSIFY_RADIUS]
+    far = np.abs(eval_expr(sym, p + np.outer(radii, ring)))
     if far.max() < 1e-9:
         return IDENTICALLY_ZERO
     ring = np.exp(2j * np.pi * np.arange(6) / 6)
@@ -324,8 +334,6 @@ def _classify(sym, p, b, radius, res_tol):
 def abel_defect(zeros, poles, lat):
     """Distance of (sum of zeros - sum of poles) from the lattice."""
     d = sum(complex(z) for z in zeros) - sum(complex(p) for p in poles)
-    from .kernels import reduce_to_cell
-
     d0, _, _ = reduce_to_cell(d, lat.tau)
     return abs(d0)
 
@@ -351,8 +359,6 @@ def exp_factor_coefficient(zeros, poles, lat):
     """
     check_abel(zeros, poles, lat)
     d = sum(complex(p) for p in poles) - sum(complex(z) for z in zeros)
-    from .kernels import reduce_to_cell
-
     _, m, n = reduce_to_cell(d, lat.tau)
     # d = m + n*tau up to numerical fuzz; a = -eta1*d + 2*pi*i*n
     return -lat.eta1 * d + TWO_PI_I * n

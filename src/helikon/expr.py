@@ -73,8 +73,8 @@ class Torus:
         return self.lat.same_point(a, b, tol)
 
 
-def torus(tau, punctures=(), series_tol=1e-14):
-    return Torus(Lattice(tau, series_tol), tuple(punctures))
+def torus(tau, punctures=()):
+    return Torus(Lattice(tau), tuple(punctures))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ import heapq
 import itertools
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -47,6 +46,9 @@ from .surface import (
 # graph shortest paths overestimate geodesics; absorb mesh quality by
 # widening the user's intrinsic threshold by this documented factor
 INTRINSIC_SLACK = 1.5
+# a lambda sweep bisects a transition until the bracket is narrower than
+# this fraction of its lower end
+BRACKET_REL = 0.01
 
 
 @dataclass(frozen=True)
@@ -201,15 +203,16 @@ class _MeshIntegrals(NamedTuple):
 
     Row 0 of triples is the period triple of the route from the basepoint to
     the root vertex (zero when the root is the basepoint); row k > 0 is that
-    of the spanning-tree edge parent[k] -> child[k], in breadth-first order,
-    and depth[k] is child[k]'s depth in the tree (non-decreasing in k).
+    of the spanning-tree edge parent[k] -> child[k], in breadth-first order.
+    The tree's level d holds rows level_ends[d - 1] to level_ends[d] (the
+    root alone, level 0, ends at 1).
     """
 
     verts: np.ndarray  # complex u per vertex
     faces: list
     child: np.ndarray
     parent: np.ndarray
-    depth: list
+    level_ends: np.ndarray
     triples: np.ndarray  # complex, one (P+, P-, P3) row per tree edge
     g_values: np.ndarray  # complex g per vertex, nan at poles
     edges: np.ndarray  # (i, j) vertex index pairs of the grid edges
@@ -234,29 +237,43 @@ def _mesh_integrals(data, spec, tol=1e-10):
     index[mask] = np.arange(np.count_nonzero(mask))
     points = grid[mask]
 
+    # grid edge (i, j) -> (i + 1 - e, j + e), listed by (i, j, e)
+    step = np.zeros(mask.shape + (2,), dtype=bool)
+    step[:-1, :, 0] = mask[:-1, :] & mask[1:, :]
+    step[:, :-1, 1] = mask[:, :-1] & mask[:, 1:]
+    i, j, e = np.nonzero(step)
+    ends = np.stack([index[i, j], index[i + 1 - e, j + e]], axis=1)
+
+    # breadth-first spanning tree, one level at a time: the next level is
+    # the unseen neighbours of this one in (vertex, direction) order, the
+    # directions +i, -i, +j, -j, each vertex kept where it first occurs
+    neighbours = -np.ones((len(points), 4), dtype=int)
+    neighbours[ends[:, 0], 2 * e] = ends[:, 1]
+    neighbours[ends[:, 1], 2 * e + 1] = ends[:, 0]
     root = int(np.argmin(np.abs(points - data.basepoint)))
-    root_ij = tuple(np.argwhere(mask)[root].tolist())
-    child, parent, depth = [root], [-1], [0]
-    seen = {root_ij}
-    q = deque([(root_ij, 0)])
-    while q:
-        (i, j), d = q.popleft()
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            a, b = i + di, j + dj
-            if (
-                0 <= a < spec.nx and 0 <= b < spec.ny
-                and mask[a, b] and (a, b) not in seen
-            ):
-                seen.add((a, b))
-                q.append(((a, b), d + 1))
-                child.append(index[a, b])
-                parent.append(index[i, j])
-                depth.append(d + 1)
-    if len(child) < len(points):
+    seen = np.zeros(len(points), dtype=bool)
+    seen[root] = True
+    level = np.array([root])
+    child, parent = [level], [np.array([-1])]
+    while True:
+        cand = neighbours[level].ravel()
+        new = np.flatnonzero(cand >= 0)
+        new = new[~seen[cand[new]]]
+        _, first = np.unique(cand[new], return_index=True)
+        new = new[np.sort(first)]
+        if not new.size:
+            break
+        parent.append(level[new // 4])
+        level = cand[new]
+        seen[level] = True
+        child.append(level)
+    level_ends = np.cumsum([len(c) for c in child])
+    if level_ends[-1] < len(points):
         raise DisconnectedSampling(
-            f"exclusion disks split the region: {len(points) - len(child)}"
+            f"exclusion disks split the region: {len(points) - level_ends[-1]}"
             " vertices unreachable"
         )
+    child, parent = np.concatenate(child), np.concatenate(parent)
 
     edges = Lines(points[parent[1:]], points[child[1:]])
     root_u = complex(points[root])
@@ -284,22 +301,17 @@ def _mesh_integrals(data, spec, tol=1e-10):
         for face in ((a, b, c), (a, c, d))
     ]
 
-    # grid edge (i, j) -> (i + 1 - e, j + e), listed by (i, j, e)
-    step = np.zeros(mask.shape + (2,), dtype=bool)
-    step[:-1, :, 0] = mask[:-1, :] & mask[1:, :]
-    step[:, :-1, 1] = mask[:, :-1] & mask[:, 1:]
-    i, j, e = np.nonzero(step)
-    u0, u1 = grid[i, j], grid[i + 1 - e, j + e]
+    u0, u1 = points[ends[:, 0]], points[ends[:, 1]]
 
     return _MeshIntegrals(
         verts=points,
         faces=faces,
-        child=np.array(child),
-        parent=np.array(parent),
-        depth=depth,
+        child=child,
+        parent=parent,
+        level_ends=level_ends,
         triples=triples,
         g_values=g_values,
-        edges=np.stack([index[i, j], index[i + 1 - e, j + e]], axis=1),
+        edges=ends,
         edge_du=np.abs(u1 - u0),
         edge_sums=_edge_sums(data, u0, u1),
     )
@@ -339,8 +351,8 @@ def _assemble_mesh(integrals, lam, label):
     child, parent = integrals.child, integrals.parent
     positions[child[0]] = deltas[0]
     # one level of the tree at a time: its parents, one level up, are placed
-    starts = np.flatnonzero(np.diff(integrals.depth)) + 1
-    for lo, hi in zip(starts, np.append(starts[1:], len(child))):
+    ends = integrals.level_ends
+    for lo, hi in zip(ends[:-1], ends[1:]):
         positions[child[lo:hi]] = positions[parent[lo:hi]] + deltas[lo:hi]
 
     ia, ib = integrals.edges.T
@@ -583,10 +595,10 @@ def lambda_sweep(
     delta_ext=None,
     delta_int=None,
     tol=1e-8,
-    bracket_rel=0.01,
 ):
     """Probe lopez_ros(data, lam) over a grid of lambdas and bracket any
-    embedded/non-embedded transition by bisection.
+    embedded/non-embedded transition by bisection, to a relative width of
+    BRACKET_REL.
 
     Requires vertical flux (closure must survive the deformation); period
     residuals are re-verified per lambda when a cycle basis is given.  The
@@ -626,7 +638,7 @@ def lambda_sweep(
         if e0 != e1:
             lo, hi = l0, l1
             emb_lo = e0
-            while hi - lo > bracket_rel * lo:
+            while hi - lo > BRACKET_REL * lo:
                 mid = 0.5 * (lo + hi)
                 emb_mid, _ = verdict(mid)
                 if emb_mid == emb_lo:

@@ -450,22 +450,6 @@ def _gk_panel(f, segments, idx, t0, t1):
     return np.moveaxis(k_sum, -1, 0), err
 
 
-def _ordered_sums(group, values, n):
-    """For each group g < n, the sum of its rows of values, one addition at
-    a time from zero in row order; group is sorted."""
-    starts = np.flatnonzero(np.diff(group, prepend=-1))
-    sizes = np.diff(starts, append=group.size)
-    out = np.zeros((n,) + values.shape[1:], dtype=complex)
-    live = np.arange(starts.size)
-    r = 0
-    while live.size:
-        rows = starts[live] + r
-        out[group[rows]] += values[rows]  # one row per group
-        r += 1
-        live = live[sizes[live] > r]
-    return out
-
-
 def _gauss_kronrod(f, geometry, which, tol):
     """Adaptive Gauss-Kronrod over every segment of the paths marked in
     which; one row per path of geometry, zero for the unmarked ones."""
@@ -503,8 +487,13 @@ def _gauss_kronrod(f, geometry, which, tol):
 
     seg, start, values = (np.concatenate(parts) for parts in zip(*accepted))
     order = np.lexsort((start, seg))
-    per_segment = _ordered_sums(seg[order], values[order], path_of.size)
-    return _ordered_sums(path_of, per_segment, n)
+    # np.add.at adds the rows one at a time from zero in row order, so the
+    # sums, and the results, are deterministic
+    per_segment = np.zeros((path_of.size,) + values.shape[1:], dtype=complex)
+    np.add.at(per_segment, seg[order], values[order])
+    out = np.zeros((n,) + values.shape[1:], dtype=complex)
+    np.add.at(out, path_of, per_segment)
+    return out
 
 
 def integrate_paths(f, paths, tol=1e-12):

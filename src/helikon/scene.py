@@ -5,6 +5,7 @@ The format is a single text document with `[section name]` headers and
 the package's mini-language.  All diagnostics carry 1-based line numbers.
 """
 
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -18,9 +19,9 @@ from .errors import (
 from .expr import (
     Involution,
     Plane,
+    Torus,
     eval_expr,
     parse_expr,
-    torus,
 )
 from .lattice import Lattice
 from .paths import circle, polyline, rectangle
@@ -75,7 +76,6 @@ def _parse_complex_list(text):
 class Scene:
     name: str = "scene"
     lattice: object = None
-    series_tol: float = 1e-14
     data: dict = field(default_factory=dict)  # name -> WeierstrassData
     cycles: dict = field(default_factory=dict)  # name -> PathSpec
     involutions: dict = field(default_factory=dict)  # name -> Involution
@@ -135,7 +135,29 @@ def _read_sections(path):
     return sections
 
 
-def _build_domain(kind, lineno, lat, punctures, series_tol):
+_REQUIRED = object()
+
+
+def _entry(section, key, parse=str, default=_REQUIRED):
+    """parse of the value of key in a _read_sections section, or default
+    where the key is absent.  A missing required key raises
+    SceneValidationError at the section's header line, and a value that
+    parse refuses (ValueError) at the value's own line."""
+    header, lineno, entries = section
+    if key not in entries:
+        if default is _REQUIRED:
+            raise SceneValidationError(lineno, f"[{header}] needs {key}")
+        return default
+    value, line = entries[key]
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise SceneValidationError(
+            line, f"[{header}] {key} = {value!r}: {exc}"
+        ) from None
+
+
+def _build_domain(kind, lineno, lat, punctures):
     kind = kind.lower()
     if kind in ("plane", "punctured-plane", "punctured_plane"):
         return Plane(tuple(punctures))
@@ -144,79 +166,72 @@ def _build_domain(kind, lineno, lat, punctures, series_tol):
             raise SceneValidationError(
                 lineno, "torus domain requires a [lattice] section"
             )
-        return torus(lat.tau, tuple(punctures), series_tol=series_tol)
+        return Torus(lat, tuple(punctures))
     raise SceneValidationError(lineno, f"unknown domain kind {kind!r}")
 
 
-def _build_cycle(entries, lineno):
-    kind = entries.get("type", ("polyline", lineno))[0].lower()
+def _build_cycle(section):
+    kind = _entry(section, "type", str.lower, "polyline")
     if kind == "circle":
-        center = parse_complex(entries["center"][0]) if "center" in entries else 0j
-        radius = float(entries["radius"][0])
-        orient = int(entries.get("orientation", ("1", lineno))[0])
-        return circle(center, radius, orient)
-    if kind == "polyline":
-        pts = _parse_complex_list(entries["points"][0])
-        closed = entries.get("closed", ("false", lineno))[0].lower() in (
-            "1", "true", "yes",
+        return circle(
+            _entry(section, "center", parse_complex, 0j),
+            _entry(section, "radius", float),
+            _entry(section, "orientation", int, 1),
         )
-        return polyline(pts, closed=closed)
+    if kind == "polyline":
+        closed = _entry(section, "closed", str.lower, "false")
+        return polyline(
+            _entry(section, "points", _parse_complex_list),
+            closed=closed in ("1", "true", "yes"),
+        )
     if kind == "rectangle":
-        corner = parse_complex(entries["corner"][0])
-        width = parse_complex(entries["width"][0])
-        height = parse_complex(entries["height"][0])
-        orient = int(entries.get("orientation", ("1", lineno))[0])
-        return rectangle(corner, width, height, orient)
-    raise SceneValidationError(lineno, f"unknown cycle type {kind!r}")
+        return rectangle(
+            _entry(section, "corner", parse_complex),
+            _entry(section, "width", parse_complex),
+            _entry(section, "height", parse_complex),
+            _entry(section, "orientation", int, 1),
+        )
+    raise SceneValidationError(section[1], f"unknown cycle type {kind!r}")
 
 
 def load_scene(path):
     """Parse and fully validate a scene file."""
     sections = _read_sections(path)
     scene = Scene()
-    import os
-
     scene.name = os.path.splitext(os.path.basename(str(path)))[0]
 
     # lattice first: torus domains depend on it
-    for header, lineno, entries in sections:
+    for section in sections:
+        header, lineno, entries = section
         if header == "lattice":
-            if "tau" not in entries:
-                raise SceneValidationError(lineno, "[lattice] needs tau")
-            tau = parse_complex(entries["tau"][0])
-            tol = float(entries.get("series_tol", ("1e-14", lineno))[0])
+            tau = _entry(section, "tau", parse_complex)
+            tol = _entry(section, "series_tol", float, 1e-14)
             try:
                 scene.lattice = Lattice(tau, series_tol=tol)
             except Exception as exc:
                 raise SceneValidationError(entries["tau"][1], str(exc)) from exc
-            scene.series_tol = tol
 
-    for header, lineno, entries in sections:
+    for section in sections:
+        header, lineno, entries = section
         parts = header.split(None, 1)
         kind = parts[0]
         name = parts[1] if len(parts) > 1 else kind
         if kind == "lattice":
             continue
         if kind == "data":
-            punctures = _parse_complex_list(
-                entries.get("punctures", ("", lineno))[0]
-            )
             domain = _build_domain(
-                entries.get("domain", ("plane", lineno))[0],
+                _entry(section, "domain", default="plane"),
                 lineno,
                 scene.lattice,
-                punctures,
-                scene.series_tol,
+                _entry(section, "punctures", _parse_complex_list, []),
             )
-            for key in ("g", "dh"):
-                if key not in entries:
-                    raise SceneValidationError(lineno, f"[data {name}] needs {key}")
+            g_text, dh_text = _entry(section, "g"), _entry(section, "dh")
             try:
-                g = parse_expr(entries["g"][0], domain)
+                g = parse_expr(g_text, domain)
             except (ExprSyntaxError, DomainError) as exc:
                 raise SceneValidationError(entries["g"][1], str(exc)) from exc
             try:
-                dh = parse_expr(entries["dh"][0], domain)
+                dh = parse_expr(dh_text, domain)
             except (ExprSyntaxError, DomainError) as exc:
                 raise SceneValidationError(entries["dh"][1], str(exc)) from exc
             if not hasattr(dh, "coeff"):
@@ -227,11 +242,7 @@ def load_scene(path):
                 raise SceneValidationError(
                     entries["g"][1], "g must be a function, not a one-form"
                 )
-            basepoint = (
-                parse_complex(entries["basepoint"][0])
-                if "basepoint" in entries
-                else 0j
-            )
+            basepoint = _entry(section, "basepoint", parse_complex, 0j)
             try:
                 eval_expr(g, basepoint)
                 eval_expr(dh, basepoint)
@@ -246,10 +257,13 @@ def load_scene(path):
                 g=g, dh=dh, basepoint=basepoint, label=name
             )
         elif kind == "cycle":
-            scene.cycles[name] = _build_cycle(entries, lineno)
+            try:
+                scene.cycles[name] = _build_cycle(section)
+            except ValueError as exc:
+                raise SceneValidationError(lineno, f"[{header}] {exc}") from None
         elif kind == "involution":
-            center = parse_complex(entries.get("center", ("0", lineno))[0])
-            dom_name = entries.get("data", (None, lineno))[0]
+            center = _entry(section, "center", parse_complex, 0j)
+            dom_name = _entry(section, "data", default=None)
             if dom_name is not None and dom_name not in scene.data:
                 raise UnresolvedReference(
                     f"involution {name!r} references unknown data {dom_name!r}"
@@ -259,10 +273,11 @@ def load_scene(path):
                 if dom_name is not None
                 else (next(iter(scene.data.values())).domain if scene.data else Plane())
             )
-            p0 = (
-                parse_complex(entries["p0"][0]) if "p0" in entries else None
-            )
-            scene.involutions[name] = Involution(center, domain, p0=p0)
+            p0 = _entry(section, "p0", parse_complex, None)
+            try:
+                scene.involutions[name] = Involution(center, domain, p0=p0)
+            except ValueError as exc:
+                raise SceneValidationError(lineno, f"[{header}] {exc}") from None
         else:
             # settings sections (periods, flux, solve, mesh, probe, sweep, ...)
             scene.settings[header] = {k: v[0] for k, v in entries.items()}

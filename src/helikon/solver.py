@@ -48,6 +48,13 @@ from .surface import (
     period_triples,
 )
 
+# asymptotic_residual integrates on circles of this radius about the punctures
+END_RADIUS = 0.08
+# standard_g1h_family: both torus generators start at CYCLE_BASE, and the
+# punctures +-E1 must lie at least MIN_SEPARATION apart modulo the lattice
+CYCLE_BASE = -0.4871 - 0.3631j
+MIN_SEPARATION = 0.08
+
 
 # ---------------------------------------------------------------------------
 # the period condition
@@ -195,14 +202,14 @@ def periodic_g1h_family(params):
     )
 
 
-def asymptotic_residual(data, punctures, radius=0.08):
+def asymptotic_residual(data, punctures):
     """Helicoidal-end regularity defect: max over punctures p of
     |residue(w)| + |a_-2(w)| of w = dg/g - i dh.
 
     Zero means dg/g - i dh extends holomorphically across the punctures
     (scale-one helicoid asymptotics).  One quadrature run integrates (w,
-    u w) over the circle of radius about every puncture: the residue is
-    oint w / 2 pi i and a_-2 = (oint u w - p oint w) / 2 pi i."""
+    u w) over the circle of radius END_RADIUS about every puncture: the
+    residue is oint w / 2 pi i and a_-2 = (oint u w - p oint w) / 2 pi i."""
     omega = data.log_gauss_form() + data.dh.scale(-1j)
     points = [complex(p) for p in punctures]
 
@@ -210,7 +217,8 @@ def asymptotic_residual(data, punctures, radius=0.08):
         w = eval_expr(omega, u)
         return np.stack([w, u * w])
 
-    rows = integrate_paths(pair, [circle(p, radius) for p in points], 1e-12)
+    paths = [circle(p, END_RADIUS) for p in points]
+    rows = integrate_paths(pair, paths, 1e-12)
     worst = 0.0
     for p, (w, uw) in zip(points, rows.tolist()):
         res, a2 = w / TWO_PI_I, (uw - p * w) / TWO_PI_I
@@ -224,19 +232,18 @@ def _closure(triples):
     return np.column_stack([z.real, z.imag]).ravel()
 
 
-def standard_g1h_family(tau=1j, shift=None, E1=0.25 + 0.1j,
-                        cycle_base=-0.4871 - 0.3631j, quad_tol=1e-10,
-                        min_separation=0.08):
+def standard_g1h_family(tau=1j, shift=None, E1=0.25 + 0.1j, quad_tol=1e-10):
     """The symmetric one-pair family solved by the bundled scene.
 
     tau, shift and the puncture E1 are conformal data fixed here; the
     unknowns are rho (real) and c (complex).  E2 = -E1, with an auxiliary
     zero at -E1 - shift and a pole at its negative, so Abel holds.
-    Residuals: horizontal period closure on both torus generators.  The
-    vertical periods encode the screw motion and are deliberately left
-    open; the end regularity holds by construction (asymptotic_residual).
+    Residuals: horizontal period closure on both torus generators, which
+    start at CYCLE_BASE.  The vertical periods encode the screw motion and
+    are deliberately left open; the end regularity holds by construction
+    (asymptotic_residual).
     Raises CoincidentPoints when the punctures +-E1 lie within
-    min_separation of each other modulo the lattice.
+    MIN_SEPARATION of each other modulo the lattice.
 
     The member (rho, c) has g = rho g0 and dh = dh0 + c du, so its period
     triples are lopez_ros_triples(T0 + c T1, rho), where T0 and T1 are the
@@ -251,12 +258,11 @@ def standard_g1h_family(tau=1j, shift=None, E1=0.25 + 0.1j,
         abs(reduce_to_cell(2 * E1 + off, tau)[0])
         for off in (0, -1, -tau, -1 - tau)
     )
-    if sep < min_separation:
+    if sep < MIN_SEPARATION:
         raise CoincidentPoints(
             f"punctures +-{E1} are {sep:.3g} apart modulo the lattice"
         )
-    b = complex(cycle_base)
-    cycles = [generator(b, 1), generator(b, tau)]
+    cycles = [generator(CYCLE_BASE, 1), generator(CYCLE_BASE, tau)]
 
     def constructor(params):
         return periodic_g1h_family(

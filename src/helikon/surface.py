@@ -42,6 +42,15 @@ from .paths import (
     polyline,
 )
 
+# the seed of the generic sample points (_generic_samples)
+SAMPLE_SEED = 20240817
+# symmetry_verify refuses C = g(p0)^2 whose modulus is farther than this
+# from 1: the branch where vertical flux is forced instead
+UNIT_BAND = 1e-8
+# a straight route's semicircle about a puncture on it has this fraction of
+# the distance to the nearest other puncture as its radius
+DETOUR_FACTOR = 0.05
+
 
 @dataclass(frozen=True)
 class WeierstrassData:
@@ -272,7 +281,7 @@ def lopez_ros_triples(triples, lam):
     return triples
 
 
-def _generic_samples(domain, n, seed=20240817):
+def _generic_samples(domain, n, seed=SAMPLE_SEED):
     """Deterministic generic points inside the fundamental cell / unit box."""
     rng = np.random.default_rng(seed)
     lat = domain.lattice
@@ -318,9 +327,10 @@ def involution_report(data, inv, tol=1e-8, n_samples=20):
     dgg = data.log_gauss_form()
     samples = []
     attempts = 0
-    seed = 20240817
     while len(samples) < n_samples:
-        cands = _generic_samples(domain, n_samples - len(samples), seed + attempts)
+        cands = _generic_samples(
+            domain, n_samples - len(samples), SAMPLE_SEED + attempts
+        )
         for u in cands:
             try:
                 eval_expr(data.g, u)
@@ -367,17 +377,19 @@ def _involute_path(path, c):
     return PathSpec(segs, closed=path.closed)
 
 
-def symmetry_verify(data, inv, samples, tol=1e-9, unit_band=1e-8):
+def symmetry_verify(data, inv, samples):
     """Max deviation of F(I(p)) from (F1(p), -F2(p), -F3(p)).
 
     Normalizes first: basepoint moved to p0 and g rotated about the vertical
-    axis so that g(p0) > 0.  samples is a list of (p, route-from-p0) pairs.
-    Raises NotUnitModulusC when |g(p0)^2| is not 1, the branch where vertical
-    flux is forced instead.
+    axis so that g(p0) > 0.  samples is a list of (p, route-from-p0) pairs,
+    integrated at period_triples' default tol; the caller compares the
+    deviation with its own tolerance.  Raises NotUnitModulusC when |g(p0)^2|
+    is farther than UNIT_BAND from 1, the branch where vertical flux is
+    forced instead.
     """
     g_p0 = eval_expr(data.g, inv.p0)
     C = g_p0 ** 2
-    if abs(abs(C) - 1.0) > unit_band:
+    if abs(abs(C) - 1.0) > UNIT_BAND:
         raise NotUnitModulusC(C)
     phase = cmath.exp(-1j * cmath.phase(g_p0)) if g_p0 != 0 else 1.0
     g_rot = Expr(mul(Const(phase), data.g.node), data.g.domain)
@@ -464,11 +476,12 @@ def pole_zero_pairing(data, inv, tol=1e-8):
     )
 
 
-def straight_route(data, p, singularities=(), detour_factor=0.05):
-    """Straight route basepoint -> p, detouring around listed singularities
-    by semicircles sized relative to the nearest-singularity distance."""
+def straight_route(data, p):
+    """Straight route basepoint -> p, detouring around the domain's
+    punctures on it by semicircles of DETOUR_FACTOR times the distance to
+    the nearest other puncture."""
     a, b = data.basepoint, complex(p)
-    points = list(data.domain.punctures) + [complex(s) for s in singularities]
+    points = data.domain.punctures
     if abs(b - a) < 1e-15:
         return polyline([a, b]) if a != b else PathSpec([Line(a, a)])
     segs = []
@@ -485,7 +498,7 @@ def straight_route(data, p, singularities=(), detour_factor=0.05):
         nearest = min(
             (abs(s - q) for q in points if abs(s - q) > 1e-12), default=1.0
         )
-        r = max(detour_factor * nearest, 1e-3)
+        r = max(DETOUR_FACTOR * nearest, 1e-3)
         enter = s - r * direction
         leave = s + r * direction
         segs.append(Line(current, enter))

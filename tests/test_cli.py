@@ -290,6 +290,30 @@ class TestMain:
         assert code == 1
         assert "must be a finite positive length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, body, where",
+        [
+            ("periods", "[cycle c]\ntype = circle\ncenter = 0\n",
+             "line 5: [cycle c] needs radius"),
+            ("periods", "basepoint = 1+\n", "line 5: [data d] basepoint"),
+            ("mesh", "[mesh]\nrect = -1, 1\n", "[mesh] rect"),
+        ],
+        ids=["cycle-without-radius", "bad-basepoint", "short-rect"],
+    )
+    def test_malformed_scene_exit_code(self, tmp_path, capsys, command, body,
+                                       where):
+        # a missing key or a value that does not parse is one error line
+        # naming where it is, never a traceback
+        bad = tmp_path / "bad.scene"
+        bad.write_text(
+            "[data d]\ndomain = plane\ng = u\ndh = 1 du\n" + body
+        )
+        code = main([command, "--scene", str(bad), "--no-json"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert where in err
+
     def test_resolution_flag_overrides_scene(self, capsys):
         code = main(
             [

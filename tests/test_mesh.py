@@ -47,7 +47,7 @@ from helikon.surface import (
     triples_report,
 )
 
-from references import conformal_factor, gauss_normal
+from references import breadth_first_tree, conformal_factor, gauss_normal
 
 PLANE = Plane()
 PUNCTURED = Plane((0,))
@@ -172,7 +172,9 @@ class TestGridEnumeration:
         spec = SamplingSpec(-2, 2, -1.5, 2.5, nx=23, ny=17,
                             exclusions=((0, 0.45), (1.2 + 1j, 0.3)))
         got = _mesh_integrals(helicoid(), spec)
-        child, parent, depth = got.child, got.parent, got.depth
+        child, parent = got.child, got.parent
+        ends = got.level_ends
+        depth = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
         assert depth[0] == 0
         where = {v: k for k, v in enumerate(child)}
         assert all(depth[k] == depth[where[parent[k]]] + 1
@@ -187,6 +189,26 @@ class TestGridEnumeration:
             positions[child[k]] = positions[parent[k]] + deltas[k]
         mesh = _assemble_mesh(got, lam, "")
         assert np.array_equal(mesh.positions(), positions)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SamplingSpec(-2, 2, -1.5, 2.5, nx=23, ny=17,
+                         exclusions=((0, 0.45), (1.2 + 1j, 0.3))),
+            SamplingSpec(-math.pi, math.pi, -1.0, 1.0, nx=7, ny=1),
+            SamplingSpec(0.0, 1.0, 0.0, 1.0, nx=1, ny=1),
+        ],
+        ids=["two-disks", "one-row", "one-vertex"],
+    )
+    def test_tree_matches_vertex_walk(self, spec):
+        # the level-synchronous tree is the vertex-by-vertex breadth-first
+        # walk: same children, parents and levels, in the same order
+        data = helicoid()
+        child, parent, depth = breadth_first_tree(spec, data.basepoint)
+        got = _mesh_integrals(data, spec)
+        assert got.child.tolist() == child
+        assert got.parent.tolist() == parent
+        assert got.level_ends.tolist() == np.cumsum(np.bincount(depth)).tolist()
 
 
 class TestBuildMesh:
