@@ -26,7 +26,12 @@ from .mesh import (
     lambda_sweep,
     probe_self_intersection,
 )
-from .scene import load_scene, parse_complex, _parse_complex_list
+from .scene import (
+    _parse_complex_list,
+    load_scene,
+    parse_complex,
+    parse_tolerance,
+)
 from .solver import asymptotic_residual, solve, standard_g1h_family
 from .surface import (
     _generic_samples,
@@ -97,8 +102,27 @@ def _parsed(text, parse, name):
         raise HelikonError(f"{name} = {text!r}: {exc}") from None
 
 
+def _setting(opts, section, key, parse, default=None):
+    """parse of the value of key in the settings opts of section, or
+    default where key is unset."""
+    if key not in opts:
+        return default
+    return _parsed(opts[key], parse, f"[{section}] {key}")
+
+
+def _tol(opts, flags, section, default):
+    """The --tol flag, else the section's tol, else default."""
+    if flags.get("tol"):
+        return flags["tol"]
+    return _setting(opts, section, "tol", parse_tolerance, default)
+
+
+def _floats(text):
+    return [float(v) for v in text.split(",")]
+
+
 def _rect(text):
-    rect = [float(v) for v in text.split(",")]
+    rect = _floats(text)
     if len(rect) != 4:
         raise ValueError("expected umin, umax, vmin, vmax")
     return rect
@@ -161,15 +185,14 @@ def _mesh_spec(scene, data, section, flags):
 def _probe_thresholds(opts, section):
     """(delta_ext, delta_int) as a section sets them, None where unset."""
     return tuple(
-        _parsed(opts[key], float, f"[{section}] {key}") if key in opts else None
-        for key in ("delta_ext", "delta_int")
+        _setting(opts, section, key, float) for key in ("delta_ext", "delta_int")
     )
 
 
 def cmd_periods(scene, flags):
     opts = _settings(scene, "periods")
     data = _pick_data(scene, opts)
-    tol = flags.get("tol") or float(opts.get("tol", DEFAULT_TOL))
+    tol = _tol(opts, flags, "periods", DEFAULT_TOL)
     basis = _pick_basis(scene, opts)
     rep = period_report(data, basis, tol=tol)
     results = [
@@ -193,7 +216,7 @@ def cmd_periods(scene, flags):
 def cmd_flux(scene, flags):
     opts = _settings(scene, "flux")
     data = _pick_data(scene, opts)
-    tol = flags.get("tol") or float(opts.get("tol", DEFAULT_TOL))
+    tol = _tol(opts, flags, "flux", DEFAULT_TOL)
     basis = _pick_basis(scene, opts)
     results = [
         {"cycle": label, "flux": list(f)}
@@ -205,9 +228,9 @@ def cmd_flux(scene, flags):
 def cmd_symmetry(scene, flags):
     opts = _settings(scene, "symmetry")
     data = _pick_data(scene, opts)
-    tol = flags.get("tol") or float(opts.get("tol", 1e-9))
+    tol = _tol(opts, flags, "symmetry", 1e-9)
     inv = scene.resolve_involution(opts.get("involution", "I"))
-    n = int(opts.get("samples", 12))
+    n = _setting(opts, "symmetry", "samples", int, 12)
     pts = _generic_samples(data.domain, n)
     samples = []
     moved = replace(data, basepoint=complex(inv.p0))
@@ -224,7 +247,7 @@ def cmd_symmetry(scene, flags):
 def cmd_involution(scene, flags):
     opts = _settings(scene, "involution-check")
     data = _pick_data(scene, opts)
-    tol = flags.get("tol") or float(opts.get("tol", 1e-8))
+    tol = _tol(opts, flags, "involution-check", 1e-8)
     inv = scene.resolve_involution(opts.get("involution", "I"))
     rep = involution_report(data, inv, tol=tol)
     return {
@@ -242,8 +265,8 @@ def cmd_involution(scene, flags):
 def cmd_residues(scene, flags):
     opts = _settings(scene, "residues")
     data = _pick_data(scene, opts)
-    radius = float(opts.get("radius", 0.05))
-    points = _parse_complex_list(opts.get("points", ""))
+    radius = _setting(opts, "residues", "radius", float, 0.05)
+    points = _setting(opts, "residues", "points", _parse_complex_list, [])
     if not points:
         points = list(data.domain.punctures)
     results = [
@@ -256,8 +279,10 @@ def cmd_residues(scene, flags):
 def cmd_audit(scene, flags):
     opts = _settings(scene, "audit")
     data = _pick_data(scene, opts)
-    target = data.dh if opts.get("target", "dh") == "dh" else data.g
-    dv, ok = divisor_audit(target)
+    target = opts.get("target", "dh")
+    if target not in ("dh", "g"):
+        raise HelikonError(f"[audit] target = {target!r}: expected dh or g")
+    dv, ok = divisor_audit(data.dh if target == "dh" else data.g)
     return {
         "results": {
             "entries": [{"point": p, "order": n} for p, n in dv.entries],
@@ -265,7 +290,7 @@ def cmd_audit(scene, flags):
             "pole_count": dv.pole_count(),
         },
         "verdict": bool(ok),
-        "settings": {"target": opts.get("target", "dh")},
+        "settings": {"target": target},
     }
 
 
@@ -295,16 +320,20 @@ def cmd_solve(scene, flags):
             f"scene {scene.name!r}: [solve] key init_E1 is no longer read;"
             " the puncture is fixed data, set it as E1"
         )
-    tau = scene.lattice.tau if scene.lattice else parse_complex(opts.get("tau", "i"))
-    shift = parse_complex(opts["shift"]) if "shift" in opts else None
-    tol = flags.get("tol") or float(opts.get("tol", 1e-8))
-    max_iter = int(opts.get("max_iter", 50))
-    pinned = {"E1": parse_complex(opts["E1"])} if "E1" in opts else {}
-    fam = standard_g1h_family(tau=tau, shift=shift, **pinned)
+    if scene.lattice:
+        tau = scene.lattice.tau
+    else:
+        tau = _setting(opts, "solve", "tau", parse_complex, 1j)
+    shift = _setting(opts, "solve", "shift", parse_complex)
+    tol = _tol(opts, flags, "solve", 1e-8)
+    max_iter = _setting(opts, "solve", "max_iter", int, 50)
+    E1 = _setting(opts, "solve", "E1", parse_complex)
+    pinned = {} if E1 is None else {"E1": E1}
     init = {
-        "rho": float(opts.get("init_rho", 0.8)),
-        "c": parse_complex(opts.get("init_c", "0")),
+        "rho": _setting(opts, "solve", "init_rho", float, 0.8),
+        "c": _setting(opts, "solve", "init_c", parse_complex, 0j),
     }
+    fam = standard_g1h_family(tau=tau, shift=shift, **pinned)
     res = solve(fam, fam.pack(init), tol=tol, max_iter=max_iter)
     data = fam.build(res.params)
     punctures = data.domain.punctures
@@ -381,10 +410,10 @@ def cmd_sweep(scene, flags):
     opts = _settings(scene, "sweep")
     data = _pick_data(scene, opts)
     spec = _mesh_spec(scene, data, "sweep", flags)
-    lambdas = flags.get("lambdas") or [
-        float(v) for v in opts.get("lambdas", "0.5,1,2").split(",")
-    ]
-    tol = flags.get("tol") or float(opts.get("tol", 1e-8))
+    lambdas = flags.get("lambdas") or _setting(
+        opts, "sweep", "lambdas", _floats, [0.5, 1.0, 2.0]
+    )
+    tol = _tol(opts, flags, "sweep", 1e-8)
     basis = _pick_basis(scene, opts) if scene.cycles else None
     d_ext, d_int = _probe_thresholds(opts, "sweep")
     res = lambda_sweep(
@@ -443,7 +472,7 @@ def main(argv=None):
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--scene", required=True, help="scene file path")
     parser.add_argument("--out", help="directory for JSON/OBJ artifacts")
-    parser.add_argument("--tol", type=float, default=None)
+    parser.add_argument("--tol", default=None)
     parser.add_argument(
         "--lambda", dest="lambdas", default=None,
         help="comma-separated lambda grid for sweep",
@@ -455,17 +484,19 @@ def main(argv=None):
     parser.add_argument("--obj", action="store_true", help="write OBJ output")
     args = parser.parse_args(argv)
 
-    flags = {
-        "out": args.out,
-        "tol": args.tol,
-        "resolution": args.resolution,
-        "json": args.json,
-        "obj": args.obj,
-        "lambdas": (
-            [float(v) for v in args.lambdas.split(",")] if args.lambdas else None
-        ),
-    }
     try:
+        flags = {
+            "out": args.out,
+            "tol": None if args.tol is None else _parsed(
+                args.tol, parse_tolerance, "--tol"
+            ),
+            "resolution": args.resolution,
+            "json": args.json,
+            "obj": args.obj,
+            "lambdas": None if args.lambdas is None else _parsed(
+                args.lambdas, _floats, "--lambda"
+            ),
+        }
         scene = load_scene(args.scene)
         code, report = run(args.command, scene, flags)
     except HelikonError as exc:

@@ -110,11 +110,12 @@ class SceneParseError(HelikonError):
 
 
 class SceneValidationError(HelikonError):
-    """Scene file parsed but failed semantic validation."""
+    """Scene file parsed but failed semantic validation; line is None where
+    no one line is at fault."""
 
     def __init__(self, line, message):
         self.line = line
-        super().__init__(f"line {line}: {message}")
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class UnresolvedReference(HelikonError):

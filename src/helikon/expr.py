@@ -6,18 +6,26 @@ with a complex shift (argument u - c).  Keeping the data symbolic makes
 pullback under u -> c - u, logarithmic derivatives, and formal
 differentiation exact instead of approximate.
 
-Grammar (whitespace insignificant):
+Grammar (whitespace insignificant).  Python's parser reads the text, with
+^ as **, so Python's precedence holds and a number is a Python literal too
+(no 007):
 
-    expr   := ['-'] term (('+'|'-') term)*
-    term   := factor (('*'|'/') factor)*
-    factor := atom ('^' int)?
-    atom   := number | 'i' | 'u' | func '(' expr ')' | '(' expr ')'
-    func   := 'exp' | 'wp' | 'wpp' | 'zeta' | 'sigma'
+    expr     := term (('+'|'-') term)*
+    term     := factor (('*'|'/') factor)*
+    factor   := '-' factor | atom ['^' exponent]
+    exponent := ['-'] int, either part possibly in parentheses
+    atom     := number | 'i' | 'u' | func '(' expr ')' | '(' expr ')'
+    func     := 'exp' | 'wp' | 'wpp' | 'zeta' | 'sigma'
+    number   := [0-9.]+ ([eE] [+-]? [0-9]+)?
+
+A minus that opens a product, outside parentheses, negates the whole
+product: -2*u is -(2*u), not Python's (-2)*u.
 
 A one-form is written "<expr> du" ("dz" is accepted as a synonym on plane
 domains).
 """
 
+import ast
 import re
 from dataclasses import dataclass
 
@@ -576,121 +584,94 @@ class Involution:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: Python's own, with ^ read as **, and a whitelist to Node trees
 
 _NUMBER = re.compile(r"[0-9.]+(?:[eE][+-]?[0-9]+)?")
+# refused before Python reads the text: a character the grammar lacks (so no
+# comment, comma, keyword argument or non-ASCII name), and ** as written
+_STRAY = re.compile(r"[^0-9A-Za-z.+\-*/^()\s]|\*\*")
+_FOLDS = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: div}
+_PRODUCT = (ast.Mult, ast.Div)
 
 
-class _Parser:
+def _is_minus(node):
+    return isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+
+
+class _Reader:
+    """Node trees of a text's Python syntax tree, for the grammar only."""
+
     def __init__(self, text):
         self.text = text
-        self.pos = 0
+        self.src = re.sub(r"\s", " ", text).replace("^", "**")
+        # column in src -> offset in text; each ^ is two columns of src
+        self.cols = [
+            k for k, c in enumerate(text) for _ in c.replace("^", "**")
+        ] + [len(text)]
 
-    def error(self, message):
-        raise ExprSyntaxError(self.pos, message)
+    def error(self, node, message):
+        start, end = self.cols[node.col_offset], self.cols[node.end_col_offset]
+        raise ExprSyntaxError(start, f"{message} {self.text[start:end]!r}")
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def number(self, node, kinds):
+        # an int or float spelled as _NUMBER allows: no 0x10, 1e5j, True or ...
+        return (
+            isinstance(node, ast.Constant) and type(node.value) in kinds
+            and _NUMBER.fullmatch(self.src, node.col_offset,
+                                  node.end_col_offset)
+        )
 
-    def peek(self):
-        self.skip_ws()
-        if self.pos < len(self.text):
-            return self.text[self.pos]
-        return ""
+    def read(self, node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _PRODUCT):
+            return self.product(node)
+        if isinstance(node, ast.BinOp) and type(node.op) in _FOLDS:
+            fold = _FOLDS[type(node.op)]
+            return fold(self.read(node.left), self.read(node.right))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            return power(self.read(node.left), self.exponent(node.right))
+        if _is_minus(node):
+            return neg(self.read(node.operand))
+        if literal := self.number(node, (int, float)):
+            return Const(complex(float(literal.group())))
+        if isinstance(node, ast.Name) and node.id in ("i", "u"):
+            return Const(1j) if node.id == "i" else Var()
+        if (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("exp", *_ELLIPTIC) and len(node.args) == 1
+            and node.func.col_offset == node.col_offset  # not (exp)(u)
+        ):
+            return self.call(node)
+        self.error(node, "not in the grammar:")
 
-    def accept(self, ch):
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
+    def product(self, node):
+        # Python reads -a*b as (-a)*b; the grammar negates the whole product
+        # when a minus opens it outside parentheses, that is, at its column
+        links, first = [], node
+        while (
+            isinstance(first, ast.BinOp) and isinstance(first.op, _PRODUCT)
+            and first.col_offset == node.col_offset
+        ):
+            links.append(first)
+            first = first.left
+        negated = _is_minus(first) and first.col_offset == node.col_offset
+        tree = self.read(first.operand if negated else first)
+        for link in reversed(links):
+            tree = _FOLDS[type(link.op)](tree, self.read(link.right))
+        return neg(tree) if negated else tree
 
-    def expect(self, ch):
-        if not self.accept(ch):
-            self.error(f"expected {ch!r}")
+    def exponent(self, node):
+        sign, digits = (-1, node.operand) if _is_minus(node) else (1, node)
+        if not self.number(digits, (int,)):
+            self.error(node, "expected an integer exponent, got")
+        return sign * digits.value
 
-    def word(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def number(self):
-        self.skip_ws()
-        token = _NUMBER.match(self.text, self.pos).group()
-        self.pos += len(token)
-        try:
-            return float(token)
-        except ValueError:
-            self.error(f"bad number {token!r}")
-
-    def parse_expr(self):
-        if self.accept("-"):
-            node = neg(self.parse_term())
-        else:
-            node = self.parse_term()
-        while True:
-            if self.accept("+"):
-                node = add(node, self.parse_term())
-            elif self.accept("-"):
-                node = sub(node, self.parse_term())
-            else:
-                return node
-
-    def parse_term(self):
-        node = self.parse_factor()
-        while True:
-            if self.accept("*"):
-                node = mul(node, self.parse_factor())
-            elif self.accept("/"):
-                node = div(node, self.parse_factor())
-            else:
-                return node
-
-    def parse_factor(self):
-        node = self.parse_atom()
-        if self.accept("^"):
-            self.skip_ws()
-            sign = -1 if self.accept("-") else 1
-            self.skip_ws()
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if start == self.pos:
-                self.error("expected integer exponent")
-            return power(node, sign * int(self.text[start:self.pos]))
-        return node
-
-    def parse_atom(self):
-        ch = self.peek()
-        if ch == "(":
-            self.expect("(")
-            node = self.parse_expr()
-            self.expect(")")
-            return node
-        if ch.isdigit() or ch == ".":
-            return Const(complex(self.number()))
-        if ch.isalpha():
-            name = self.word()
-            if name == "i":
-                return Const(1j)
-            if name == "u":
-                return Var()
-            if name == "exp" or name in _ELLIPTIC:
-                self.expect("(")
-                arg = self.parse_expr()
-                self.expect(")")
-                if name == "exp":
-                    return Exp(arg)
-                return self.elliptic(name, arg)
-            self.error(f"unknown name {name!r}")
-        self.error(f"unexpected character {ch!r}")
-
-    def elliptic(self, name, arg):
-        # u plus a constant: no elliptic block inside (its derivative would
-        # need a lattice), derivative 1, and a finite value at u = 0, which
-        # is minus the shift
+    def call(self, node):
+        name, arg = node.func.id, self.read(node.args[0])
+        if name == "exp":
+            return Exp(arg)
+        # an elliptic block takes u plus a constant: no elliptic block inside
+        # (its derivative would need a lattice), derivative 1, and a finite
+        # value at u = 0, which is minus the shift
         if not _has_elliptic(arg):
             slope = _diff_node(arg, None)
             if isinstance(slope, Const) and abs(slope.value - 1.0) <= 1e-12:
@@ -698,10 +679,22 @@ class _Parser:
                     return Elliptic(name, -complex(_eval_node(arg, 0j, None)))
                 except PoleAt:
                     pass
-        self.error(
-            f"{name} argument must be u plus a constant, got a non-affine"
-            " or rescaled argument"
-        )
+        self.error(node, f"{name} argument must be u plus a constant, got")
+
+
+def _parse_node(text):
+    stray = _STRAY.search(text)
+    if stray:
+        raise ExprSyntaxError(stray.start(), f"unexpected {stray.group()!r}")
+    reader = _Reader(text)
+    try:
+        return reader.read(ast.parse(reader.src, mode="eval").body)
+    except SyntaxError as exc:
+        # offset counts from 1, and is 0 or None at the end of the text
+        at = min(exc.offset or 0, len(reader.cols)) - 1
+        raise ExprSyntaxError(reader.cols[at], exc.msg) from None
+    except RecursionError:
+        raise ExprSyntaxError(0, "expression nested too deeply") from None
 
 
 def parse_expr(text, domain):
@@ -716,12 +709,7 @@ def parse_expr(text, domain):
     else:
         if stripped in ("du", "dz"):
             stripped, is_form = "1", True
-    parser = _Parser(stripped)
-    node = parser.parse_expr()
-    parser.skip_ws()
-    if parser.pos != len(parser.text):
-        parser.error("trailing input")
-    e = Expr(node, domain)
+    e = Expr(_parse_node(stripped), domain)
     if is_form:
         return FormExpr(e)
     return e

@@ -65,10 +65,13 @@ class Lattice:
 
     def __post_init__(self):
         tau = complex(self.tau)
+        if not cmath.isfinite(tau):
+            raise InvalidModulus(f"tau = {tau} is not finite")
         if tau.imag < MIN_IM_TAU:
             raise InvalidModulus(f"Im(tau) = {tau.imag:.4g} < {MIN_IM_TAU}")
-        if self.series_tol <= 0:
-            raise ValueError("series_tol must be positive")
+        # a nan tol never stops term_count, and _eta1 cannot take inf
+        if not 0 < self.series_tol < math.inf:
+            raise ValueError("series_tol must be finite and positive")
         q = cmath.exp(1j * cmath.pi * tau)
         n_terms = term_count(tau.imag, self.series_tol)
         k, c0, c1, c2 = theta_coefficients(q, n_terms)

@@ -2,11 +2,12 @@
 
 The format is a single text document with `[section name]` headers and
 `key = value` entries; `#` starts a comment.  Expressions for g and dh use
-the package's mini-language.  All diagnostics carry 1-based line numbers.
+the package's mini-language.  Diagnostics carry the 1-based number of the
+line at fault, where one line is.
 """
 
+import math
 import os
-import re
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -27,42 +28,13 @@ from .lattice import Lattice
 from .paths import circle, polyline, rectangle
 from .surface import CycleBasis, WeierstrassData
 
-_COMPLEX_RE = re.compile(
-    r"""^\s*
-        (?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?
-        \s*
-        (?P<im>[+-]\s*(?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)?
-        \s*(?P<i>i)?\s*$""",
-    re.VERBOSE,
-)
-
-
 def parse_complex(text):
-    """Parse '1.5', '2i', '1+2i', '-0.5-0.3i', 'i', '-i'."""
+    """Parse '1.5', '2i', '1+2i', '-0.5-0.3i', 'i', '-i': a real, or a
+    complex() literal with i in place of j."""
     s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty complex literal")
-    try:
-        return complex(float(s))
-    except ValueError:
-        pass
-    if not s.endswith("i"):
-        raise ValueError(f"bad complex literal: {text!r}")
-    body = s[:-1]
-    # split real and imaginary at the last +/- not part of an exponent
-    for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "eE":
-            re_part, im_part = body[:k], body[k:]
-            break
-    else:
-        re_part, im_part = "", body
-    if im_part in ("", "+"):
-        im = 1.0
-    elif im_part == "-":
-        im = -1.0
-    else:
-        im = float(im_part)
-    return complex(float(re_part) if re_part else 0.0, im)
+    if s.endswith("i"):
+        return complex(s[:-1] + "j")
+    return complex(float(s))
 
 
 def _parse_complex_list(text):
@@ -70,6 +42,14 @@ def _parse_complex_list(text):
     if not text:
         return []
     return [parse_complex(t) for t in text.split(",")]
+
+
+def parse_tolerance(text):
+    """A tolerance: a finite positive float."""
+    tol = float(text)
+    if not 0 < tol < math.inf:
+        raise ValueError("a tolerance must be finite and positive")
+    return tol
 
 
 @dataclass
@@ -84,7 +64,9 @@ class Scene:
     def only_data(self):
         if len(self.data) != 1:
             raise SceneValidationError(
-                0, f"expected exactly one data entry, found {len(self.data)}"
+                None,
+                f"expected exactly one data entry, found {len(self.data)};"
+                " name one with a data key in the command's section",
             )
         return next(iter(self.data.values()))
 
@@ -205,7 +187,7 @@ def load_scene(path):
         header, lineno, entries = section
         if header == "lattice":
             tau = _entry(section, "tau", parse_complex)
-            tol = _entry(section, "series_tol", float, 1e-14)
+            tol = _entry(section, "series_tol", parse_tolerance, 1e-14)
             try:
                 scene.lattice = Lattice(tau, series_tol=tol)
             except Exception as exc:

@@ -1,18 +1,39 @@
-"""Pointwise references for what helikon.mesh computes on whole arrays.
+"""References for what helikon computes another way.
 
 The mesh takes its vertex normals from g and its edge lengths from the
 conformal factor in batches, and builds its spanning tree a level at a
 time; the tests compare them with these one-point formulas and with a
-vertex-by-vertex walk.
+vertex-by-vertex walk.  Expression text is read by Python's own parser;
+the tests compare its trees with the recursive-descent parser below
+(`parse_expr`), which defines the grammar the scene files were written in.
 """
 
 import math
+import re
 from collections import deque
 
 import numpy as np
 
-from helikon.errors import PoleAt
-from helikon.expr import eval_expr
+from helikon.errors import ExprSyntaxError, PoleAt
+from helikon.expr import (
+    _ELLIPTIC,
+    Const,
+    Elliptic,
+    Exp,
+    Expr,
+    FormExpr,
+    Var,
+    _diff_node,
+    _eval_node,
+    _has_elliptic,
+    add,
+    div,
+    eval_expr,
+    mul,
+    neg,
+    power,
+    sub,
+)
 
 
 def gauss_normal(data, p):
@@ -69,3 +90,152 @@ def breadth_first_tree(spec, basepoint):
                 parent.append(index[i, j])
                 depth.append(d + 1)
     return child, parent, depth
+
+
+_NUMBER = re.compile(r"[0-9.]+(?:[eE][+-]?[0-9]+)?")
+
+
+class _Parser:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message):
+        raise ExprSyntaxError(self.pos, message)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        if self.pos < len(self.text):
+            return self.text[self.pos]
+        return ""
+
+    def accept(self, ch):
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, ch):
+        if not self.accept(ch):
+            self.error(f"expected {ch!r}")
+
+    def word(self):
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isalpha():
+            self.pos += 1
+        return self.text[start:self.pos]
+
+    def number(self):
+        self.skip_ws()
+        token = _NUMBER.match(self.text, self.pos).group()
+        self.pos += len(token)
+        try:
+            return float(token)
+        except ValueError:
+            self.error(f"bad number {token!r}")
+
+    def parse_expr(self):
+        if self.accept("-"):
+            node = neg(self.parse_term())
+        else:
+            node = self.parse_term()
+        while True:
+            if self.accept("+"):
+                node = add(node, self.parse_term())
+            elif self.accept("-"):
+                node = sub(node, self.parse_term())
+            else:
+                return node
+
+    def parse_term(self):
+        node = self.parse_factor()
+        while True:
+            if self.accept("*"):
+                node = mul(node, self.parse_factor())
+            elif self.accept("/"):
+                node = div(node, self.parse_factor())
+            else:
+                return node
+
+    def parse_factor(self):
+        node = self.parse_atom()
+        if self.accept("^"):
+            self.skip_ws()
+            sign = -1 if self.accept("-") else 1
+            self.skip_ws()
+            start = self.pos
+            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+                self.pos += 1
+            if start == self.pos:
+                self.error("expected integer exponent")
+            return power(node, sign * int(self.text[start:self.pos]))
+        return node
+
+    def parse_atom(self):
+        ch = self.peek()
+        if ch == "(":
+            self.expect("(")
+            node = self.parse_expr()
+            self.expect(")")
+            return node
+        if ch.isdigit() or ch == ".":
+            return Const(complex(self.number()))
+        if ch.isalpha():
+            name = self.word()
+            if name == "i":
+                return Const(1j)
+            if name == "u":
+                return Var()
+            if name == "exp" or name in _ELLIPTIC:
+                self.expect("(")
+                arg = self.parse_expr()
+                self.expect(")")
+                if name == "exp":
+                    return Exp(arg)
+                return self.elliptic(name, arg)
+            self.error(f"unknown name {name!r}")
+        self.error(f"unexpected character {ch!r}")
+
+    def elliptic(self, name, arg):
+        # u plus a constant: no elliptic block inside (its derivative would
+        # need a lattice), derivative 1, and a finite value at u = 0, which
+        # is minus the shift
+        if not _has_elliptic(arg):
+            slope = _diff_node(arg, None)
+            if isinstance(slope, Const) and abs(slope.value - 1.0) <= 1e-12:
+                try:
+                    return Elliptic(name, -complex(_eval_node(arg, 0j, None)))
+                except PoleAt:
+                    pass
+        self.error(
+            f"{name} argument must be u plus a constant, got a non-affine"
+            " or rescaled argument"
+        )
+
+
+def parse_expr(text, domain):
+    """Parse text into an Expr, or a FormExpr when it ends with du (or dz)."""
+    stripped = text.strip()
+    is_form = False
+    for suffix in (" du", " dz"):
+        if stripped.endswith(suffix):
+            stripped = stripped[: -len(suffix)]
+            is_form = True
+            break
+    else:
+        if stripped in ("du", "dz"):
+            stripped, is_form = "1", True
+    parser = _Parser(stripped)
+    node = parser.parse_expr()
+    parser.skip_ws()
+    if parser.pos != len(parser.text):
+        parser.error("trailing input")
+    e = Expr(node, domain)
+    if is_form:
+        return FormExpr(e)
+    return e

@@ -314,6 +314,85 @@ class TestMain:
         assert err.startswith("error:") and err.count("\n") == 1
         assert where in err
 
+    @pytest.mark.parametrize(
+        "command, scene_file, body, flags, where",
+        [
+            ("periods", "catenoid", "[periods]\ntol = x\n", [],
+             "[periods] tol"),
+            ("flux", "catenoid", "[flux]\ntol = nan\n", [], "[flux] tol"),
+            ("symmetry", "helicoid", "[symmetry]\ntol = x\n", [],
+             "[symmetry] tol"),
+            ("involution", "helicoid", "[involution-check]\ntol = -1\n", [],
+             "[involution-check] tol"),
+            ("solve", "periodic-candidate", "[solve]\ntol = x\n", [],
+             "[solve] tol"),
+            ("sweep", "catenoid", "[sweep]\ntol = x\n", [], "[sweep] tol"),
+            ("symmetry", "helicoid", "[symmetry]\nsamples = x\n", [],
+             "[symmetry] samples"),
+            ("residues", "periodic-candidate", "[residues]\nradius = x\n",
+             [], "[residues] radius"),
+            ("residues", "periodic-candidate", "[residues]\npoints = 1, x\n",
+             [], "[residues] points"),
+            ("solve", "periodic-candidate", "[solve]\nmax_iter = x\n", [],
+             "[solve] max_iter"),
+            ("solve", "periodic-candidate", "[solve]\ninit_rho = x\n", [],
+             "[solve] init_rho"),
+            ("solve", "periodic-candidate", "[solve]\ninit_c = x\n", [],
+             "[solve] init_c"),
+            ("solve", "periodic-candidate", "[solve]\nshift = x\n", [],
+             "[solve] shift"),
+            ("solve", "periodic-candidate", "[solve]\nE1 = x\n", [],
+             "[solve] E1"),
+            ("solve", None, "[solve]\ntau = x\n", [], "[solve] tau"),
+            ("sweep", "catenoid", "[sweep]\nlambdas = 1, x\n", [],
+             "[sweep] lambdas"),
+            ("audit", "periodic-candidate", "[audit]\ntarget = dhh\n", [],
+             "[audit] target"),
+            ("periods", "catenoid", "", ["--tol", "x"], "--tol"),
+            ("periods", "catenoid", "", ["--tol", "0"], "--tol"),
+            ("periods", "catenoid", "", ["--tol", "-1"], "--tol"),
+            ("periods", "catenoid", "", ["--tol", "nan"], "--tol"),
+            ("sweep", "catenoid", "", ["--lambda", "1,x"], "--lambda"),
+        ],
+        ids=[
+            "periods-tol", "flux-tol", "symmetry-tol", "involution-tol",
+            "solve-tol", "sweep-tol", "samples", "radius", "points",
+            "max_iter", "init_rho", "init_c", "shift", "E1", "tau", "lambdas",
+            "audit-target", "--tol-x", "--tol-0", "--tol-negative",
+            "--tol-nan", "--lambda",
+        ],
+    )
+    def test_bad_setting_exit_code(self, tmp_path, capsys, command,
+                                   scene_file, body, flags, where):
+        # a value that does not parse, or a tol that is not finite and
+        # positive, is one error line naming the setting, never a traceback
+        # or a report at some other tol
+        if scene_file is None:
+            text = "[data d]\ndomain = plane\ng = u\ndh = 1 du\n"
+        else:
+            with open(scene_path(f"{scene_file}.scene")) as fh:
+                text = fh.read()
+        bad = tmp_path / "bad.scene"
+        bad.write_text(f"{text}\n{body}")
+        code = main([command, "--scene", str(bad), "--no-json", *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert where in err
+
+    def test_two_data_entries_name_no_line(self, tmp_path, capsys):
+        # the scene has no line at fault: the report names none
+        two = tmp_path / "two.scene"
+        two.write_text(
+            "[data d]\ndomain = plane\ng = u\ndh = 1 du\n"
+            "[data e]\ndomain = plane\ng = u\ndh = 1 du\n"
+        )
+        code = main(["periods", "--scene", str(two), "--no-json"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: expected exactly one data entry")
+        assert "line" not in err
+
     def test_resolution_flag_overrides_scene(self, capsys):
         code = main(
             [

@@ -2,9 +2,11 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
+from references import parse_expr as reference_parse_expr
 
 from helikon.errors import (
     DomainError,
@@ -13,9 +15,15 @@ from helikon.errors import (
     PoleAt,
 )
 from helikon.expr import (
+    Const,
     FormExpr,
     Involution,
+    Mul,
+    Neg,
     Plane,
+    Pow,
+    Sub,
+    Var,
     constant,
     coordinate,
     differentiate,
@@ -113,6 +121,158 @@ class TestParser:
             rt = parse_expr(e.to_text(), dom)
             u = 0.41 + 0.19j
             assert abs(eval_expr(e, u) - eval_expr(rt, u)) < 1e-12
+
+
+class GrammarTexts:
+    """Seeded random texts of the grammar as the reference parser reads it:
+    a minus only where an expression opens, exponents of at most one
+    digit, numbers without leading zeros, random spaces and tabs."""
+
+    def __init__(self, seed):
+        self.r = random.Random(seed)
+
+    def ws(self):
+        return self.r.choice(["", "", "", " ", "  ", "\t"])
+
+    def number(self):
+        r = self.r
+        return r.choice([
+            str(r.randrange(10)), str(r.randrange(10, 1000)),
+            f"{r.randrange(10)}.{r.randrange(100)}", f".{r.randrange(1, 100)}",
+            f"{r.randrange(1, 10)}.",
+            f"{r.randrange(1, 10)}.{r.randrange(10)}{r.choice('eE')}"
+            f"{r.choice(['', '+', '-'])}{r.randrange(4)}",
+        ])
+
+    def atom(self, depth):
+        r, ws = self.r, self.ws
+        kind = r.randrange(6 if depth < 3 else 2)
+        if kind == 0:
+            return self.number()
+        if kind == 1:
+            return r.choice(["i", "u", "u"])
+        if kind == 2:
+            return "(" + ws() + self.expr(depth + 1) + ws() + ")"
+        if kind == 3:
+            return "exp" + ws() + "(" + self.expr(depth + 1) + ")"
+        if kind == 4:
+            # mostly u plus a constant, which an elliptic block needs
+            arg = self.expr(depth + 1)
+            if r.random() < 0.9:
+                shift = r.choice(
+                    [self.number(), self.number() + "*i",
+                     f"({self.number()}+{self.number()}*i)"]
+                )
+                arg = "u" + ws() + r.choice("+-") + ws() + shift
+            return r.choice(["wp", "wpp", "zeta", "sigma"]) + f"({arg})"
+        return "u"
+
+    def factor(self, depth):
+        text = self.atom(depth)
+        if self.r.random() < 0.2:
+            sign = self.r.choice(["", "", "-"])
+            text += f"{self.ws()}^{self.ws()}{sign}{self.ws()}"
+            text += str(self.r.randrange(4))
+        return text
+
+    def term(self, depth):
+        text = self.factor(depth)
+        for _ in range(self.r.choice([0, 0, 1, 1, 2, 3])):
+            text += self.ws() + self.r.choice("*/") + self.ws()
+            text += self.factor(depth)
+        return text
+
+    def expr(self, depth=0):
+        text = self.r.choice(["", "", "-", "- "]) + self.term(depth)
+        for _ in range(self.r.choice([0, 0, 1, 2, 3])):
+            text += self.ws() + self.r.choice("+-") + self.ws()
+            text += self.term(depth)
+        return text
+
+    def mutated(self, text):
+        # one inserted character that none of the grammar's changes can
+        # come from: no digit (007) and no operator (2*-u)
+        k = self.r.randrange(len(text) + 1)
+        return text[:k] + self.r.choice(" ().eiux,#") + text[k:]
+
+
+def outcome(parse, text):
+    """repr of the tree text reads as (which shows signed zeros), or None
+    where it is refused; folding 0^-1 raises ZeroDivisionError."""
+    try:
+        return repr(parse(text, TORUS).node)
+    except (ExprSyntaxError, ArithmeticError):
+        return None
+
+
+class TestGrammar:
+    def test_matches_reference_parser(self):
+        gen = GrammarTexts(20241015)
+        verdicts = {True: 0, False: 0}
+        for _ in range(600):
+            text = gen.expr()
+            for t in (text, gen.mutated(text)):
+                ref = outcome(reference_parse_expr, t)
+                assert outcome(parse_expr, t) == ref, repr(t)
+                verdicts[ref is not None] += 1
+        # both verdicts are well represented
+        assert min(verdicts.values()) > 250
+
+    @pytest.mark.parametrize(
+        "text, reference, tree",
+        [
+            # a unary minus on any operand, and an exponent in parentheses
+            ("2*-u", None, Mul(Const(2), Neg(Var()))),
+            ("u - -1", None, Sub(Var(), Const(-1))),
+            ("--u", None, Var()),
+            ("u^(2)", None, Pow(Var(), 2)),
+            ("u^(-2)", None, Pow(Var(), -2)),
+            ("u^-(2)", None, Pow(Var(), -2)),
+            # Python refuses integers with leading zeros, and reads only
+            # ASCII digits
+            ("007", Const(7), None),
+            ("u^02", Pow(Var(), 2), None),
+            ("u^\u0663", Pow(Var(), 3), None),
+            # unchanged: what opens with a minus, and what both refuse
+            ("-2*u", Neg(Mul(Const(2), Var())), Neg(Mul(Const(2), Var()))),
+            ("(-2)*u", Mul(Const(-2), Var()), Mul(Const(-2), Var())),
+            ("-u^2", Neg(Pow(Var(), 2)), Neg(Pow(Var(), 2))),
+            ("u**2", None, None),
+            ("+u", None, None),
+            ("u # c", None, None),
+            ("exp(u,)", None, None),
+            ("(exp)(u)", None, None),
+            ("0x10", None, None),
+            ("1_000", None, None),
+            ("3j", None, None),
+            ("True", None, None),
+            ("u^2.0", None, None),
+            ("\x00", None, None),
+        ],
+    )
+    def test_changes_from_reference(self, text, reference, tree):
+        def read(parse):
+            try:
+                return parse(text, TORUS).node
+            except ExprSyntaxError:
+                return None
+
+        assert read(reference_parse_expr) == reference
+        assert read(parse_expr) == tree
+
+    @pytest.mark.parametrize(
+        "text", ["(" * 300 + "u" + ")" * 300, "-" * 5000 + "u"],
+        ids=["300-parentheses", "5000-minuses"],
+    )
+    def test_deep_nesting_refused(self, text):
+        # the recursive-descent parser ran out of stack on the first
+        with pytest.raises(ExprSyntaxError):
+            parse_expr(text, PLANE)
+
+    def test_whitespace(self):
+        # every character str.isspace accepts separates tokens
+        e = parse_expr("1\n+\x0b2\xa0*\ru", PLANE)
+        assert e.node == parse_expr("1 + 2*u", PLANE).node
 
 
 class TestEvaluation:

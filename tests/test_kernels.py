@@ -80,6 +80,20 @@ class TestLattice:
         with pytest.raises(InvalidModulus):
             Lattice(1.0 + 0.0j)
 
+    @pytest.mark.parametrize(
+        "tau", [complex(0, math.nan), complex(math.nan, 1),
+                complex(0, math.inf), complex(math.inf, 1)],
+    )
+    def test_non_finite_modulus(self, tau):
+        # a nan Im(tau) passed the Im(tau) floor and hung term_count
+        with pytest.raises(InvalidModulus):
+            Lattice(tau)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-14, math.nan, math.inf])
+    def test_series_tol_finite_positive(self, tol):
+        with pytest.raises(ValueError):
+            Lattice(1j, series_tol=tol)
+
     def test_same_point_mod_lattice(self, lat_g):
         u = 0.37 + 0.21j
         assert lat_g.contains(3 + 2 * lat_g.tau)

@@ -1,5 +1,6 @@
 """Scene-file parsing, validation, and referential integrity."""
 
+import math
 import os
 
 import pytest
@@ -42,12 +43,22 @@ class TestComplexLiterals:
             ("-i", -1j),
             ("1e-3+2.5e-2i", 1e-3 + 2.5e-2j),
             (" 0.21 + 0.43i ", 0.21 + 0.43j),
+            ("+i", 1j),
+            ("inf", math.inf),
+            ("infi", complex(0, math.inf)),
+            ("1+infi", complex(1, math.inf)),
+            ("1_0", 10),
+            ("1e-3i", 1e-3j),
         ],
     )
     def test_good(self, text, value):
         assert parse_complex(text) == value
 
-    @pytest.mark.parametrize("text", ["", "abc", "1+2j", "i2"])
+    @pytest.mark.parametrize(
+        "text",
+        ["", "abc", "1+2j", "i2", "(1+2i)", "2j", "1+2J", "ii", "1+2ii", "i1",
+         "1+", "0x1"],
+    )
     def test_bad(self, text):
         with pytest.raises(ValueError):
             parse_complex(text)
@@ -155,6 +166,24 @@ class TestValidation:
         with pytest.raises(SceneValidationError):
             load_scene(path)
 
+    @pytest.mark.parametrize(
+        "entries, line",
+        [("tau = nani\n", 2), ("tau = nan+i\n", 2), ("tau = infi\n", 2),
+         ("tau = i\nseries_tol = nan\n", 3),
+         ("tau = i\nseries_tol = 0\n", 3),
+         ("tau = i\nseries_tol = inf\n", 3),
+         ("tau = i\nseries_tol = -1e-14\n", 3)],
+        ids=["tau-nani", "tau-nan+i", "tau-infi", "series_tol-nan",
+             "series_tol-0", "series_tol-inf", "series_tol-negative"],
+    )
+    def test_non_finite_lattice(self, tmp_path, entries, line):
+        # refused at the line at fault; a nan tau or series_tol used to
+        # hang the theta series' term count
+        path = write(tmp_path, "[lattice]\n" + entries + MINIMAL)
+        with pytest.raises(SceneValidationError) as err:
+            load_scene(path)
+        assert err.value.line == line
+
     def test_bad_lattice(self, tmp_path):
         path = write(
             tmp_path, "[lattice]\ntau = -i\n" + MINIMAL
@@ -196,6 +225,14 @@ class TestReferences:
         s = load_scene(path)
         with pytest.raises(SceneValidationError):
             s.only_data()
+
+    def test_only_data_names_no_line(self, tmp_path):
+        # no one line of the scene is at fault
+        s = load_scene(write(tmp_path, MINIMAL + MINIMAL.replace(" d]", " e]")))
+        with pytest.raises(SceneValidationError) as err:
+            s.only_data()
+        assert err.value.line is None
+        assert str(err.value).startswith("expected exactly one data entry")
 
 
 class TestCycleBuilding:
