@@ -117,6 +117,13 @@ def _tol(opts, flags, section, default):
     return _setting(opts, section, "tol", parse_tolerance, default)
 
 
+def _count(text):
+    n = int(text)
+    if n < 1:
+        raise ValueError("expected a count of at least 1")
+    return n
+
+
 def _floats(text):
     return [float(v) for v in text.split(",")]
 
@@ -230,7 +237,7 @@ def cmd_symmetry(scene, flags):
     data = _pick_data(scene, opts)
     tol = _tol(opts, flags, "symmetry", 1e-9)
     inv = scene.resolve_involution(opts.get("involution", "I"))
-    n = _setting(opts, "symmetry", "samples", int, 12)
+    n = _setting(opts, "symmetry", "samples", _count, 12)
     pts = _generic_samples(data.domain, n)
     samples = []
     moved = replace(data, basepoint=complex(inv.p0))

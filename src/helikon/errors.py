@@ -6,7 +6,8 @@ class HelikonError(Exception):
 
 
 class InvalidModulus(HelikonError):
-    """Torus modulus tau outside the supported half-plane (Im tau >= 0.05)."""
+    """Torus modulus tau not finite, not in the upper half-plane, or of a
+    lattice too thin for the kernels (lattice.MAX_IM_TAU_R)."""
 
 
 class PoleAt(HelikonError):

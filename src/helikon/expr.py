@@ -628,7 +628,11 @@ class _Reader:
             fold = _FOLDS[type(node.op)]
             return fold(self.read(node.left), self.read(node.right))
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-            return power(self.read(node.left), self.exponent(node.right))
+            base, n = self.read(node.left), self.exponent(node.right)
+            try:
+                return power(base, n)
+            except (ZeroDivisionError, OverflowError):
+                self.error(node, "a constant power with no finite value:")
         if _is_minus(node):
             return neg(self.read(node.operand))
         if literal := self.number(node, (int, float)):

@@ -1,9 +1,15 @@
 """Torus lattice <1, tau> with its quasi-period constants.
 
-Constants follow the full-period increment convention
-zeta(u+1) = zeta(u) + eta1, zeta(u+tau) = zeta(u) + eta2, under which the
-Legendre relation reads eta1*tau - eta2 = 2*pi*i (pinned by a brute-force
-Eisenstein-summation oracle, frozen as a regression value in the tests).
+Constants follow the convention zeta(u+1) = zeta(u) + eta1,
+zeta(u+tau) = zeta(u) + eta2, under which the Legendre relation reads
+eta1*tau - eta2 = 2*pi*i.  Any finite tau with Im(tau) > 0 is accepted
+unless Im(tau') > MAX_IM_TAU_R, where tau' = (a*tau + b) / omega,
+omega = c*tau + d, is tau reduced by the unimodular (a b; c d) of
+reduce_modulus: |Re tau'| <= 1/2 and |tau'| >= 1, so Im(tau') >= sqrt(3)/2,
+and <1, tau> = omega <1, tau'>.  eta1', eta2' of <1, tau'> come from its
+theta series (eta2' from theta_1'/theta_1 at tau'/2, so that the Legendre
+relation stays a check); eta1 = (a eta1' - c eta2') / omega and
+eta2 = (d eta2' - b eta1') / omega (DLMF 23.18).
 """
 
 import cmath
@@ -13,83 +19,89 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidModulus
-from .kernels import (
-    reduce_to_cell,
-    term_count,
-    theta1,
-    theta1_prime,
-    theta_coefficients,
-    wp,
-)
-
-MIN_IM_TAU = 0.05
+from .kernels import reduce_to_cell, term_count, wp
 
 LEGENDRE_CONSTANT = 2j * cmath.pi
+# wp''s theta_4(2v, q'^2) n = 1 term, up to 1 on the cell, is w times c_1 w^3
+# with c_1 = -q'^2, which leaves the normal doubles at Im(tau') = 112.7
+MAX_IM_TAU_R = 100.0
 
 
-def _series():
-    # derived arrays, kept out of the lattice's equality, hash and repr
-    return field(init=False, compare=False, repr=False)
-
-
-def _eta1(tau, tol):
-    """eta1 = pi^2/3 * E2(tau), from the Lambert series
-    E2 = 1 - 24 sum_{n >= 1} x^n / (1 - x^n)^2, x = exp(2 pi i tau).
-
-    Unlike -pi^2/3 * theta1'''(0)/theta1'(0), the series does not cancel
-    near Im(tau) = MIN_IM_TAU.  With r = |x|, the tail from the n-th term
-    on is at most r^n / ((1 - r) (1 - r^n)^2); the sum stops at the least
-    n with 24 r^n / (1 - r) <= tol, which bounds the truncation by about
-    tol relative to the leading 1.
-    """
-    r = math.exp(-2.0 * math.pi * tau.imag)
-    n = max(1, math.ceil(math.log(tol * (1.0 - r) / 24.0) / math.log(r)))
-    x = np.exp(2j * np.pi * tau * np.arange(1, n + 1))
-    e2 = 1.0 - 24.0 * complex(np.sum(x / (1.0 - x) ** 2))
-    return cmath.pi ** 2 / 3.0 * e2
+def reduce_modulus(tau):
+    """Integers (a, b, c, d), ad - bc = 1, that take tau to (a*tau + b) /
+    (c*tau + d) in the fundamental domain, by tau -> tau - k, -1/tau;
+    InvalidModulus when -1/tau overflows."""
+    a, b, c, d = 1, 0, 0, 1
+    while True:
+        k = round(tau.real)
+        tau, a, b = tau - k, a - k * c, b - k * d
+        if abs(tau) >= 1.0:
+            return a, b, c, d
+        tau, a, b, c, d = -1.0 / tau, -c, -d, a, b
+        if not cmath.isfinite(tau):
+            raise InvalidModulus("tau is too thin: -1/tau overflows")
 
 
 @dataclass(frozen=True)
 class Lattice:
     tau: complex
     series_tol: float = 1e-14
-    q: complex = field(init=False)
     eta1: complex = field(init=False)
     eta2: complex = field(init=False)
-    t1p0: complex = field(init=False)  # theta1'(0, q), sigma's normalizer
+    basis: tuple = field(init=False)  # (a, b, c, d) of reduce_modulus
+    omega: complex = field(init=False)  # c*tau + d
+    tau_r: complex = field(init=False)  # tau', the reduced modulus
+    eta_r: tuple = field(init=False)  # (eta1', eta2') of <1, tau'>
+    sigma_scale: complex = field(init=False)  # sigma's constant, see kernels
+    wpp_scale: complex = field(init=False)  # wp''s constant, see kernels
     n_terms: int = field(init=False)  # theta q-series terms, see term_count
-    k: np.ndarray = _series()  # 2n + 1
-    c0: np.ndarray = _series()  # (-1)^n q^((n+1/2)^2)
-    c1: np.ndarray = _series()  # c0 * k
-    c2: np.ndarray = _series()  # c0 * k^2
+    # per-term (c, c k, c k^2), see __post_init__; out of equality and repr
+    terms: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         tau = complex(self.tau)
         if not cmath.isfinite(tau):
             raise InvalidModulus(f"tau = {tau} is not finite")
-        if tau.imag < MIN_IM_TAU:
-            raise InvalidModulus(f"Im(tau) = {tau.imag:.4g} < {MIN_IM_TAU}")
-        # a nan tol never stops term_count, and _eta1 cannot take inf
+        if not tau.imag > 0:
+            raise InvalidModulus(f"Im(tau) = {tau.imag:.4g} is not positive")
+        # a nan tol never stops term_count
         if not 0 < self.series_tol < math.inf:
             raise ValueError("series_tol must be finite and positive")
-        q = cmath.exp(1j * cmath.pi * tau)
-        n_terms = term_count(tau.imag, self.series_tol)
-        k, c0, c1, c2 = theta_coefficients(q, n_terms)
-        t1p0 = 2.0 * complex(np.sum(c1))
-        eta1 = _eta1(tau, self.series_tol)
-        for name, value in (
-            ("tau", tau), ("q", q), ("n_terms", n_terms), ("k", k),
-            ("c0", c0), ("c1", c1), ("c2", c2), ("t1p0", t1p0),
-            ("eta1", eta1),
-        ):
+        a, b, c, d = reduce_modulus(tau)
+        omega = c * tau + d
+        tau_r = (a * tau + b) / omega
+        if not tau_r.imag <= MAX_IM_TAU_R:
+            raise InvalidModulus(
+                f"Im(tau') = {tau_r.imag:.4g} > {MAX_IM_TAU_R}: too thin")
+        # term n, k = 2n+1, has theta_1's c = (-1)^n q'^(n(n+1)), over
+        # q'^(1/4).  With theta_1'(0), theta_1'''(0) = 2 q'^(1/4) (t1, -t3)
+        # and theta_sums' A_j at tau'/2, eta1' = pi^2/3 (1 + (t3 - t1)/t1) and
+        # eta2' = 2 zeta'(tau'/2) = eta1' tau' - 2 pi i (1 - (A_0 + A_1)/A_0),
+        # with the small t3 - t1 and A_0 + A_1 summed term by term;
+        # theta_4(0, q'^2) sums (-1)^(n+1) c_(n-1) c_n, as wp' does
+        w = cmath.exp(0.5j * cmath.pi * tau_r)
+        terms, t1, t31, a0, a01, theta4_0, c_ = [], 0, 0, 0, 0, 1, 0
+        for n in range(term_count(tau_r.imag, self.series_tol)):
+            k = 2 * n + 1
+            cn = (-1) ** n * cmath.exp(1j * cmath.pi * tau_r * n * (n + 1))
+            terms.append((cn, cn * k, cn * k * k))
+            t1, t31 = t1 + cn * k, t31 + cn * (k ** 3 - k)
+            a0 += cn * (w ** k - w ** -k)
+            a01 += cn * ((k + 1) * w ** k + (k - 1) * w ** -k)
+            theta4_0, c_ = theta4_0 - 2 * (-1) ** n * c_ * cn, cn
+        eta1_r = cmath.pi ** 2 / 3.0 * (1.0 + t31 / t1)
+        eta2_r = eta1_r * tau_r - LEGENDRE_CONSTANT * (1.0 - a01 / a0)
+        derived = {
+            "tau": tau, "basis": (a, b, c, d), "omega": omega, "tau_r": tau_r,
+            "eta_r": (eta1_r, eta2_r), "n_terms": len(terms),
+            "terms": tuple(terms),
+            "eta1": (a * eta1_r - c * eta2_r) / omega,
+            "eta2": (d * eta2_r - b * eta1_r) / omega,
+            "sigma_scale": omega / (2j * cmath.pi * t1),
+            "wpp_scale": 8j * cmath.pi ** 3 * t1 * t1 * theta4_0 / omega ** 3,
+        }
+        for name, value in derived.items():
             object.__setattr__(self, name, value)
-        # eta2 = 2*zeta(tau/2), evaluated from the theta series directly so
-        # the Legendre relation stays a genuine consistency check
-        half = tau / 2.0
-        eta2 = eta1 * tau + 2.0 * cmath.pi * complex(
-            theta1_prime(half, self) / theta1(half, self)
-        )
-        object.__setattr__(self, "eta2", eta2)
 
     def half_periods(self):
         """The three nonzero half-period representatives."""

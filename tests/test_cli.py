@@ -329,6 +329,10 @@ class TestMain:
             ("sweep", "catenoid", "[sweep]\ntol = x\n", [], "[sweep] tol"),
             ("symmetry", "helicoid", "[symmetry]\nsamples = x\n", [],
              "[symmetry] samples"),
+            ("symmetry", "helicoid", "[symmetry]\nsamples = 0\n", [],
+             "[symmetry] samples"),
+            ("symmetry", "helicoid", "[symmetry]\nsamples = -3\n", [],
+             "[symmetry] samples"),
             ("residues", "periodic-candidate", "[residues]\nradius = x\n",
              [], "[residues] radius"),
             ("residues", "periodic-candidate", "[residues]\npoints = 1, x\n",
@@ -356,7 +360,8 @@ class TestMain:
         ],
         ids=[
             "periods-tol", "flux-tol", "symmetry-tol", "involution-tol",
-            "solve-tol", "sweep-tol", "samples", "radius", "points",
+            "solve-tol", "sweep-tol", "samples", "samples-0",
+            "samples-negative", "radius", "points",
             "max_iter", "init_rho", "init_c", "shift", "E1", "tau", "lambdas",
             "audit-target", "--tol-x", "--tol-0", "--tol-negative",
             "--tol-nan", "--lambda",
@@ -379,6 +384,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert where in err
+
+    @pytest.mark.parametrize("power", ["0^-1", "10^400"])
+    def test_constant_power_exit_code(self, tmp_path, capsys, power):
+        # folding a constant power with no finite value raised
+        # ZeroDivisionError or OverflowError through load_scene
+        bad = tmp_path / "bad.scene"
+        bad.write_text(
+            f"[data d]\ndomain = plane\ng = {power} + exp(i*u)\ndh = 1 du\n"
+        )
+        code = main(["periods", "--scene", str(bad), "--no-json"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "line 3" in err and power in err
 
     def test_two_data_entries_name_no_line(self, tmp_path, capsys):
         # the scene has no line at fault: the report names none

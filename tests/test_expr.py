@@ -198,7 +198,8 @@ class GrammarTexts:
 
 def outcome(parse, text):
     """repr of the tree text reads as (which shows signed zeros), or None
-    where it is refused; folding 0^-1 raises ZeroDivisionError."""
+    where it is refused; the reference's folding of 0^-1 raises
+    ZeroDivisionError."""
     try:
         return repr(parse(text, TORUS).node)
     except (ExprSyntaxError, ArithmeticError):
@@ -268,6 +269,17 @@ class TestGrammar:
         # the recursive-descent parser ran out of stack on the first
         with pytest.raises(ExprSyntaxError):
             parse_expr(text, PLANE)
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("0^-1 + u", 0), ("u + 10^400", 4), ("u*(1 - 1)^-2", 2)],
+    )
+    def test_constant_power_refused(self, text, position):
+        # a constant power with no finite value is refused where it is
+        # written, not raised as ZeroDivisionError or OverflowError
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr(text, PLANE)
+        assert info.value.position == position
 
     def test_whitespace(self):
         # every character str.isspace accepts separates tokens

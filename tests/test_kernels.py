@@ -18,14 +18,13 @@ import pytest
 from helikon.errors import InvalidModulus, PoleAt
 from helikon.expr import Torus
 from helikon.kernels import (
-    CHUNK_ENTRIES,
     reduce_to_cell,
     sigma_w,
     wp,
     wp_prime,
     zeta_w,
 )
-from helikon.lattice import MIN_IM_TAU, Lattice
+from helikon.lattice import Lattice
 
 TAU_SQUARE = 1j
 TAU_GENERIC = 0.31 + 1.17j
@@ -89,6 +88,16 @@ class TestLattice:
         with pytest.raises(InvalidModulus):
             Lattice(tau)
 
+    @pytest.mark.parametrize(
+        "tau", [0.001j, 1000j, 0.5 + 1e-300j, 1e-310 + 1e-310j])
+    def test_too_thin_modulus(self, tau):
+        # a tau with Im(tau) > 0 is accepted up to a reduced Im(tau') of 100,
+        # past which the series leave the normal doubles; at 1e-310 + 1e-310i
+        # -1/tau itself overflows
+        with pytest.raises(InvalidModulus):
+            Lattice(tau)
+        assert Lattice(1j / 100).n_terms == 2
+
     @pytest.mark.parametrize("tol", [0.0, -1e-14, math.nan, math.inf])
     def test_series_tol_finite_positive(self, tol):
         with pytest.raises(ValueError):
@@ -149,6 +158,22 @@ class TestIdentities:
         fd = (wp(u + h, lat_g) - wp(u - h, lat_g)) / (2 * h)
         assert abs(fd - wp_prime(u, lat_g)) < 1e-4
 
+    @pytest.mark.parametrize(
+        "tau", [TAU_GENERIC, 0.3 + 0.8j, 0.2 + 0.05j, 0.05j, -2.7 + 0.9j]
+    )
+    def test_modular_invariance(self, tau):
+        # <1, tau + 1> is <1, tau>, and <1, -1/tau> is tau^-1 <1, tau>: by
+        # homogeneity each kernel agrees across the three bases
+        lats = (Lattice(tau), Lattice(tau + 1), Lattice(-1 / tau))
+        u = np.array([0.17 + 0.11j, -0.31 + 0.23j * tau.imag, 0.42 - 0.05j,
+                      0.05 + 0.4 * tau])
+        for f, power in ((wp, -2), (wp_prime, -3), (zeta_w, -1), (sigma_w, 1)):
+            ref = f(u, lats[0])
+            for other in (f(u, lats[1]), tau**power * f(u / tau, lats[2])):
+                assert np.all(
+                    np.abs(other - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref))
+                ), (f.__name__, tau)
+
 
 class TestOracles:
     def test_half_period_value_square_torus(self, lat_i):
@@ -191,7 +216,10 @@ class TestPoles:
 
 
 
-ORACLE_TAUS = (1j, 0.3 + 0.8j, 0.2 + 0.05j)  # the last at the MIN_IM_TAU floor
+# the last four reduce by tau -> -1/tau; 0.2+0.05i was the old floor
+# Im(tau) >= 0.05, the theta series on <1, tau> itself cancels at 0.05i, and
+# 0.02+0.04i lies below that floor
+ORACLE_TAUS = (1j, 0.3 + 0.8j, 0.2 + 0.05j, 0.05j, 0.02 + 0.04j)
 KERNELS = (sigma_w, zeta_w, wp, wp_prime)
 
 
@@ -234,6 +262,37 @@ class TestMpmathOracle:
                 assert abs(scalar - ref) <= bound, (f.__name__, tau, u)
                 assert abs(values[i] - ref) <= bound, (f.__name__, tau, u)
 
+    @pytest.mark.parametrize("tau", ORACLE_TAUS)
+    def test_wp_differential_equation(self, tau):
+        # wp'^2 = 4 wp^3 - g2 wp - g3 with g3 = 4 e1 e2 e3: an identity that
+        # neither the wp nor the wp' formula uses
+        lat = Lattice(tau)
+        e1, e2, e3 = wp(np.array(lat.half_periods()), lat)
+        g2, g3 = lat.g2(), 4 * e1 * e2 * e3
+        u = np.array(oracle_points(tau))
+        p, dp = wp(u, lat), wp_prime(u, lat)
+        terms = [dp * dp, 4 * p**3, g2 * p, np.full_like(p, g3)]
+        scale = np.max(np.abs(terms), axis=0)
+        defect = np.abs(dp * dp - (4 * p**3 - g2 * p - g3))
+        assert np.all(defect <= 1e-13 * scale)
+
+    @pytest.mark.parametrize(
+        "tau, half, other",
+        [(30j, 15j, 1.0), (0.03j, 0.5, 0.03j), (99j, 49.5j, 1.0)],
+    )
+    def test_wp_prime_near_thin_half_period(self, tau, half, other):
+        # half reduces to tau'/2, Im(tau') = 30, 33.3 and 99, where theta_1
+        # needs one term but wp''s theta_4(2v, q'^2) two: near tau'/2, wp' is
+        # ~1e-38 (1e-132 at 99i) and that factor's n = 1 term is as large as
+        # wp'.  A relative bound; mpmath's formula loses as many digits as wp'
+        # is small, so it runs at 300
+        lat = Lattice(tau)
+        for s, x in ((0.98, 0.0), (0.98, 0.21), (0.995, -0.37), (1.0, 0.013),
+                     (1.0, 0.2)):
+            u = s * half + x * other
+            ref = mpmath_kernels(tau, u, dps=300)[3]
+            assert abs(wp_prime(u, lat) - ref) <= 1e-13 * abs(ref), (tau, u)
+
     def test_array_shape_is_kept(self, lat_g):
         u = np.array([[0.1 + 0.2j, 0.3 - 0.1j], [-0.2 + 0.4j, 0.45 + 0.05j]])
         for f in KERNELS:
@@ -253,8 +312,9 @@ class TestMpmathOracle:
         "tau", (0.05j, 1j, 0.3 + 0.8j, 0.2 + 0.05j, 0.1 + 0.2j)
     )
     def test_eta1_matches_jtheta(self, tau):
-        # the theta quotient -pi^2/3 theta1'''(0)/theta1'(0) cancels to
-        # 3.4e-11 relative at tau = 0.05i; the Lambert series does not
+        # the theta quotient -pi^2/3 theta1'''(0)/theta1'(0) of <1, tau>
+        # itself cancels to 3.4e-11 relative at tau = 0.05i; on the reduced
+        # basis, |q'| <= 0.066, it does not
         with mpmath.workdps(30):
             q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau.real, tau.imag))
             ref = complex(
@@ -264,25 +324,33 @@ class TestMpmathOracle:
         assert abs(Lattice(tau).eta1 - ref) <= 1e-14 * abs(ref)
 
     def test_legendre_defect_at_min_im_tau(self):
-        lat = Lattice(0.2 + MIN_IM_TAU * 1j)
+        lat = Lattice(0.2 + 0.05j)
         assert lat.legendre_defect() <= 10 * lat.series_tol
+
+    def test_legendre_defect_at_cancelling_tau(self):
+        # the series on <1, tau> itself left 2.47e-9 here
+        assert Lattice(0.05j).legendre_defect() <= 1e-13
 
     @pytest.mark.parametrize("tau", ORACLE_TAUS + (0.1 + 0.2j,))
     def test_first_omitted_term_below_series_tol(self, tau):
-        # the n = N term of theta_1^(j), j <= 3, on the reduced cell
-        # (|Im v| <= pi Im(tau) / 2), relative to the leading scale 2|q|^(1/4)
+        # the n = N term of theta_1^(j), j <= 3, on the reduced lattice's
+        # cell (|Im v| <= pi Im(tau') / 2), relative to the leading scale
+        # 2|q'|^(1/4), and that of wp''s theta_4(2v, q'^2), relative to 1
         lat = Lattice(tau)
         n = lat.n_terms
-        assert len(lat.c0) == len(lat.c1) == len(lat.c2) == n
+        assert len(lat.terms) == n <= 4
+        a = lat.tau_r.imag
+        assert abs(lat.tau_r.real) <= 0.5 and abs(lat.tau_r) >= 1 - 1e-15
+        q = math.exp(-math.pi * a)
         k = 2 * n + 1
-        a = tau.imag
-        term = k**3 * abs(lat.q) ** ((n + 0.5) ** 2) * math.cosh(k * math.pi * a / 2)
-        assert term / abs(lat.q) ** 0.25 < lat.series_tol
+        term = k**3 * q ** ((n + 0.5) ** 2) * math.cosh(k * math.pi * a / 2)
+        assert term / q ** 0.25 < lat.series_tol
+        assert 2 * q ** (2 * n * (n - 1)) < lat.series_tol
 
     def test_series_arrays_stay_out_of_equality(self):
         a, b = Lattice(0.3 + 0.8j), Lattice(0.3 + 0.8j)
         assert a == b and hash(a) == hash(b)
-        assert "c0" not in repr(a)
+        assert ", terms=" not in repr(a)
         assert Torus(a, (0.1,)) == Torus(b, (0.1,))
 
 
@@ -295,19 +363,12 @@ def cell_sweep(tau, n):
     return 0.013 + 0.007j + 2.0 * s + 1.5 * t * tau
 
 
-class TestChunks:
-    def test_chunked_call_equals_its_chunks(self, lat_g):
-        rows = CHUNK_ENTRIES // lat_g.n_terms
-        u = cell_sweep(lat_g.tau, 3 * rows)
-        for f in KERNELS:
-            parts = [f(u[s:s + rows], lat_g) for s in range(0, u.size, rows)]
-            assert np.array_equal(f(u, lat_g), np.concatenate(parts))
-
+class TestWorkingSet:
     def test_working_set_is_bounded(self):
-        # one quadrature block (512 panels of 15 nodes) at N = 17: without
-        # the cap the call peaks near 9.6 MB, with it near 1 MB
+        # one quadrature block (512 panels of 15 nodes) at the old floor
+        # Im(tau) = 0.05, where <1, tau> itself needed N = 17 terms
         lat = Lattice(0.2 + 0.05j)
-        assert lat.n_terms == 17
+        assert lat.n_terms <= 4
         u = cell_sweep(lat.tau, 7680)
         tracemalloc.start()
         try:
