@@ -30,7 +30,7 @@ from .scene import (
     _parse_complex_list,
     load_scene,
     parse_complex,
-    parse_tolerance,
+    parse_positive,
 )
 from .solver import asymptotic_residual, solve, standard_g1h_family
 from .surface import (
@@ -114,7 +114,7 @@ def _tol(opts, flags, section, default):
     """The --tol flag, else the section's tol, else default."""
     if flags.get("tol"):
         return flags["tol"]
-    return _setting(opts, section, "tol", parse_tolerance, default)
+    return _setting(opts, section, "tol", parse_positive, default)
 
 
 def _count(text):
@@ -272,7 +272,14 @@ def cmd_involution(scene, flags):
 def cmd_residues(scene, flags):
     opts = _settings(scene, "residues")
     data = _pick_data(scene, opts)
-    radius = _setting(opts, "residues", "radius", float, 0.05)
+    radius = _setting(opts, "residues", "radius", parse_positive, 0.05)
+    lat = data.domain.lattice
+    # a wider circle is no loop about one point of the torus
+    if lat is not None and not radius < 0.5 * abs(lat.omega):
+        raise HelikonError(
+            f"[residues] radius = {radius:g} must be below half the shortest"
+            f" period, {abs(lat.omega) / 2:g}"
+        )
     points = _setting(opts, "residues", "points", _parse_complex_list, [])
     if not points:
         points = list(data.domain.punctures)
@@ -495,7 +502,7 @@ def main(argv=None):
         flags = {
             "out": args.out,
             "tol": None if args.tol is None else _parsed(
-                args.tol, parse_tolerance, "--tol"
+                args.tol, parse_positive, "--tol"
             ),
             "resolution": args.resolution,
             "json": args.json,

@@ -3,10 +3,11 @@
 Vertices are immersed once each by cumulative integration over a spanning
 tree of grid edges.  The period triples of all the tree edges come from one
 level-synchronous quadrature run, and g at the vertices and at the edge
-length nodes from blocked array evaluations, so an n x m mesh costs O(nm)
-work in O(nm / paths.BLOCK_PANELS) array calls; a lambda sweep pays them
-once and recombines them for every lambda.  A mesh holds arrays from
-assembly to verdict: its vertex and edge lists are built only when read.
+length nodes from paths.evaluate (its one pole rule gives nan at a pole of
+g), so an n x m mesh costs O(nm) work in O(nm / paths.BLOCK_PANELS) array
+calls; a lambda sweep pays them once and recombines them for every lambda.
+A mesh holds arrays from assembly to verdict: its vertex and edge lists are
+built only when read.
 
 The self-intersection probe pairs a spatial hash (extrinsic nearness) with
 shortest paths on the mesh edge graph (intrinsic separation) — the
@@ -25,15 +26,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DisconnectedSampling,
-    NotVerticalFlux,
-    PoleAt,
-    ThresholdOrder,
-)
+from .errors import DisconnectedSampling, NotVerticalFlux, ThresholdOrder
 from .expr import eval_expr
-from .paths import BLOCK_PANELS, Lines
+from .paths import BLOCK_PANELS, Lines, evaluate
 from .surface import (
+    checked_lambda,
     lopez_ros,
     lopez_ros_triples,
     period_triples,
@@ -145,27 +142,10 @@ class SurfaceMesh:
         return float(lengths.max()) if len(lengths) else 0.0
 
 
-# points per expression evaluation, the node count of one integrand call
-_BLOCK = 15 * BLOCK_PANELS
-
 # the 8-point Gauss-Legendre rule of the edge lengths, its nodes as
 # fractions of an edge
 _GL_T, _GL_W = np.polynomial.legendre.leggauss(8)
 _GL_S = 0.5 * (_GL_T + 1.0)
-
-
-def _values_or_nan(expr, u):
-    """expr at the points u, nan at its poles: a block that meets a pole is
-    bisected until the poles are single points."""
-    try:
-        return eval_expr(expr, u)
-    except PoleAt:
-        if u.size == 1:
-            return np.full(1, complex(math.nan, math.nan))
-        half = u.size // 2
-        return np.concatenate(
-            [_values_or_nan(expr, u[:half]), _values_or_nan(expr, u[half:])]
-        )
 
 
 def _edge_sums(data, u0, u1):
@@ -178,13 +158,13 @@ def _edge_sums(data, u0, u1):
     and dh both vanish add nothing.
     """
     out = np.empty((len(u0), 2))
-    per_block = _BLOCK // len(_GL_S)
+    per_block = 15 * BLOCK_PANELS // len(_GL_S)  # one call of evaluate
     for s in range(0, len(u0), per_block):
         a = u0[s:s + per_block, None]
         b = u1[s:s + per_block, None]
         u = (a + _GL_S * (b - a)).ravel()
         h = np.abs(eval_expr(data.dh.coeff, u)).reshape(-1, len(_GL_S))
-        m = np.abs(_values_or_nan(data.g, u)).reshape(h.shape)
+        m = np.abs(evaluate(data.g, u)).reshape(h.shape)
         zero = m == 0
         with np.errstate(divide="ignore", invalid="ignore"):
             sums = np.stack(
@@ -285,10 +265,7 @@ def _mesh_integrals(data, spec, tol=1e-10):
         route = straight_route(data, root_u)
         triples = period_triples(data, [route, edges], tol)
 
-    g_values = np.concatenate([
-        _values_or_nan(data.g, points[s:s + _BLOCK])
-        for s in range(0, len(points), _BLOCK)
-    ])
+    g_values = evaluate(data.g, points)
 
     quad = mask[:-1, :-1] & mask[1:, :-1] & mask[1:, 1:] & mask[:-1, 1:]
     i, j = np.nonzero(quad)
@@ -600,12 +577,14 @@ def lambda_sweep(
     embedded/non-embedded transition by bisection, to a relative width of
     BRACKET_REL.
 
-    Requires vertical flux (closure must survive the deformation); period
-    residuals are re-verified per lambda when a cycle basis is given.  The
-    quadrature runs once, for data: its cycle triples, at min(tol, 1e-10),
-    which give the flux test and which every lambda rescales
-    (lopez_ros_triples), and its mesh integrals.
+    Requires finite positive lambdas, checked before any quadrature, and
+    vertical flux (closure must survive the deformation); period residuals
+    are re-verified per lambda when a cycle basis is given.  The quadrature
+    runs once, for data: its cycle triples, at min(tol, 1e-10), which give
+    the flux test and which every lambda rescales (lopez_ros_triples), and
+    its mesh integrals.
     """
+    lambdas = sorted(checked_lambda(lam) for lam in lambdas)
     triples = None
     if basis is not None:
         triples = period_triples(data, basis.cycles, min(tol, 1e-10))
@@ -627,7 +606,6 @@ def lambda_sweep(
         far = _far_pairs(m, *_thresholds(m, delta_ext, delta_int))
         return next(far, None) is None, resid
 
-    lambdas = sorted(float(l) for l in lambdas)
     table = []
     for lam in lambdas:
         emb, resid = verdict(lam)

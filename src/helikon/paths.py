@@ -14,9 +14,9 @@ integrates many paths in one run and chooses a rule per path:
   of the forms, for a vector integrand).  The cap is TRAPEZOID_CAP nodes.
   A path falls back to Gauss-Kronrod when a generator's integrand differs
   at its two ends by more than tol (not periodic), when the doubling has
-  not reached tol at the cap, or when a sample is non-finite or raises
-  PoleAt (or DomainViolation, a declared puncture); the fallback then
-  raises the same errors as any other path.
+  not reached tol at the cap, or when a sample is non-finite (nan where
+  the integrand raises, see evaluate); the fallback then raises the same
+  errors as any other path.
 - Every other path gets adaptive bisection with a Gauss-Kronrod (7, 15)
   pair per panel, run level-synchronously over the paths: each bisection
   level calls the integrand on the nodes of every active panel, in blocks
@@ -28,6 +28,9 @@ An integrand maps a flat ndarray of points to an ndarray of values of the
 same length (or to a scalar, which broadcasts), or to a (k, n) array for k
 forms at once.  A path's value depends on the path, the integrand and tol
 only, not on the other paths of the run or on BLOCK_PANELS.
+
+evaluate is the one pole rule for sampled data, here and in the meshes and
+the involution report: nan where f raises PoleAt or DomainViolation.
 """
 
 import itertools
@@ -159,18 +162,23 @@ class PathSpec:
                 raise ValueError(
                     f"segment endpoints disagree: {a.last} vs {b.first}"
                 )
-        if closed and abs(segments[-1].last - segments[0].first) > ENDPOINT_TOL:
+        seg = segments[0]
+        full_turn = (
+            len(segments) == 1
+            and isinstance(seg, Arc)
+            and abs(abs(seg.angle1 - seg.angle0) - 2.0 * math.pi) <= 1e-12
+        )
+        # a full turn closes by its angles; its ends differ by its radius
+        # times the rounding of exp(2 pi i)
+        if closed and not full_turn and (
+            abs(segments[-1].last - seg.first) > ENDPOINT_TOL
+        ):
             raise ValueError("path marked closed but endpoints do not match")
         if periodic and (len(segments) != 1 or not isinstance(segments[0], Line)):
             raise ValueError("a generator is a single Line")
         self.segments = tuple(segments)
         self.closed = closed
-        seg = segments[0]
-        self.periodic = periodic or (
-            len(segments) == 1
-            and isinstance(seg, Arc)
-            and abs(abs(seg.angle1 - seg.angle0) - 2.0 * math.pi) <= 1e-12
-        )
+        self.periodic = periodic or full_turn
 
     @property
     def first(self):
@@ -323,36 +331,36 @@ class _Segments:
         return z, v
 
 
-def _evaluate(f, z):
-    """f at the flat points z, in calls of at most 15 BLOCK_PANELS points; a
-    scalar result broadcasts."""
-    parts = []
+def evaluate(f, z):
+    """f at the flat points z, in calls of at most 15 BLOCK_PANELS points (one
+    on no points for an empty z); a scalar result broadcasts.  Where f
+    raises PoleAt or DomainViolation, the call is halved until each raising
+    point stands alone and holds nan; every other point keeps the value of a
+    plain call (f acts point by point)."""
     limit = 15 * BLOCK_PANELS
+    # the calls to make, next one last: a work list, as a closure calling
+    # itself would keep its arrays alive in a reference cycle
+    starts = range(0, max(z.size, 1), limit)
+    work = [(s, min(s + limit, z.size)) for s in reversed(starts)]
+    parts = []  # in point order; None for a point where f raised
     with np.errstate(all="ignore"):
-        for s in range(0, z.size, limit):
-            chunk = z[s:s + limit]
-            fz = np.asarray(f(chunk))
-            parts.append(np.broadcast_to(fz, chunk.shape) if not fz.ndim else fz)
+        while work:
+            lo, hi = work.pop()
+            try:
+                fz = np.asarray(f(z[lo:hi]))
+            except (PoleAt, DomainViolation):
+                if hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    work += [(mid, hi), (lo, mid)]
+                else:
+                    parts.append(None)
+                continue
+            parts.append(np.broadcast_to(fz, (hi - lo,)) if not fz.ndim else fz)
+    if any(p is None for p in parts):
+        forms = next((p.shape[:-1] for p in parts if p is not None), ())
+        nan = np.full(forms + (1,), complex(math.nan, math.nan))
+        parts = [nan if p is None else p for p in parts]
     return np.concatenate(parts, axis=-1)
-
-
-def _evaluate_paths(f, z, owner):
-    """_evaluate path by path, where owner[i] is the path of z[i]: nan at
-    the points of a path on which f raises PoleAt or DomainViolation; None
-    if it raises on every path."""
-    parts = []
-    for p in np.unique(owner):
-        at = owner == p
-        try:
-            parts.append((at, _evaluate(f, z[at])))
-        except (PoleAt, DomainViolation):
-            continue
-    if not parts:
-        return None
-    out = np.full(parts[0][1].shape[:-1] + z.shape, complex(math.nan, math.nan))
-    for at, fz in parts:
-        out[..., at] = fz
-    return out
 
 
 def _trapezoid(f, geometry, seg, tol):
@@ -380,14 +388,8 @@ def _trapezoid(f, geometry, seg, tol):
             z = np.concatenate([z, z_end.ravel()])
             v = np.concatenate([v, v_end.ravel()])
             owner = np.concatenate([owner, ends])
-        try:
-            fz = _evaluate(f, z)
-        except (PoleAt, DomainViolation):
-            fz = _evaluate_paths(f, z, owner)
-            if fz is None:
-                return values, done
         with np.errstate(all="ignore"):
-            fv = fz * v
+            fv = evaluate(f, z) * v
             forms = fv.shape[:-1]
             form_axes = tuple(range(len(forms)))
             finite = np.isfinite(fv).all(axis=form_axes)
@@ -395,6 +397,8 @@ def _trapezoid(f, geometry, seg, tol):
             rows = fv[..., :body].reshape(forms + (live.size, t.size))
             # each path's new samples, summed in node order
             new = np.moveaxis(rows.sum(axis=-1), -1, 0)
+        if not np.count_nonzero(keep):
+            return values, done
         if values is None:
             values = np.zeros((n,) + forms, dtype=complex)
         if total is None:

@@ -44,12 +44,12 @@ def _parse_complex_list(text):
     return [parse_complex(t) for t in text.split(",")]
 
 
-def parse_tolerance(text):
-    """A tolerance: a finite positive float."""
-    tol = float(text)
-    if not 0 < tol < math.inf:
-        raise ValueError("a tolerance must be finite and positive")
-    return tol
+def parse_positive(text):
+    """A finite positive float: a tolerance or a length."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise ValueError("expected a finite positive number")
+    return value
 
 
 @dataclass
@@ -187,7 +187,7 @@ def load_scene(path):
         header, lineno, entries = section
         if header == "lattice":
             tau = _entry(section, "tau", parse_complex)
-            tol = _entry(section, "series_tol", parse_tolerance, 1e-14)
+            tol = _entry(section, "series_tol", parse_positive, 1e-14)
             try:
                 scene.lattice = Lattice(tau, series_tol=tol)
             except Exception as exc:

@@ -38,6 +38,7 @@ from .paths import (
     Arc,
     Line,
     PathSpec,
+    evaluate,
     integrate_paths,
     polyline,
 )
@@ -58,7 +59,6 @@ class WeierstrassData:
     dh: FormExpr
     basepoint: complex
     label: str = ""
-    scale: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "basepoint", complex(self.basepoint))
@@ -257,11 +257,17 @@ def is_vertical_flux(data, basis, tol=1e-9):
     return vertical_flux_report(basis.labels, triples, tol)
 
 
+def checked_lambda(lam):
+    """lam as a float; NonpositiveLambda unless it is finite and positive."""
+    lam = float(lam)
+    if not 0 < lam < math.inf:
+        raise NonpositiveLambda(f"lambda = {lam} must be finite and positive")
+    return lam
+
+
 def lopez_ros(data, lam):
     """Deform (g, dh) to (lam * g, dh); closure is preserved under vertical flux."""
-    lam = float(lam)
-    if lam <= 0:
-        raise NonpositiveLambda(f"lambda = {lam}")
+    lam = checked_lambda(lam)
     if lam == 1.0:
         return data
     g = Expr(mul(Const(complex(lam)), data.g.node), data.g.domain)
@@ -316,7 +322,9 @@ class InvolutionReport:
 
 
 def involution_report(data, inv, tol=1e-8, n_samples=20):
-    """Check I*dh = -dh, I*(dg/g) = -dg/g, and g(I(p)) g(p) = g(p0)^2."""
+    """Check I*dh = -dh, I*(dg/g) = -dg/g, and g(I(p)) g(p) = g(p0)^2 on
+    generic samples, drawn until n_samples (11 draws at most) pass a screen
+    by paths.evaluate, the one pole rule: none of g, g o I, dg/g, dh is nan."""
     domain = data.domain
     for p in domain.punctures:
         image = inv.apply(p)
@@ -325,25 +333,23 @@ def involution_report(data, inv, tol=1e-8, n_samples=20):
                 f"involution does not preserve punctures: I({p}) = {image}"
             )
     dgg = data.log_gauss_form()
-    samples = []
+    samples = np.zeros(0, dtype=complex)
     attempts = 0
-    while len(samples) < n_samples:
-        cands = _generic_samples(
-            domain, n_samples - len(samples), SAMPLE_SEED + attempts
-        )
-        for u in cands:
-            try:
-                eval_expr(data.g, u)
-                eval_expr(data.g, inv.apply(u))
-                eval_expr(dgg.coeff, u)
-                eval_expr(data.dh.coeff, u)
-                samples.append(u)
-            except PoleAt:
-                continue
+    while samples.size < n_samples:
+        cands = np.array(_generic_samples(
+            domain, n_samples - samples.size, SAMPLE_SEED + attempts
+        ))
+        values = [
+            evaluate(data.g, cands),
+            evaluate(data.g, inv.center - cands),
+            evaluate(dgg.coeff, cands),
+            evaluate(data.dh.coeff, cands),
+        ]
+        keep = ~np.isnan(values).any(axis=0)
+        samples = np.concatenate([samples, cands[keep]])
         attempts += 1
         if attempts > 10:
             raise SampleAtPole("could not find pole-free generic samples")
-    samples = np.array(samples)
     dh_dev = _sampled_form_deviation(data.dh, inv, samples)
     dgg_dev = _sampled_form_deviation(dgg, inv, samples)
     C = eval_expr(data.g, inv.p0) ** 2

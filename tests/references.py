@@ -3,9 +3,12 @@
 The mesh takes its vertex normals from g and its edge lengths from the
 conformal factor in batches, and builds its spanning tree a level at a
 time; the tests compare them with these one-point formulas and with a
-vertex-by-vertex walk.  Expression text is read by Python's own parser;
-the tests compare its trees with the recursive-descent parser below
-(`parse_expr`), which defines the grammar the scene files were written in.
+vertex-by-vertex walk.  The involution report screens its samples for
+poles with array calls; the tests compare its picks with the screen one
+point at a time (`screened_samples`).  Expression text is read by Python's
+own parser; the tests compare its trees with the recursive-descent parser
+below (`parse_expr`), which defines the grammar the scene files were
+written in.
 """
 
 import math
@@ -14,7 +17,7 @@ from collections import deque
 
 import numpy as np
 
-from helikon.errors import ExprSyntaxError, PoleAt
+from helikon.errors import ExprSyntaxError, PoleAt, SampleAtPole
 from helikon.expr import (
     _ELLIPTIC,
     Const,
@@ -34,6 +37,7 @@ from helikon.expr import (
     power,
     sub,
 )
+from helikon.surface import SAMPLE_SEED, _generic_samples
 
 
 def gauss_normal(data, p):
@@ -60,6 +64,33 @@ def conformal_factor(data, p):
     if m == 0:
         return math.inf if h > 0 else 0.0
     return 0.5 * (m + 1.0 / m) * h
+
+
+def screened_samples(data, inv, n_samples=20):
+    """The samples of involution_report, screened one scalar evaluation at
+    a time: a candidate is kept unless g, g o I, dg/g or dh raises PoleAt
+    there."""
+    domain = data.domain
+    dgg = data.log_gauss_form()
+    samples = []
+    attempts = 0
+    while len(samples) < n_samples:
+        cands = _generic_samples(
+            domain, n_samples - len(samples), SAMPLE_SEED + attempts
+        )
+        for u in cands:
+            try:
+                eval_expr(data.g, u)
+                eval_expr(data.g, inv.apply(u))
+                eval_expr(dgg.coeff, u)
+                eval_expr(data.dh.coeff, u)
+                samples.append(u)
+            except PoleAt:
+                continue
+        attempts += 1
+        if attempts > 10:
+            raise SampleAtPole("could not find pole-free generic samples")
+    return samples
 
 
 def breadth_first_tree(spec, basepoint):

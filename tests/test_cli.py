@@ -335,6 +335,11 @@ class TestMain:
              "[symmetry] samples"),
             ("residues", "periodic-candidate", "[residues]\nradius = x\n",
              [], "[residues] radius"),
+            *(
+                ("residues", "periodic-candidate",
+                 f"[residues]\nradius = {r}\n", [], "[residues] radius")
+                for r in ("0", "-0.05", "nan", "inf", "1e200")
+            ),
             ("residues", "periodic-candidate", "[residues]\npoints = 1, x\n",
              [], "[residues] points"),
             ("solve", "periodic-candidate", "[solve]\nmax_iter = x\n", [],
@@ -350,6 +355,8 @@ class TestMain:
             ("solve", None, "[solve]\ntau = x\n", [], "[solve] tau"),
             ("sweep", "catenoid", "[sweep]\nlambdas = 1, x\n", [],
              "[sweep] lambdas"),
+            ("sweep", "catenoid", "[sweep]\nlambdas = 0.5, nan\n", [],
+             "lambda = nan"),
             ("audit", "periodic-candidate", "[audit]\ntarget = dhh\n", [],
              "[audit] target"),
             ("periods", "catenoid", "", ["--tol", "x"], "--tol"),
@@ -357,21 +364,25 @@ class TestMain:
             ("periods", "catenoid", "", ["--tol", "-1"], "--tol"),
             ("periods", "catenoid", "", ["--tol", "nan"], "--tol"),
             ("sweep", "catenoid", "", ["--lambda", "1,x"], "--lambda"),
+            ("sweep", "catenoid", "", ["--lambda", "nan,1"], "lambda = nan"),
+            ("sweep", "catenoid", "", ["--lambda", "inf"], "lambda = inf"),
         ],
         ids=[
             "periods-tol", "flux-tol", "symmetry-tol", "involution-tol",
             "solve-tol", "sweep-tol", "samples", "samples-0",
-            "samples-negative", "radius", "points",
+            "samples-negative", "radius", "radius-0", "radius-negative",
+            "radius-nan", "radius-inf", "radius-1e200", "points",
             "max_iter", "init_rho", "init_c", "shift", "E1", "tau", "lambdas",
-            "audit-target", "--tol-x", "--tol-0", "--tol-negative",
-            "--tol-nan", "--lambda",
+            "lambdas-nan", "audit-target", "--tol-x", "--tol-0",
+            "--tol-negative", "--tol-nan", "--lambda", "--lambda-nan",
+            "--lambda-inf",
         ],
     )
     def test_bad_setting_exit_code(self, tmp_path, capsys, command,
                                    scene_file, body, flags, where):
-        # a value that does not parse, or a tol that is not finite and
-        # positive, is one error line naming the setting, never a traceback
-        # or a report at some other tol
+        # a value that does not parse, or a tol, radius or lambda that is
+        # not finite and positive, is one error line naming the setting or
+        # the value, never a traceback or a report at some other value
         if scene_file is None:
             text = "[data d]\ndomain = plane\ng = u\ndh = 1 du\n"
         else:

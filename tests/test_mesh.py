@@ -19,6 +19,7 @@ from helikon.expr import (
     coordinate,
     parse_expr,
 )
+from helikon import expr as expr_module
 from helikon import mesh as mesh_module
 from helikon import surface as surface_module
 from helikon.mesh import (
@@ -322,9 +323,10 @@ class TestBuildMesh:
     def test_expression_evaluations_per_mesh(self, monkeypatch):
         # every quadrature and evaluation of a mesh runs in blocks: the
         # 48x48 catenoid, with about 4,300 grid edges, evaluates g and dh
-        # in at most one call per 100 grid edges
+        # in at most one call per 100 grid edges (g by paths.evaluate, which
+        # calls the Expr, so through the expr module's eval_expr)
         calls = []
-        for module in (mesh_module, surface_module):
+        for module in (expr_module, mesh_module, surface_module):
             evaluate = module.eval_expr
 
             def counted(e, u, evaluate=evaluate):

@@ -8,6 +8,7 @@ import pytest
 from helikon import paths
 from helikon.divisor import laurent_coefficient, residue, residues
 from helikon.errors import (
+    DomainViolation,
     NoConvergence,
     NonFiniteSample,
     PathThroughPole,
@@ -22,6 +23,7 @@ from helikon.paths import (
     Lines,
     PathSpec,
     circle,
+    evaluate,
     generator,
     integrate_path,
     integrate_paths,
@@ -468,6 +470,76 @@ class TestPeriodicRule:
             assert abs(
                 row[1] - integrate_path(lambda z: z * elliptic(z), path, 1e-12)
             ) < 1e-11
+
+
+def cell_points(n):
+    """n distinct points of the unit cell, away from LAT's poles."""
+    k = np.arange(n)
+    return 0.05 + 0.9 * ((k * 0.6180339887) % 1) + 0.9j * (k + 0.5) / n + 0.05j
+
+
+def raising(f, poles, error=PoleAt):
+    """f, but raising error in any call that holds one of the points poles,
+    with each call's size recorded in the returned list."""
+    sizes = []
+
+    def g(z):
+        sizes.append(z.size)
+        if np.isin(z, poles).any():
+            raise error(f"pole in a call of {z.size} points")
+        return f(z)
+
+    return g, sizes
+
+
+class TestEvaluate:
+    """paths.evaluate, the one pole rule for sampled data: nan at exactly
+    the points where f raises, a plain call's value everywhere else."""
+
+    def test_no_raise_is_a_plain_call(self):
+        z = cell_points(2 * 15 * paths.BLOCK_PANELS + 7)
+        f, sizes = raising(elliptic, [])
+        got = evaluate(f, z)
+        assert got.dtype == complex and np.array_equal(got, elliptic(z))
+        assert len(sizes) == 3
+        assert np.array_equal(evaluate(lambda u: 2.0, z), np.full(z.size, 2.0))
+
+    @pytest.mark.parametrize("error", [PoleAt, DomainViolation])
+    def test_nan_at_exactly_the_raising_points(self, error, monkeypatch):
+        monkeypatch.setattr(paths, "BLOCK_PANELS", 3)
+        z = cell_points(200)
+        at = np.array([0, 44, 45, 46, 101, 102, 199])
+        f, sizes = raising(elliptic, z[at], error)
+        got = evaluate(f, z)
+        bad = np.isnan(got)
+        assert np.flatnonzero(bad).tolist() == at.tolist()
+        assert np.array_equal(got[~bad], elliptic(z[~bad]))
+        assert max(sizes) <= 45
+
+    def test_vector_integrand(self):
+        pair = lambda u: np.stack([elliptic(u), u * elliptic(u)])
+        z = cell_points(50)
+        f, _ = raising(pair, z[[3, 30]])
+        got = evaluate(f, z)
+        assert got.shape == (2, 50)
+        bad = np.isnan(got)
+        assert np.flatnonzero(bad.any(axis=0)).tolist() == [3, 30]
+        assert bad[:, [3, 30]].all()
+        keep = ~bad.any(axis=0)
+        assert np.array_equal(got[:, keep], pair(z[keep]))
+
+    def test_every_point_raises(self):
+        z = cell_points(10)
+        f, sizes = raising(elliptic, z)
+        assert np.isnan(evaluate(f, z)).all()
+        # one call on all ten, then halves down to each point alone
+        assert len(sizes) == 19
+
+    def test_empty(self):
+        empty = np.zeros(0, dtype=complex)
+        assert evaluate(elliptic, empty).shape == (0,)
+        pair = lambda u: np.stack([u, 2 * u])
+        assert evaluate(pair, empty).shape == (2, 0)
 
 
 class TestLines:

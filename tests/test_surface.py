@@ -8,12 +8,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helikon import surface as surface_module
 from helikon.errors import NonpositiveLambda, NotUnitModulusC
 from helikon.expr import (
     Const,
     Expr,
     Involution,
     Plane,
+    Var,
     eval_expr,
     mul,
     parse_expr,
@@ -42,7 +44,7 @@ from helikon.surface import (
     symmetry_verify,
 )
 
-from references import conformal_factor, gauss_normal
+from references import conformal_factor, gauss_normal, screened_samples
 
 PLANE = Plane()
 PUNCTURED = Plane((0,))
@@ -198,6 +200,9 @@ class TestLopezRos:
             lopez_ros(catenoid(), -0.5)
         with pytest.raises(NonpositiveLambda):
             lopez_ros(catenoid(), 0.0)
+        for lam in (math.nan, math.inf):
+            with pytest.raises(NonpositiveLambda):
+                lopez_ros(catenoid(), lam)
 
 
 class TestCycleBasis:
@@ -262,22 +267,53 @@ def reference_involution_deviations(data, inv, samples):
     return devs
 
 
+def pole_at_sample():
+    """Plane data whose g = 1/(u - s) has its pole at s, the eighth generic
+    sample, so that the involution report must drop s and draw again."""
+    s = _generic_samples(PLANE, 20)[7]
+    data = WeierstrassData(
+        g=Expr(Const(1), PLANE) / (Expr(Var(), PLANE) - s),
+        dh=parse_expr("1 du", PLANE),
+        basepoint=0.0,
+    )
+    return data, s
+
+
 class TestSymmetry:
-    @pytest.mark.parametrize("scene", (None, "periodic-candidate.scene"))
-    def test_involution_report_matches_per_point(self, scene):
+    @pytest.mark.parametrize(
+        "scene", (None, "periodic-candidate.scene", "pole-at-sample")
+    )
+    def test_involution_report_matches_per_point(self, scene, monkeypatch):
         if scene is None:
             data, inv = helicoid(), Involution(0.0, PLANE)
+        elif scene == "pole-at-sample":
+            (data, s), inv = pole_at_sample(), Involution(0.0, PLANE)
         else:
             sc = load_scene(os.path.join(SCENES, scene))
             data, inv = sc.only_data(), sc.resolve_involution("I")
-        # both data sets accept their first 20 generic samples
-        samples = _generic_samples(data.domain, 20)
+        samples = screened_samples(data, inv)
+        if scene == "pole-at-sample":
+            assert s not in samples
+        else:
+            assert samples == _generic_samples(data.domain, 20)
+        seen = []
+        deviation = surface_module._sampled_form_deviation
+
+        def recorded(w, inv, samples):
+            seen.append(samples.tolist())
+            return deviation(w, inv, samples)
+
+        monkeypatch.setattr(
+            surface_module, "_sampled_form_deviation", recorded
+        )
         rep = involution_report(data, inv)
+        assert seen == [samples, samples]
         got = (rep.dh_dev, rep.dgg_dev, rep.c_dev)
         want = reference_involution_deviations(data, inv, samples)
         # arrays round differently from scalars; the deviations are
-        # differences of O(1) values
-        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-14
+        # differences of values of size up to |want|
+        for a, b in zip(got, want):
+            assert abs(a - b) < 1e-14 * max(1.0, b)
 
     def test_helicoid_involution_report(self):
         data = helicoid()
