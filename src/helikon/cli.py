@@ -281,8 +281,19 @@ def cmd_residues(scene, flags):
             f" period, {abs(lat.omega) / 2:g}"
         )
     points = _setting(opts, "residues", "points", _parse_complex_list, [])
+    dom = data.domain
     if not points:
-        points = list(data.domain.punctures)
+        points = list(dom.punctures)
+    # nor is one that reaches a second puncture
+    for p in points:
+        for q in dom.punctures:
+            d = abs(p - q) if lat is None else lat.distance(p, q)
+            if not dom.same_point(p, q) and not radius < d:
+                raise HelikonError(
+                    f"[residues] radius = {radius:g} about {p:g} reaches the"
+                    f" puncture {q:g}, {d:g} away"
+                    + (" modulo the lattice" if lat is not None else "")
+                )
     results = [
         {"point": p, "residue": r}
         for p, r in zip(points, residues(data.dh, points, radius))

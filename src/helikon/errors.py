@@ -82,7 +82,7 @@ class CoincidentPoints(HelikonError):
 
 
 class SingularJacobian(HelikonError):
-    """Newton/LM iteration hit an unusable Jacobian."""
+    """Damped Newton met a non-finite Jacobian or no norm-lowering step."""
 
 
 class PathThroughPole(HelikonError):

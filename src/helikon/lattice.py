@@ -125,3 +125,13 @@ class Lattice:
     def same_point(self, a, b, tol=1e-9):
         """True if a == b modulo the lattice (elementwise for arrays)."""
         return self.contains(a - b, tol)
+
+    def distance(self, a, b):
+        """|a - b| modulo the lattice, for scalars a and b."""
+        tau_r = self.tau_r
+        # <1, tau> = omega <1, tau'>, and in the reduced basis the lattice
+        # point nearest to u0 is a corner of the cell quarter holding it
+        u0, _, _ = reduce_to_cell((a - b) / self.omega, tau_r)
+        return abs(self.omega) * min(
+            abs(u0 - m - n * tau_r) for m in (-1, 0, 1) for n in (-1, 0, 1)
+        )

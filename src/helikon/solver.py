@@ -3,8 +3,8 @@
 A FamilySpec bundles a parameter layout, a constructor mapping parameter
 vectors to Weierstrass data, and the family's period map in closed form: a
 residual function and its Jacobian.  solve() runs damped Newton with that
-Jacobian and a Levenberg-Marquardt fallback, accepting only norm-decreasing
-steps, and keeps the singular values of every Newton step's Jacobian.
+Jacobian, accepting only norm-decreasing steps, and keeps the singular
+values of every Newton step's Jacobian.
 
 The standard genus-one family takes its conformal data (tau and the
 puncture E1) at construction, so its period problem is well posed:
@@ -18,12 +18,12 @@ family by construction and is checked after the solve, not solved for.
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .divisor import TWO_PI_I, check_abel, exp_factor_coefficient
-from .errors import CoincidentPoints, SingularJacobian
+from .errors import CoincidentPoints, HelikonError, SingularJacobian
 from .expr import (
     Const,
     Elliptic,
@@ -54,6 +54,8 @@ END_RADIUS = 0.08
 # punctures +-E1 must lie at least MIN_SEPARATION apart modulo the lattice
 CYCLE_BASE = -0.4871 - 0.3631j
 MIN_SEPARATION = 0.08
+# standard_g1h_family's residual refuses a Lopez-Ros factor rho below this
+MIN_RHO = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +91,6 @@ class FamilySpec:
     constructor: object
     residual: object
     jacobian: object
-    guard: object = None  # optional params-dict -> bool feasibility check
 
     def n_real(self):
         return sum(2 if kind == "complex" else 1 for _, kind in self.parameters)
@@ -128,10 +129,7 @@ class FamilySpec:
         return self.constructor(self.unpack(x))
 
     def residual_vector(self, x):
-        params = self.unpack(x)
-        if self.guard is not None and not self.guard(params):
-            raise CoincidentPoints("parameters left the feasible box")
-        return np.asarray(self.residual(params), dtype=float)
+        return np.asarray(self.residual(self.unpack(x)), dtype=float)
 
     def jacobian_matrix(self, x):
         return np.asarray(self.jacobian(self.unpack(x)), dtype=float)
@@ -282,6 +280,8 @@ def standard_g1h_family(tau=1j, shift=None, E1=0.25 + 0.1j, quad_tol=1e-10):
     t_du = period_triples(replace(unit, dh=du), cycles, quad_tol)
 
     def residual(params):
+        if not params["rho"] >= MIN_RHO:
+            raise CoincidentPoints("parameters left the feasible box")
         triples = t_dh + params["c"] * t_du
         return _closure(lopez_ros_triples(triples, params["rho"]))
 
@@ -300,7 +300,6 @@ def standard_g1h_family(tau=1j, shift=None, E1=0.25 + 0.1j, quad_tol=1e-10):
         constructor=constructor,
         residual=residual,
         jacobian=jacobian,
-        guard=lambda params: params["rho"] >= 0.05,
     )
 
 
@@ -311,97 +310,69 @@ def standard_g1h_family(tau=1j, shift=None, E1=0.25 + 0.1j, quad_tol=1e-10):
 @dataclass
 class SolveResult:
     params: np.ndarray
-    history: list = field(default_factory=list)
-    converged: bool = False
-    iterations: int = 0
-    singular_values: list = field(default_factory=list)  # one list per step
+    history: list  # residual norm at the start and after every step
+    converged: bool
+    singular_values: list  # one list per Newton step, largest first
 
     @property
     def final_norm(self):
-        return self.history[-1] if self.history else float("inf")
+        return self.history[-1]
+
+    @property
+    def iterations(self):
+        return len(self.history) - 1
 
 
 def solve(family, init, tol=1e-8, max_iter=50):
     """Drive the family's residual vector to zero.
 
     Damped Newton on the flattened real parameters, with the family's
-    Jacobian; when the full Newton
-    step fails to decrease the norm it is halved (up to 12 times), and when
-    even that stalls a Levenberg-Marquardt step with increasing damping is
-    tried.  Only norm-decreasing steps are accepted, so the recorded history
-    is monotone.  Raises SingularJacobian when no descent direction can be
-    produced; otherwise returns SolveResult with converged = final norm <
-    tol (recomputed from scratch, not cached) and the singular values of
-    every Newton step's Jacobian, largest first.
+    Jacobian: the least-squares Newton step is tried at full length and
+    then halved, up to 11 times, until it lowers the residual norm.  A
+    trial point the family refuses (HelikonError) counts as one that does
+    not.  Only norm-decreasing steps are taken, so the recorded history is
+    monotone.  Raises SingularJacobian when the Jacobian is not finite or
+    no trial lowers the norm (a nan norm included); otherwise returns
+    SolveResult with converged = final norm < tol (recomputed from
+    scratch, not cached) and the singular values of every Newton step's
+    Jacobian.
     """
     x = np.asarray(
         init if not isinstance(init, dict) else family.pack(init), dtype=float
     ).copy()
     r = family.residual_vector(x)
-    norm = float(np.linalg.norm(r))
-    history = [norm]
+    history = [float(np.linalg.norm(r))]
     singular_values = []
-    iterations = 0
 
-    for _ in range(max_iter):
-        if norm < tol:
-            break
+    # "not <" so that a nan norm enters the loop and raises
+    while not history[-1] < tol and len(singular_values) < max_iter:
         J = family.jacobian_matrix(x)
         if not np.all(np.isfinite(J)):
             raise SingularJacobian("non-finite Jacobian entries")
         step, _, _, sv = np.linalg.lstsq(J, -r, rcond=None)
         singular_values.append(sv.tolist())
-        accepted = False
-        # damped Newton: full step, then halving
-        scale = 1.0
-        for _ in range(12):
+        for k in range(12):
+            trial = x + 0.5**k * step
             try:
-                r_new = family.residual_vector(x + scale * step)
-            except Exception:
-                scale *= 0.5
+                r_new = family.residual_vector(trial)
+            except HelikonError:
                 continue
             n_new = float(np.linalg.norm(r_new))
-            if n_new < norm:
-                x = x + scale * step
-                r, norm = r_new, n_new
-                accepted = True
+            if n_new < history[-1]:
                 break
-            scale *= 0.5
-        if not accepted:
-            # Levenberg-Marquardt fallback with increasing damping
-            JtJ = J.T @ J
-            Jtr = J.T @ r
-            mu = 1e-4 * max(np.trace(JtJ) / max(J.shape[1], 1), 1e-30)
-            for _ in range(20):
-                try:
-                    lm = np.linalg.solve(JtJ + mu * np.eye(J.shape[1]), -Jtr)
-                    r_new = family.residual_vector(x + lm)
-                    n_new = float(np.linalg.norm(r_new))
-                except Exception:
-                    mu *= 10.0
-                    continue
-                if n_new < norm:
-                    x = x + lm
-                    r, norm = r_new, n_new
-                    accepted = True
-                    break
-                mu *= 10.0
-            if not accepted:
-                if norm >= tol:
-                    raise SingularJacobian(
-                        f"Newton and LM both stalled at residual norm {norm:.3g}"
-                    )
-                break
-        iterations += 1
-        history.append(norm)
+        else:
+            raise SingularJacobian(
+                f"no damped Newton step lowers the residual norm"
+                f" {history[-1]:.3g}"
+            )
+        x, r = trial, r_new
+        history.append(n_new)
 
     # recompute the final residual from scratch; never trust the cache
-    final_norm = float(np.linalg.norm(family.residual_vector(x)))
-    history[-1] = final_norm
+    history[-1] = float(np.linalg.norm(family.residual_vector(x)))
     return SolveResult(
         params=x,
         history=history,
-        converged=final_norm < tol,
-        iterations=iterations,
+        converged=history[-1] < tol,
         singular_values=singular_values,
     )

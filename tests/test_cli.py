@@ -340,6 +340,21 @@ class TestMain:
                  f"[residues]\nradius = {r}\n", [], "[residues] radius")
                 for r in ("0", "-0.05", "nan", "inf", "1e200")
             ),
+            # about 0.3i on tau = i, the other puncture -0.3i lies 0.4 away
+            # modulo the lattice, at 0.7i: a circle of radius 0.4 passes
+            # through it, and one of 0.45 encloses it and reported the sum
+            # of both residues
+            *(
+                ("residues", "periodic-candidate",
+                 f"[residues]\nradius = {r}\n", [],
+                 f"[residues] radius = {r} about 0+0.3j reaches the puncture"
+                 " 0-0.3j, 0.4 away")
+                for r in ("0.4", "0.45")
+            ),
+            ("residues", "catenoid",
+             "[residues]\npoints = 0.5\nradius = 0.6\n", [],
+             "[residues] radius = 0.6 about 0.5+0j reaches the puncture 0+0j,"
+             " 0.5 away"),
             ("residues", "periodic-candidate", "[residues]\npoints = 1, x\n",
              [], "[residues] points"),
             ("solve", "periodic-candidate", "[solve]\nmax_iter = x\n", [],
@@ -371,7 +386,9 @@ class TestMain:
             "periods-tol", "flux-tol", "symmetry-tol", "involution-tol",
             "solve-tol", "sweep-tol", "samples", "samples-0",
             "samples-negative", "radius", "radius-0", "radius-negative",
-            "radius-nan", "radius-inf", "radius-1e200", "points",
+            "radius-nan", "radius-inf", "radius-1e200",
+            "radius-through-puncture", "radius-around-puncture",
+            "radius-plane-puncture", "points",
             "max_iter", "init_rho", "init_c", "shift", "E1", "tau", "lambdas",
             "lambdas-nan", "audit-target", "--tol-x", "--tol-0",
             "--tol-negative", "--tol-nan", "--lambda", "--lambda-nan",
@@ -380,9 +397,10 @@ class TestMain:
     )
     def test_bad_setting_exit_code(self, tmp_path, capsys, command,
                                    scene_file, body, flags, where):
-        # a value that does not parse, or a tol, radius or lambda that is
-        # not finite and positive, is one error line naming the setting or
-        # the value, never a traceback or a report at some other value
+        # a value that does not parse, a tol, radius or lambda that is not
+        # finite and positive, or a radius that reaches a second puncture,
+        # is one error line naming the setting or the value, never a
+        # traceback or a report at some other value
         if scene_file is None:
             text = "[data d]\ndomain = plane\ng = u\ndh = 1 du\n"
         else:
@@ -395,6 +413,27 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert where in err
+
+    def test_probe_pair_rows(self, tmp_path, capsys):
+        # Enneper's surface folds over itself within the rectangle: every
+        # reported pair is close in space and far apart on the surface
+        enneper = tmp_path / "enneper.scene"
+        enneper.write_text(
+            "[data enneper]\ndomain = plane\ng = u\ndh = u du\n"
+            "basepoint = 0\n[probe]\nrect = -2, 2, -2, 2\n"
+            "resolution = 40x40\ndelta_ext = 0.1\ndelta_int = 2.0\n"
+        )
+        code = main(["probe", "--scene", str(enneper)])
+        assert code == 2
+        rep = json.loads(capsys.readouterr().out)
+        pairs = rep["results"]["pairs"]
+        delta_int = rep["settings"]["delta_int"]
+        assert pairs and rep["results"]["embedded"] is False
+        for row in pairs:
+            assert type(row["a"]) is int and type(row["b"]) is int
+            assert row["extrinsic"] < rep["settings"]["delta_ext"]
+            # "inf" where the search stopped at its cutoff
+            assert row["intrinsic"] == "inf" or row["intrinsic"] > delta_int
 
     @pytest.mark.parametrize("power", ["0^-1", "10^400"])
     def test_constant_power_exit_code(self, tmp_path, capsys, power):

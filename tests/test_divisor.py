@@ -481,6 +481,26 @@ class TestBatchedDivisor:
         z = 0.24121 + 0.04629j
         assert_entries_near(dv.entries, [(z, 1), (-z, 1), (0j, -2)], 1j, 1e-12)
 
+    def test_pole_on_first_grid_edge_jitters(self, monkeypatch):
+        # wp(u - s) has its double pole at s, on the bottom edge of the
+        # first grid (s = FIRST_BASE + 0.3), and its double zero at
+        # s + (1 + i)/2: the first grid fails, the second finds both
+        s = FIRST_BASE + 0.3
+        bases = []
+        locate = divisor_module._locate_with_base
+
+        def recorded(*args, **kwargs):
+            bases.append(args[3])
+            return locate(*args, **kwargs)
+
+        monkeypatch.setattr(divisor_module, "_locate_with_base", recorded)
+        form = parse_expr(f"wp(u - ({s.real!r} + {s.imag!r}*i)) du", TORUS)
+        dv = locate_divisor(form)
+        assert bases == [FIRST_BASE, 0.09184 + 0.076j]
+        assert_entries_near(
+            dv.entries, [(s, -2), (s + 0.5 + 0.5j, 2)], 1j, 1e-12
+        )
+
     def test_quadrature_runs_per_grid(self, monkeypatch):
         # one run for the grid and one per refinement round, over the
         # distinct cell sides (8 x 9 horizontal and 9 x 8 vertical ones on

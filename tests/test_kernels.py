@@ -109,6 +109,19 @@ class TestLattice:
         assert lat_g.same_point(u, u + 2 - 5 * lat_g.tau)
         assert not lat_g.same_point(u, u + 0.25)
 
+    @pytest.mark.parametrize(
+        "tau", [1j, TAU_GENERIC, 3.4 + 0.3j, -0.45 + 0.2j])
+    def test_distance_mod_lattice(self, tau):
+        # against the nearest of the lattice points m + n tau, |m| <= 200,
+        # |n| <= 40: enough for these tau and |Re|, |Im| of a - b <= 6
+        lat = Lattice(tau)
+        m, n = np.meshgrid(np.arange(-200, 201), np.arange(-40, 41))
+        points = (m + n * tau).ravel()
+        rng = np.random.default_rng(5)
+        for a, b in rng.uniform(-3, 3, (20, 2, 2)) @ [1, 1j]:
+            want = np.abs(a - b - points).min()
+            assert abs(lat.distance(a, b) - want) <= 1e-12 * max(1, want)
+
 
 class TestIdentities:
     def test_wp_parity(self, lat_g):

@@ -1,5 +1,6 @@
-"""Family construction, residual conditions, and the Newton/LM driver."""
+"""Family construction, residual conditions, and the damped-Newton driver."""
 
+import math
 import os
 
 import numpy as np
@@ -65,6 +66,21 @@ def toy_family(residual_fn, derivative_fn):
         residual=lambda params: [residual_fn(params["x"])],
         jacobian=lambda params: [[derivative_fn(params["x"])]],
     )
+
+
+def refusing_toy(error):
+    """Root x = 1, residual x - 1 with a derivative of 1/2, so that the full
+    first step from 0 lands at x = 2, where the residual raises error (for
+    every x >= 1.5); also returns the list of trial points."""
+    trials = []
+
+    def residual(x):
+        trials.append(x)
+        if x >= 1.5:
+            raise error("parameters left the feasible box")
+        return x - 1.0
+
+    return toy_family(residual, lambda x: 0.5), trials
 
 
 class TestFamilyConstruction:
@@ -241,6 +257,30 @@ class TestDriver:
         res = solve(fam, np.array([0.0]), tol=1e-13)
         assert abs(res.final_norm) < 1e-13
         assert res.history[-1] == res.final_norm
+
+    def test_nan_residual_raises(self):
+        # no trial lowers a nan norm, so the driver raises instead of
+        # returning a result that merely reads "not converged"
+        fam = toy_family(lambda x: math.nan, lambda x: 1.0)
+        with pytest.raises(SingularJacobian):
+            solve(fam, np.array([0.5]))
+
+    def test_refused_trial_is_halved(self):
+        # a refusal of helikon's own (here CoincidentPoints) counts as a
+        # trial that does not lower the norm: the half step lands on the root
+        fam, trials = refusing_toy(CoincidentPoints)
+        res = solve(fam, np.array([0.0]), tol=1e-12)
+        assert res.converged and res.params[0] == 1.0
+        assert trials == [0.0, 2.0, 1.0, 1.0]
+        assert res.history == [1.0, 0.0] and res.iterations == 1
+
+    def test_residual_bug_propagates(self):
+        # an error that is not helikon's own is a bug in the residual, not
+        # a refused trial
+        fam, trials = refusing_toy(TypeError)
+        with pytest.raises(TypeError):
+            solve(fam, np.array([0.0]), tol=1e-12)
+        assert trials == [0.0, 2.0]
 
 
 class TestPeriodProblem:

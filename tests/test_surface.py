@@ -22,7 +22,7 @@ from helikon.expr import (
     pullback,
     torus,
 )
-from helikon.paths import circle, polyline
+from helikon.paths import Arc, circle, polyline
 from helikon.scene import load_scene
 from helikon.surface import (
     CycleBasis,
@@ -95,6 +95,19 @@ class TestImmersion:
         route = straight_route(data, -1.0)
         got = immerse(data, -1.0, route=route)
         assert np.all(np.isfinite(got))
+
+    def test_involuted_detour(self):
+        # the route 1 -> -1 detours around the puncture 0 by an arc; its
+        # image about c runs through c - point(t) on every segment
+        route = straight_route(catenoid(), -1.0)
+        c = 0.2 + 0.1j
+        image = _involute_path(route, c)
+        assert any(isinstance(seg, Arc) for seg in route.segments)
+        assert len(image.segments) == len(route.segments)
+        for seg, moved in zip(route.segments, image.segments):
+            assert type(moved) is type(seg)
+            for t in (0.0, 0.5, 1.0):
+                assert abs(moved.point(t) - (c - seg.point(t))) < 1e-14
 
     def test_gauss_normal_unit(self):
         data = helicoid()
