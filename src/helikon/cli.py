@@ -287,12 +287,11 @@ def cmd_residues(scene, flags):
     # nor is one that reaches a second puncture
     for p in points:
         for q in dom.punctures:
-            d = abs(p - q) if lat is None else lat.distance(p, q)
+            d = dom.distance(p, q)
             if not dom.same_point(p, q) and not radius < d:
                 raise HelikonError(
                     f"[residues] radius = {radius:g} about {p:g} reaches the"
                     f" puncture {q:g}, {d:g} away"
-                    + (" modulo the lattice" if lat is not None else "")
                 )
     results = [
         {"point": p, "residue": r}
@@ -351,7 +350,7 @@ def cmd_solve(scene, flags):
         tau = _setting(opts, "solve", "tau", parse_complex, 1j)
     shift = _setting(opts, "solve", "shift", parse_complex)
     tol = _tol(opts, flags, "solve", 1e-8)
-    max_iter = _setting(opts, "solve", "max_iter", int, 50)
+    max_iter = _setting(opts, "solve", "max_iter", _count, 50)
     E1 = _setting(opts, "solve", "E1", parse_complex)
     pinned = {} if E1 is None else {"E1": E1}
     init = {

@@ -258,13 +258,11 @@ def _locate_with_base(f, fp, lat, base, grid):
     entries = []
     points = _moment_points(f, fp, base, e1, e2, hot)
     for point, (*_, k) in zip(points.tolist(), hot):
-        merged = False
         for i, (p, n) in enumerate(entries):
             if lat.same_point(p, point, 1e-6):
                 entries[i] = (p, n + k)
-                merged = True
                 break
-        if not merged:
+        else:
             entries.append((point, k))
     entries = [(p, n) for p, n in entries if n != 0]
     # rounded well above the location error, so that points equal in exact
@@ -332,9 +330,7 @@ def _classify(sym, p, b):
 
 def abel_defect(zeros, poles, lat):
     """Distance of (sum of zeros - sum of poles) from the lattice."""
-    d = sum(complex(z) for z in zeros) - sum(complex(p) for p in poles)
-    d0, _, _ = reduce_to_cell(d, lat.tau)
-    return abs(d0)
+    return lat.distance(sum(map(complex, zeros)), sum(map(complex, poles)))
 
 
 def check_abel(zeros, poles, lat, tol=1e-8):

@@ -19,7 +19,7 @@ class PoleAt(HelikonError):
 
 
 class NonFiniteSample(HelikonError):
-    """Integrand returned a non-finite value on the integration path."""
+    """A value that must be finite (an integrand's, g(p0)) is not."""
 
 
 class NoConvergence(HelikonError):

@@ -54,8 +54,11 @@ class Plane:
     def lattice(self):
         return None
 
+    def distance(self, a, b):
+        return abs(a - b)
+
     def same_point(self, a, b, tol=1e-9):
-        return abs(a - b) < tol
+        return self.distance(a, b) < tol
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,9 @@ class Torus:
     @property
     def lattice(self):
         return self.lat
+
+    def distance(self, a, b):
+        return self.lat.distance(a, b)
 
     def same_point(self, a, b, tol=1e-9):
         return self.lat.same_point(a, b, tol)
@@ -500,26 +506,23 @@ def eval_expr(e, u):
     """Value of the expression at u; raises PoleAt/DomainViolation.
 
     A complex for a scalar u; for an ndarray u, an array of its shape (and
-    the errors name the first offending point).
+    the errors name the first offending point).  A scalar runs as a
+    one-point array, so that an overflow gives inf there too.
     """
     node = e.coeff.node if isinstance(e, FormExpr) else e.node
     domain = e.domain
     scalar = np.ndim(u) == 0
-    u = complex(u) if scalar else np.asarray(u, dtype=complex)
+    u = np.atleast_1d(np.asarray(u, dtype=complex))
     if domain.punctures:
-        # every point (a row) against every puncture (a column) at once,
-        # modulo the lattice on a torus
-        points = np.asarray(u)[..., None]
-        hit = domain.same_point(points, np.array(domain.punctures), 1e-10)
-        hit = hit.any(axis=-1)
+        # every point (a row) against every puncture (a column) at once
+        hit = domain.same_point(u[..., None], domain.punctures, 1e-10)
         if np.count_nonzero(hit):
-            raise DomainViolation(
-                f"u = {kernels.first_where(u, hit)} is a declared puncture"
-            )
+            where = kernels.first_where(u, hit.any(axis=-1))
+            raise DomainViolation(f"u = {where} is a declared puncture")
     val = _eval_node(node, u, domain.lattice)
-    if scalar:
-        return complex(val)
-    return np.full(u.shape, val) if np.ndim(val) == 0 else val
+    if np.ndim(val) == 0:
+        val = np.full(u.shape, val)
+    return complex(val[0]) if scalar else val
 
 
 def reciprocal_values(values, u):
@@ -563,13 +566,8 @@ class Involution:
         self.center = complex(center)
         self.domain = domain
         lat = domain.lattice
-        if lat is None:
-            fixed = (self.center / 2.0,)
-        else:
-            half = self.center / 2.0
-            fixed = tuple(
-                half + w for w in (0.0, 0.5, lat.tau / 2.0, (1.0 + lat.tau) / 2.0)
-            )
+        periods = () if lat is None else lat.half_periods()
+        fixed = tuple(self.center / 2.0 + w for w in (0.0, *periods))
         self.fixed_points = fixed
         if p0 is None:
             p0 = fixed[0]

@@ -72,9 +72,7 @@ def theta_sums(v0, terms, count):
 
 
 def first_where(u, mask):
-    """The first point of u where mask holds; u itself when it is a scalar."""
-    if np.ndim(u) == 0:
-        return u
+    """The first point of u where mask holds."""
     return complex(np.asarray(u)[np.asarray(mask)].flat[0])
 
 
@@ -153,7 +151,7 @@ def _kernel(body, u, lat, poles=True):
     if poles:
         near = np.abs(v0) < POLE_RADIUS / abs(lat.omega)
         if np.count_nonzero(near):
-            raise PoleAt(first_where(u, near))
+            raise PoleAt(first_where(z, near))
     out = body(v0, m, n, lat)
     return complex(out[0]) if np.ndim(u) == 0 else out
 

@@ -25,6 +25,10 @@ LEGENDRE_CONSTANT = 2j * cmath.pi
 # wp''s theta_4(2v, q'^2) n = 1 term, up to 1 on the cell, is w times c_1 w^3
 # with c_1 = -q'^2, which leaves the normal doubles at Im(tau') = 112.7
 MAX_IM_TAU_R = 100.0
+# the reduced cell's sides lie Im(tau')/2 and Im(tau')/(2|tau'|) >= sqrt(3)/4
+# from 0, so a point within this of the lattice has its offset from the
+# nearest lattice point for its cell point v0: the distance is |v0| below it
+CELL_INRADIUS = math.sqrt(3) / 4
 
 
 def reduce_modulus(tau):
@@ -116,22 +120,23 @@ class Lattice:
         """|eta1*tau - eta2 - 2*pi*i|; should be ~10*series_tol or below."""
         return abs(self.eta1 * self.tau - self.eta2 - LEGENDRE_CONSTANT)
 
-    def contains(self, u, tol=1e-9):
-        """True if u is a lattice point to within tol (elementwise for an
-        array u)."""
-        u0, _, _ = reduce_to_cell(u, self.tau)
-        return abs(u0) < tol
+    def distance(self, a, b):
+        """|a - b| modulo the lattice, elementwise for arrays (which
+        broadcast): |omega| |v0 - m - n tau'| for the cell point v0 of
+        (a - b) / omega and the nearest m + n tau', |m|, |n| <= 1."""
+        u = np.subtract(a, b, dtype=complex) * (1 / self.omega)
+        v0 = np.atleast_1d(reduce_to_cell(u, self.tau_r)[0])
+        r = np.abs(v0)
+        far = r >= CELL_INRADIUS
+        if np.count_nonzero(far):
+            near = np.add.outer([-1, 0, 1], [-self.tau_r, 0, self.tau_r])
+            r[far] = np.abs(v0[far, None] - near.ravel()).min(axis=1)
+        return abs(self.omega) * (float(r[0]) if u.ndim == 0 else r)
 
     def same_point(self, a, b, tol=1e-9):
-        """True if a == b modulo the lattice (elementwise for arrays)."""
-        return self.contains(a - b, tol)
-
-    def distance(self, a, b):
-        """|a - b| modulo the lattice, for scalars a and b."""
-        tau_r = self.tau_r
-        # <1, tau> = omega <1, tau'>, and in the reduced basis the lattice
-        # point nearest to u0 is a corner of the cell quarter holding it
-        u0, _, _ = reduce_to_cell((a - b) / self.omega, tau_r)
-        return abs(self.omega) * min(
-            abs(u0 - m - n * tau_r) for m in (-1, 0, 1) for n in (-1, 0, 1)
-        )
+        """distance(a, b) < tol, elementwise for arrays; for a tol up to
+        CELL_INRADIUS |omega|, decided by the cell point alone."""
+        if tol <= CELL_INRADIUS * abs(self.omega):
+            v0, _, _ = reduce_to_cell((a - b) * (1 / self.omega), self.tau_r)
+            return abs(self.omega) * np.abs(v0) < tol
+        return self.distance(a, b) < tol

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from .errors import (
     DomainError,
     ExprSyntaxError,
+    HelikonError,
+    InvalidModulus,
     SceneParseError,
     SceneValidationError,
     UnresolvedReference,
@@ -21,12 +23,11 @@ from .expr import (
     Involution,
     Plane,
     Torus,
-    eval_expr,
     parse_expr,
 )
 from .lattice import Lattice
 from .paths import circle, polyline, rectangle
-from .surface import CycleBasis, WeierstrassData
+from .surface import CycleBasis, WeierstrassData, finite_value
 
 def parse_complex(text):
     """Parse '1.5', '2i', '1+2i', '-0.5-0.3i', 'i', '-i': a real, or a
@@ -190,7 +191,7 @@ def load_scene(path):
             tol = _entry(section, "series_tol", parse_positive, 1e-14)
             try:
                 scene.lattice = Lattice(tau, series_tol=tol)
-            except Exception as exc:
+            except InvalidModulus as exc:
                 raise SceneValidationError(entries["tau"][1], str(exc)) from exc
 
     for section in sections:
@@ -226,13 +227,11 @@ def load_scene(path):
                 )
             basepoint = _entry(section, "basepoint", parse_complex, 0j)
             try:
-                eval_expr(g, basepoint)
-                eval_expr(dh, basepoint)
-            except Exception as exc:
+                finite_value(g, basepoint)
+                finite_value(dh, basepoint)
+            except HelikonError as exc:
                 raise SceneValidationError(
-                    entries.get("basepoint", ("", lineno))[1]
-                    if "basepoint" in entries
-                    else lineno,
+                    entries.get("basepoint", (None, lineno))[1],
                     f"basepoint hits a singularity: {exc}",
                 ) from exc
             scene.data[name] = WeierstrassData(

@@ -38,7 +38,6 @@ from .expr import (
     mul,
     sub,
 )
-from .kernels import reduce_to_cell
 from .lattice import Lattice
 from .paths import circle, generator, integrate_paths
 from .surface import (
@@ -252,14 +251,6 @@ def standard_g1h_family(tau=1j, shift=None, E1=0.25 + 0.1j, quad_tol=1e-10):
     E1 = complex(E1)
     if shift is None:
         shift = 0.5 + 0.5 * tau
-    sep = min(
-        abs(reduce_to_cell(2 * E1 + off, tau)[0])
-        for off in (0, -1, -tau, -1 - tau)
-    )
-    if sep < MIN_SEPARATION:
-        raise CoincidentPoints(
-            f"punctures +-{E1} are {sep:.3g} apart modulo the lattice"
-        )
     cycles = [generator(CYCLE_BASE, 1), generator(CYCLE_BASE, tau)]
 
     def constructor(params):
@@ -275,6 +266,11 @@ def standard_g1h_family(tau=1j, shift=None, E1=0.25 + 0.1j, quad_tol=1e-10):
         )
 
     unit = constructor({"rho": 1.0, "c": 0.0})
+    sep = unit.domain.lattice.distance(E1, -E1)
+    if sep < MIN_SEPARATION:
+        raise CoincidentPoints(
+            f"punctures +-{E1} are {sep:.3g} apart modulo the lattice"
+        )
     du = FormExpr(Expr(Const(1.0), unit.domain))
     t_dh = period_triples(unit, cycles, quad_tol)
     t_du = period_triples(replace(unit, dh=du), cycles, quad_tol)

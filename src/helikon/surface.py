@@ -18,6 +18,7 @@ import numpy as np
 from .divisor import locate_divisor
 from .errors import (
     DomainError,
+    NonFiniteSample,
     NonpositiveLambda,
     NotUnitModulusC,
     PathThroughPole,
@@ -287,6 +288,15 @@ def lopez_ros_triples(triples, lam):
     return triples
 
 
+def finite_value(e, u):
+    """eval_expr(e, u) at a scalar u; NonFiniteSample unless it is finite."""
+    with np.errstate(all="ignore"):
+        val = eval_expr(e, u)
+    if not cmath.isfinite(val):
+        raise NonFiniteSample(f"{e.to_text()} is {val} at u = {u}, not finite")
+    return val
+
+
 def _generic_samples(domain, n, seed=SAMPLE_SEED):
     """Deterministic generic points inside the fundamental cell / unit box."""
     rng = np.random.default_rng(seed)
@@ -298,8 +308,7 @@ def _generic_samples(domain, n, seed=SAMPLE_SEED):
             u = complex(2.4 * s - 1.2, 1.6 * t - 0.8)
         else:
             u = s + t * lat.tau
-        ok = all(not domain.same_point(u, p, 5e-2) for p in domain.punctures)
-        if ok:
+        if not any(domain.same_point(u, p, 5e-2) for p in domain.punctures):
             out.append(u)
     return out
 
@@ -352,7 +361,8 @@ def involution_report(data, inv, tol=1e-8, n_samples=20):
             raise SampleAtPole("could not find pole-free generic samples")
     dh_dev = _sampled_form_deviation(data.dh, inv, samples)
     dgg_dev = _sampled_form_deviation(dgg, inv, samples)
-    C = eval_expr(data.g, inv.p0) ** 2
+    g_p0 = finite_value(data.g, inv.p0)
+    C = g_p0 * g_p0  # inf where the square overflows, never OverflowError
     images = eval_expr(data.g, inv.center - samples)
     c_dev = float(np.abs(images * eval_expr(data.g, samples) - C).max())
     return InvolutionReport(
@@ -393,8 +403,8 @@ def symmetry_verify(data, inv, samples):
     is farther than UNIT_BAND from 1, the branch where vertical flux is
     forced instead.
     """
-    g_p0 = eval_expr(data.g, inv.p0)
-    C = g_p0 ** 2
+    g_p0 = finite_value(data.g, inv.p0)
+    C = g_p0 * g_p0
     if abs(abs(C) - 1.0) > UNIT_BAND:
         raise NotUnitModulusC(C)
     phase = cmath.exp(-1j * cmath.phase(g_p0)) if g_p0 != 0 else 1.0
@@ -457,11 +467,9 @@ def pole_zero_pairing(data, inv, tol=1e-8):
     zeros = gdiv.zeros()
     for p, m in gdiv.poles():
         image = inv.apply(p)
-        match = None
-        for z, n in zeros:
-            if lat.same_point(z, image, 1e-6):
-                match = (z, n)
-                break
+        match = next(
+            ((z, n) for z, n in zeros if lat.same_point(z, image, 1e-6)), None
+        )
         if match is None:
             violations.append(f"pole at {p} (order {m}) has no zero at I(p)")
         elif match[1] != m:

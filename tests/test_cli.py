@@ -357,8 +357,11 @@ class TestMain:
              " 0.5 away"),
             ("residues", "periodic-candidate", "[residues]\npoints = 1, x\n",
              [], "[residues] points"),
-            ("solve", "periodic-candidate", "[solve]\nmax_iter = x\n", [],
-             "[solve] max_iter"),
+            *(
+                ("solve", "periodic-candidate", f"[solve]\nmax_iter = {n}\n",
+                 [], "[solve] max_iter")
+                for n in ("x", "-3", "0")
+            ),
             ("solve", "periodic-candidate", "[solve]\ninit_rho = x\n", [],
              "[solve] init_rho"),
             ("solve", "periodic-candidate", "[solve]\ninit_c = x\n", [],
@@ -389,7 +392,8 @@ class TestMain:
             "radius-nan", "radius-inf", "radius-1e200",
             "radius-through-puncture", "radius-around-puncture",
             "radius-plane-puncture", "points",
-            "max_iter", "init_rho", "init_c", "shift", "E1", "tau", "lambdas",
+            "max_iter", "max_iter-negative", "max_iter-0", "init_rho",
+            "init_c", "shift", "E1", "tau", "lambdas",
             "lambdas-nan", "audit-target", "--tol-x", "--tol-0",
             "--tol-negative", "--tol-nan", "--lambda", "--lambda-nan",
             "--lambda-inf",
@@ -398,9 +402,10 @@ class TestMain:
     def test_bad_setting_exit_code(self, tmp_path, capsys, command,
                                    scene_file, body, flags, where):
         # a value that does not parse, a tol, radius or lambda that is not
-        # finite and positive, or a radius that reaches a second puncture,
-        # is one error line naming the setting or the value, never a
-        # traceback or a report at some other value
+        # finite and positive, a count (samples, max_iter) below 1, or a
+        # radius that reaches a second puncture, is one error line naming
+        # the setting or the value, never a traceback or a report at some
+        # other value
         if scene_file is None:
             text = "[data d]\ndomain = plane\ng = u\ndh = 1 du\n"
         else:
@@ -434,6 +439,21 @@ class TestMain:
             assert row["extrinsic"] < rep["settings"]["delta_ext"]
             # "inf" where the search stopped at its cutoff
             assert row["intrinsic"] == "inf" or row["intrinsic"] > delta_int
+
+    @pytest.mark.parametrize("command", ["symmetry", "involution"])
+    def test_overflowing_g_exit_code(self, tmp_path, capsys, command):
+        # g = u^400 overflows at the fixed point p0 = 10: one error line
+        # naming g, no traceback
+        big = tmp_path / "big.scene"
+        big.write_text(
+            "[data d]\ndomain = plane\ng = u^400\ndh = 1 du\n"
+            "[involution I]\ncenter = 20\n"
+        )
+        code = main([command, "--scene", str(big), "--no-json"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "u^400 is (inf+0j) at u = (10+0j), not finite" in err
 
     @pytest.mark.parametrize("power", ["0^-1", "10^400"])
     def test_constant_power_exit_code(self, tmp_path, capsys, power):

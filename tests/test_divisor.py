@@ -44,7 +44,6 @@ from helikon.expr import (
     pullback,
     torus,
 )
-from helikon.kernels import reduce_to_cell
 from helikon.lattice import Lattice
 from helikon.paths import integrate_path, polyline
 from helikon.scene import load_scene
@@ -95,7 +94,7 @@ class TestDivisorLocation:
         # wp's double pole sits on the lattice
         poles = dv.poles()
         assert len(poles) == 1 and poles[0][1] == 2
-        assert LAT.contains(poles[0][0], 1e-6)
+        assert LAT.same_point(poles[0][0], 0, 1e-6)
 
     def test_wp_prime_divisor(self):
         dv, ok = divisor_audit(parse_expr("wpp(u) du", TORUS))
@@ -142,6 +141,12 @@ class TestAbel:
             check_abel([0.2], [0.35], LAT)
         with pytest.raises(AbelViolation):
             check_abel([0.2, 0.1], [0.3], LAT)
+
+    def test_defect_on_skewed_lattice(self):
+        # 0.045i is 0.045 from the lattice of tau = 3.4 + 0.3i; its cell
+        # point in the basis <1, tau> lies about 1 from 0
+        lat = Lattice(3.4 + 0.3j)
+        assert abs(abel_defect([0.045j], [0], lat) - 0.045) < 1e-12
 
     def test_lattice_shifted_divisor_allowed(self):
         check_abel([0.2 + 1j, -0.2], [0.1, -0.1 + 1.0], LAT)
@@ -404,7 +409,7 @@ EDGE_ZERO = "0.24121 + 0.04629*i"  # FIRST_BASE + 3/16
 
 def distance(a, b, tau):
     """|a - b| modulo the lattice <1, tau>."""
-    return abs(reduce_to_cell(complex(a) - complex(b), tau)[0])
+    return Lattice(tau).distance(complex(a), complex(b))
 
 
 def assert_entries_near(entries, want, tau, tol):

@@ -105,9 +105,14 @@ class TestLattice:
 
     def test_same_point_mod_lattice(self, lat_g):
         u = 0.37 + 0.21j
-        assert lat_g.contains(3 + 2 * lat_g.tau)
+        assert lat_g.same_point(3 + 2 * lat_g.tau, 0)
         assert lat_g.same_point(u, u + 2 - 5 * lat_g.tau)
         assert not lat_g.same_point(u, u + 0.25)
+        # on tau = 3.4 + 0.3i the cell point of 0.045i in the basis <1, tau>
+        # lies about 1 from 0, though 0.045i is 0.045 from the lattice
+        skew = Lattice(3.4 + 0.3j)
+        assert skew.same_point(0.045j, 0, 0.05)
+        assert not skew.same_point(0.045j, 0, 0.04)
 
     @pytest.mark.parametrize(
         "tau", [1j, TAU_GENERIC, 3.4 + 0.3j, -0.45 + 0.2j])
@@ -121,6 +126,16 @@ class TestLattice:
         for a, b in rng.uniform(-3, 3, (20, 2, 2)) @ [1, 1j]:
             want = np.abs(a - b - points).min()
             assert abs(lat.distance(a, b) - want) <= 1e-12 * max(1, want)
+        # an (n, 1) column against a (p,) row broadcasts to (n, p), and
+        # same_point agrees with distance on both sides of CELL_INRADIUS
+        a = rng.uniform(-3, 3, (12, 1, 2)) @ [1, 1j]
+        b = rng.uniform(-3, 3, (5, 2)) @ [1, 1j]
+        want = np.abs((a - b)[..., None] - points).min(axis=-1)
+        got = lat.distance(a, b)
+        assert got.shape == (12, 5)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1, want))
+        for tol in (0.1, 0.3, 0.6, 1.0):
+            assert np.array_equal(lat.same_point(a, b, tol), got < tol)
 
 
 class TestIdentities:

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from helikon import scene as scene_module
 from helikon.errors import (
     SceneParseError,
     SceneValidationError,
@@ -158,6 +159,27 @@ class TestValidation:
         with pytest.raises(SceneValidationError) as err:
             load_scene(path)
         assert err.value.line == 6
+
+    def test_basepoint_overflow(self, tmp_path):
+        # u^400 overflows to inf at the basepoint 20: refused at its line
+        path = write(
+            tmp_path,
+            "[data d]\ndomain = plane\ng = u^400\ndh = 1 du\nbasepoint = 20\n",
+        )
+        with pytest.raises(SceneValidationError, match="not finite") as err:
+            load_scene(path)
+        assert err.value.line == 5
+
+    def test_basepoint_check_lets_bugs_through(self, tmp_path, monkeypatch):
+        # only helikon's own errors are scene errors: a bug in evaluation
+        # shows as itself
+        def broken(e, u):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(scene_module, "finite_value", broken)
+        path = write(tmp_path, MINIMAL)
+        with pytest.raises(TypeError, match="bug"):
+            load_scene(path)
 
     def test_unknown_domain_kind(self, tmp_path):
         path = write(

@@ -161,6 +161,13 @@ class TestFamilySpec:
                 standard_g1h_family(E1=E1)
         standard_g1h_family(E1=0.3j)
 
+    def test_separation_on_skewed_lattice(self):
+        # on tau = 3.4 + 0.3i, +-(1 + 0.025i) lie 0.05 apart modulo the
+        # lattice, though the cell point of 2 E1 in <1, tau> lies 1.0012
+        # from 0
+        with pytest.raises(CoincidentPoints, match="0.05 apart"):
+            standard_g1h_family(tau=3.4 + 0.3j, E1=1 + 0.025j)
+
     def test_residual_matches_quadrature(self):
         # the closed form against HorizontalPeriod on the built data, with
         # the unit member's integrals and the reference at the same tol

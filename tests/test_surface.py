@@ -293,6 +293,15 @@ def pole_at_sample():
 
 
 class TestSymmetry:
+    def test_generic_samples_keep_clear_on_skewed_lattice(self):
+        # every sample lies at least 5e-2 from the puncture modulo the
+        # lattice, measured by the distance, not by a cell point of <1, tau>
+        p = 0.5 + 0.15j
+        domain = torus(3.4 + 0.3j, (p,))
+        samples = _generic_samples(domain, 200)
+        assert len(samples) == 200
+        assert min(domain.distance(u, p) for u in samples) >= 5e-2
+
     @pytest.mark.parametrize(
         "scene", (None, "periodic-candidate.scene", "pole-at-sample")
     )
