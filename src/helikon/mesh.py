@@ -11,10 +11,17 @@ built only when read.
 
 The self-intersection probe pairs a spatial hash (extrinsic nearness) with
 shortest paths on the mesh edge graph (intrinsic separation) — the
-discretized form of a near-pair with large intrinsic distance.  The graph
-is a CSR form of the edge arrays, built only when there are candidates.
-Far pairs come source by source from one generator: the probe lists them
-all, while a lambda sweep's verdict stops at the first.
+discretized form of a near-pair with large intrinsic distance.  Two exact
+bounds keep the searches few and short.  From above: a candidate whose
+grid L-path (prefix sums of edge lengths along one grid row and one grid
+column) is at most the threshold times (1 - 1e-9) is near, and is dropped
+unsearched.  From below: every edge is at least as long as its chord, so
+(1 - 1e-9) times the straight-line distance to the targets steers an A*
+search that settles what Dijkstra would.  Both 1e-9 slacks absorb
+rounding, so the pairs and their distances are Dijkstra's to the bit.  The
+graph is a CSR form of the edge arrays, built only when candidates survive
+the first bound.  Far pairs come source by source from one generator: the
+probe lists them all, while a lambda sweep's verdict stops at the first.
 """
 
 import heapq
@@ -96,7 +103,7 @@ class SamplingSpec:
 class SurfaceMesh:
     """A triangulated grid held as arrays: per vertex its u, position and
     unit normal; the faces; per grid edge its two vertex indices and its
-    intrinsic length."""
+    intrinsic length; and per grid point its vertex index."""
 
     u: np.ndarray  # complex, one per vertex
     xyz: np.ndarray  # (V, 3) positions
@@ -104,6 +111,9 @@ class SurfaceMesh:
     faces: list  # of (i, j, k) vertex indices
     edge_ends: np.ndarray  # (E, 2) vertex indices
     edge_lengths: np.ndarray  # (E,) intrinsic lengths
+    # (nx, ny) vertex index per grid point, -1 if excluded; each vertex
+    # sits at one grid point
+    grid: np.ndarray
     label: str = ""
     _lists: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -189,6 +199,7 @@ class _MeshIntegrals(NamedTuple):
     """
 
     verts: np.ndarray  # complex u per vertex
+    grid: np.ndarray  # (nx, ny) vertex index per grid point, -1 if excluded
     faces: list
     child: np.ndarray
     parent: np.ndarray
@@ -282,6 +293,7 @@ def _mesh_integrals(data, spec, tol=1e-10):
 
     return _MeshIntegrals(
         verts=points,
+        grid=index,
         faces=faces,
         child=child,
         parent=parent,
@@ -344,6 +356,7 @@ def _assemble_mesh(integrals, lam, label):
         faces=integrals.faces,
         edge_ends=integrals.edges,
         edge_lengths=length,
+        grid=integrals.grid,
         label=label,
     )
 
@@ -448,9 +461,10 @@ def _spatial_hash_pairs(positions, cell):
 
 
 def _csr_graph(mesh):
-    """The edge graph as (ptr, nbr, length) lists: the neighbours of v and
+    """The edge graph as (ptr, nbr, length, xyz): the neighbours of v and
     the lengths of the edges to them are nbr[ptr[v]:ptr[v + 1]] and
-    length[ptr[v]:ptr[v + 1]], in the order of mesh.edge_ends."""
+    length[ptr[v]:ptr[v + 1]], in the order of mesh.edge_ends, and xyz
+    holds the vertex positions."""
     # edge k as the half-edges 2k (i -> j) and 2k + 1 (j -> i); a stable
     # sort by the tail keeps each vertex's half-edges in edge order
     half = np.stack([mesh.edge_ends, mesh.edge_ends[:, ::-1]], axis=1)
@@ -458,25 +472,91 @@ def _csr_graph(mesh):
     order = np.argsort(tail, kind="stable")
     ptr = np.searchsorted(tail[order], np.arange(len(mesh.u) + 1))
     length = np.repeat(mesh.edge_lengths, 2)[order]
-    return ptr.tolist(), head[order].tolist(), length.tolist()
+    return ptr.tolist(), head[order].tolist(), length.tolist(), mesh.xyz
+
+
+def _grid_path_within(mesh, a, b, limit):
+    """True where a grid L-path from vertex a[k] to vertex b[k], along a's
+    row and then b's column or the other way round, is at most
+    limit (1 - 1e-9) long.  Any path bounds the graph distance from above,
+    so there a[k] and b[k] are within limit on the edge graph.
+
+    Path lengths are differences of prefix sums along the grid lines, and
+    the 1e-9 slack covers their rounding.  A path that uses a missing grid
+    edge, or one longer than limit, is blocked: keeping long edges out of
+    the prefix sums keeps their rounding from swamping the differences.
+    """
+    grid = mesh.grid
+    at = np.argwhere(grid >= 0)
+    ij = np.zeros((len(mesh.u), 2), dtype=int)
+    ij[grid[tuple(at.T)]] = at
+    # steps[e][i, j] is the length of the grid edge from (i, j) to
+    # (i + 1, j) for e = 0, or to (i, j + 1) for e = 1; inf where missing
+    steps = np.full((2,) + grid.shape, np.inf)
+    p, q = ij[mesh.edge_ends].transpose(1, 0, 2)
+    step = np.abs(q - p)
+    unit = step.sum(axis=1) == 1
+    lo = np.minimum(p, q)[unit]
+    steps[step[unit, 1], lo[:, 0], lo[:, 1]] = mesh.edge_lengths[unit]
+
+    # the grid lines of each axis as [line, position]: steps along i run
+    # down columns, steps along j along rows; per line, the usable length
+    # and the blocked count of the steps before each position
+    prefix = []
+    for lines in (steps[0].T, steps[1]):
+        ok = lines <= limit
+        both = np.stack([np.where(ok, lines, 0.0), ~ok])
+        prefix.append(np.cumsum(both, axis=2) - both)
+
+    def segment(e, line, start, stop):
+        sums = prefix[e]
+        length, blocked = np.abs(sums[:, line, stop] - sums[:, line, start])
+        return np.where(blocked > 0, np.inf, length)
+
+    (ia, ja), (ib, jb) = ij[a].T, ij[b].T
+    along_row = segment(1, ia, ja, jb) + segment(0, jb, ia, ib)
+    along_column = segment(0, ja, ia, ib) + segment(1, ib, ja, jb)
+    return np.minimum(along_row, along_column) <= limit * (1.0 - 1e-9)
 
 
 def _graph_distance(graph, source, targets, cutoff):
-    """Dijkstra on a _csr_graph from source, stopped once every target is
-    settled or the smallest heap entry exceeds cutoff; returns the targets'
-    distances.
+    """A* on a _csr_graph from source toward the targets, stopped once
+    every target is settled or the smallest heap key exceeds cutoff;
+    returns the targets' distances.
 
-    A settled target's distance is final.  An unsettled one keeps its
-    tentative value (inf if never reached), which is what a search run to
-    exhaustion with the same cutoff would hold: every later pop is above
-    the cutoff or stale, so it relaxes nothing.
+    The goal set is the targets and their neighbours, and the heap key of
+    a vertex v reached at distance d is d + h(v), with h(v) = (1 - 1e-9)
+    times the least Euclidean distance from v to the goal set.  Every edge
+    is at least as long as its chord (_assemble_mesh), so h is a lower
+    bound on the distance left to any goal (admissible) and falls along an
+    edge by at most the edge's length (consistent): keys are popped in
+    order, a popped vertex is settled, and with h = 0 this is Dijkstra.
+    The 1e-9 slack keeps both properties safe from rounding.
+
+    A settled target's distance is final.  An unsettled one holds the
+    least d(v) + length(v, b) over its settled neighbours v (inf if none),
+    which is what Dijkstra run to exhaustion with the same cutoff holds:
+    each neighbour is a goal, so h(v) = 0, and it is settled exactly when
+    d(v) is within the cutoff.
     """
-    ptr, nbr, length = graph
+    ptr, nbr, length, xyz = graph
+    goals = set(targets)
+    for t in targets:
+        goals.update(nbr[ptr[t]:ptr[t + 1]])
+    # least squared distance to the goals, one goal at a time rather than
+    # one (V, goals, 3) broadcast
+    nearest = np.full(len(xyz), np.inf)
+    diff = np.empty_like(xyz)
+    for g in goals:
+        np.subtract(xyz, xyz[g], out=diff)
+        np.minimum(nearest, np.vecdot(diff, diff), out=nearest)
+    h = ((1.0 - 1e-9) * np.sqrt(nearest)).tolist()
+
     dist = {source: 0.0}
     pending = set(targets)
-    heap = [(0.0, source)]
+    heap = [(h[source], 0.0, source)]
     while pending and heap and heap[0][0] <= cutoff:
-        d, v = heapq.heappop(heap)
+        _, d, v = heapq.heappop(heap)
         if d > dist[v]:
             continue
         pending.discard(v)
@@ -487,7 +567,7 @@ def _graph_distance(graph, source, targets, cutoff):
             nd = d + length[k]
             if nd < dist.get(w, math.inf):
                 dist[w] = nd
-                heapq.heappush(heap, (nd, w))
+                heapq.heappush(heap, (nd + h[w], nd, w))
     return [dist.get(t, math.inf) for t in targets]
 
 
@@ -522,8 +602,15 @@ def _thresholds(mesh, delta_ext, delta_int):
 def _far_pairs(mesh, delta_ext, eff_int):
     """Yield (a, b, extrinsic, intrinsic) for every candidate pair closer
     than delta_ext in space and farther than eff_int on the edge graph, one
-    source a at a time, in candidate order."""
+    source a at a time, in candidate order.  A candidate that a grid path
+    shows to be within eff_int (_grid_path_within) is dropped unsearched.
+    """
     candidates = _spatial_hash_pairs(mesh.xyz, delta_ext)
+    if not candidates:
+        return
+    a, b, _ = np.array(candidates).T
+    near = _grid_path_within(mesh, a.astype(int), b.astype(int), eff_int)
+    candidates = list(itertools.compress(candidates, (~near).tolist()))
     if not candidates:
         return
     graph = _csr_graph(mesh)

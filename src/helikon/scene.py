@@ -6,6 +6,7 @@ the package's mini-language.  Diagnostics carry the 1-based number of the
 line at fault, where one line is.
 """
 
+import cmath
 import math
 import os
 from dataclasses import dataclass, field
@@ -39,10 +40,14 @@ def parse_complex(text):
 
 
 def _parse_complex_list(text):
+    """Comma-separated parse_complex values, each of them finite."""
     text = text.strip()
     if not text:
         return []
-    return [parse_complex(t) for t in text.split(",")]
+    values = [parse_complex(t) for t in text.split(",")]
+    if not all(map(cmath.isfinite, values)):
+        raise ValueError("expected finite values")
+    return values
 
 
 def parse_positive(text):

@@ -297,8 +297,17 @@ class TestMain:
              "line 5: [cycle c] needs radius"),
             ("periods", "basepoint = 1+\n", "line 5: [data d] basepoint"),
             ("mesh", "[mesh]\nrect = -1, 1\n", "[mesh] rect"),
+            # a list of complex values refuses nan and inf in every setting
+            # that reads one
+            ("periods", "punctures = nan\n", "line 5: [data d] punctures"),
+            ("periods", "[cycle c]\npoints = 0, 1, inf\n",
+             "line 6: [cycle c] points"),
+            ("mesh", "[mesh]\nexclusions = nan, 0.45\n", "[mesh] exclusions"),
+            ("mesh", "[mesh]\nexclusions = 0, inf\n", "[mesh] exclusions"),
         ],
-        ids=["cycle-without-radius", "bad-basepoint", "short-rect"],
+        ids=["cycle-without-radius", "bad-basepoint", "short-rect",
+             "punctures-nan", "cycle-points-inf", "exclusions-nan",
+             "exclusions-inf"],
     )
     def test_malformed_scene_exit_code(self, tmp_path, capsys, command, body,
                                        where):
@@ -358,6 +367,12 @@ class TestMain:
             ("residues", "periodic-candidate", "[residues]\npoints = 1, x\n",
              [], "[residues] points"),
             *(
+                ("residues", "periodic-candidate",
+                 f"[residues]\npoints = {p}\n", [],
+                 f"[residues] points = '{p}': expected finite values")
+                for p in ("nan", "inf", "0.3i, nan+1i")
+            ),
+            *(
                 ("solve", "periodic-candidate", f"[solve]\nmax_iter = {n}\n",
                  [], "[solve] max_iter")
                 for n in ("x", "-3", "0")
@@ -391,7 +406,8 @@ class TestMain:
             "samples-negative", "radius", "radius-0", "radius-negative",
             "radius-nan", "radius-inf", "radius-1e200",
             "radius-through-puncture", "radius-around-puncture",
-            "radius-plane-puncture", "points",
+            "radius-plane-puncture", "points", "points-nan", "points-inf",
+            "points-complex-nan",
             "max_iter", "max_iter-negative", "max_iter-0", "init_rho",
             "init_c", "shift", "E1", "tau", "lambdas",
             "lambdas-nan", "audit-target", "--tol-x", "--tol-0",

@@ -1,5 +1,6 @@
 """Mesh construction, OBJ export, the embeddedness probe, and the sweep."""
 
+import dataclasses
 import heapq
 import math
 
@@ -28,8 +29,10 @@ from helikon.mesh import (
     SurfaceMesh,
     _assemble_mesh,
     _csr_graph,
-    _mesh_integrals,
+    _far_pairs,
     _graph_distance,
+    _grid_path_within,
+    _mesh_integrals,
     _spatial_hash_pairs,
     build_mesh,
     default_thresholds,
@@ -373,6 +376,7 @@ class TestExport:
             faces=[],
             edge_ends=np.zeros((0, 2), dtype=int),
             edge_lengths=np.zeros(0),
+            grid=-np.ones((1, 1), dtype=int),
         )
         with pytest.raises(ValueError):
             export_mesh(empty)
@@ -433,6 +437,7 @@ class TestProbe:
             faces=[],
             edge_ends=np.zeros((0, 2), dtype=int),
             edge_lengths=np.zeros(0),
+            grid=np.arange(len(points))[:, None],
         )
         rep = probe_self_intersection(mesh, delta_ext=0.05, delta_int=1.0)
         assert [(a, b) for a, b, _, _ in rep.pairs] == [(1, 2), (3, 4)]
@@ -535,25 +540,82 @@ class TestSpatialHash:
         assert _spatial_hash_pairs(positions[:1], 0.1) == []
 
 
+def adjacency_lists(mesh):
+    """Per vertex, its (neighbour, edge length) pairs in edge order."""
+    adjacency = [[] for _ in mesh.vertices]
+    for a, b, length in mesh.edges:
+        adjacency[a].append((b, length))
+        adjacency[b].append((a, length))
+    return adjacency
+
+
+def walled(mesh):
+    """mesh with infinitely long edges across Re u = 0 above Im u = -1: a
+    wall with a gap below it."""
+    u0, u1 = mesh.u[mesh.edge_ends].T
+    wall = (np.sign(u0.real) != np.sign(u1.real)) & (u0.imag > -1.0)
+    lengths = np.where(wall, math.inf, mesh.edge_lengths)
+    return dataclasses.replace(mesh, edge_lengths=lengths)
+
+
+def random_grid_mesh(rng, nx, ny, excluded=0.1, infinite=0.05):
+    """A SurfaceMesh on an nx x ny grid of jittered 3-d points, a fraction
+    excluded of them left out.  Every grid edge between included points is
+    as long as its chord, or (half of them) up to three times longer, and
+    a fraction infinite of them is infinitely long."""
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    xyz = np.stack([0.1 * i, 0.1 * j, np.zeros(i.shape)], axis=-1)
+    xyz = xyz + rng.normal(scale=0.04, size=xyz.shape)
+    mask = rng.random((nx, ny)) >= excluded
+    grid = -np.ones((nx, ny), dtype=int)
+    grid[mask] = np.arange(np.count_nonzero(mask))
+    ends = [
+        (grid[p], grid[q])
+        for p in zip(i.ravel(), j.ravel())
+        for q in ((p[0] + 1, p[1]), (p[0], p[1] + 1))
+        if q[0] < nx and q[1] < ny and mask[p] and mask[q]
+    ]
+    ends = np.array(ends, dtype=int).reshape(-1, 2)
+    pos = xyz[mask]
+    chord = np.linalg.norm(pos[ends[:, 1]] - pos[ends[:, 0]], axis=1)
+    stretch = np.where(rng.random(len(ends)) < 0.5, 1.0,
+                       1.0 + 2.0 * rng.random(len(ends)))
+    length = np.where(rng.random(len(ends)) < infinite, math.inf,
+                      chord * stretch)
+    return SurfaceMesh(
+        u=np.zeros(len(pos), dtype=complex),
+        xyz=pos,
+        normals=np.zeros(pos.shape),
+        faces=[],
+        edge_ends=ends,
+        edge_lengths=length,
+        grid=grid,
+    )
+
+
 class TestBoundedSearch:
-    """The probe's bounded Dijkstra against searches run to exhaustion."""
+    """The probe's goal-directed search against searches run to
+    exhaustion."""
 
     @pytest.mark.parametrize(
-        "data, spec, delta_ext, delta_int",
+        "data, spec, delta_ext, delta_int, wall, far",
         [
             (enneper(), SamplingSpec(-2.2, 2.2, -2.2, 2.2, nx=24, ny=24),
-             0.15, 2.0),
+             0.15, 2.0, False, True),
             (helicoid(), SamplingSpec(-math.pi, math.pi, -1.0, 1.0,
-                                      nx=24, ny=24), 0.3, 1.5),
+                                      nx=24, ny=24), 0.3, 1.5, False, False),
+            (catenoid(), catenoid_spec(24), 0.3, 1.5, False, False),
+            (enneper(), SamplingSpec(-2.2, 2.2, -2.2, 2.2, nx=24, ny=24),
+             0.3, 0.5, True, True),
         ],
-        ids=["enneper", "helicoid"],
+        ids=["enneper", "helicoid", "catenoid", "enneper-walled"],
     )
-    def test_matches_full_search(self, data, spec, delta_ext, delta_int):
+    def test_matches_full_search(self, data, spec, delta_ext, delta_int,
+                                 wall, far):
         mesh = build_mesh(data, spec)
-        adjacency = [[] for _ in mesh.vertices]
-        for a, b, length in mesh.edges:
-            adjacency[a].append((b, length))
-            adjacency[b].append((a, length))
+        if wall:
+            mesh = walled(mesh)
+        adjacency = adjacency_lists(mesh)
         graph = _csr_graph(mesh)
         for v, neighbours in enumerate(adjacency):
             lo, hi = graph[0][v], graph[0][v + 1]
@@ -581,15 +643,21 @@ class TestBoundedSearch:
                     assert d > cutoff
         assert settled
 
-        # the probe reports exactly the candidates intrinsically beyond
-        # the effective threshold
+        # the far pairs are exactly the candidates intrinsically beyond the
+        # effective threshold, in candidate order
         want = [(a, b, d) for a, b, d in candidates if full[a][b] > eff_int]
-        want.sort(key=lambda t: t[2])
-        rep = probe_self_intersection(mesh, delta_ext, delta_int)
-        assert [(a, b, d) for a, b, d, _ in rep.pairs] == want
-        for a, b, _, intrinsic in rep.pairs:
+        pairs = list(_far_pairs(mesh, delta_ext, eff_int))
+        assert [(a, b, d) for a, b, d, _ in pairs] == want
+        for a, b, _, intrinsic in pairs:
             assert intrinsic >= full[a][b]
-        assert bool(want) == (data.label == "enneper")
+        assert bool(want) == far
+        if wall:
+            # the probe refuses a mesh with an infinitely long edge
+            with pytest.raises(ThresholdOrder):
+                probe_self_intersection(mesh, delta_ext, delta_int)
+        else:
+            rep = probe_self_intersection(mesh, delta_ext, delta_int)
+            assert rep.pairs == sorted(pairs, key=lambda t: (t[2], t[0], t[1]))
 
         # every vertex as a target, at cutoffs inside the mesh
         every = list(range(len(mesh.vertices)))
@@ -598,16 +666,73 @@ class TestBoundedSearch:
                 got = _graph_distance(graph, source, every, c)
                 assert got == list(exhaustive_dijkstra(adjacency, source, c))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_grid_graphs(self, seed):
+        # edges as long as their chords make the search's lower bound
+        # tight, where rounding would first show
+        rng = np.random.default_rng(seed)
+        mesh = random_grid_mesh(rng, 9, 12)
+        adjacency = adjacency_lists(mesh)
+        graph = _csr_graph(mesh)
+        n = len(adjacency)
+        for _ in range(8):
+            source = int(rng.integers(n))
+            targets = rng.choice(n, size=int(rng.integers(1, 6)),
+                                 replace=False).tolist()
+            for cutoff in (0.15, 0.4, 0.8, math.inf):
+                want = exhaustive_dijkstra(adjacency, source, cutoff)[targets]
+                got = _graph_distance(graph, source, targets, cutoff)
+                assert got == list(want)
+
     def test_stops_at_cutoff(self):
-        # a path graph 0 - 1 - 2 - 3 with unit edges: the search from 0
-        # pops nothing past the cutoff, so 3 keeps its tentative value (or
-        # inf when the search stops before reaching it)
+        # a path graph 0 - 1 - 2 - 3 with unit edges, its vertices one apart
+        # on a line: the search from 0 pops nothing past the cutoff, so 3
+        # keeps its tentative value (or inf when the search stops before
+        # reaching it)
         # in CSR form: the neighbours of v are nbr[ptr[v]:ptr[v + 1]]
-        graph = ([0, 1, 3, 5, 6], [1, 0, 2, 1, 3, 2], [1.0] * 6)
+        xyz = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]])
+        graph = ([0, 1, 3, 5, 6], [1, 0, 2, 1, 3, 2], [1.0] * 6, xyz)
         assert _graph_distance(graph, 0, [1, 3], 2.5) == [1.0, 3.0]
         assert _graph_distance(graph, 0, [3], 1.5) == [math.inf]
         assert _graph_distance(graph, 0, [2, 3], 10.0) == [2.0, 3.0]
 
+
+class TestGridPathFilter:
+    """The exact pre-filter: a candidate that a grid L-path shows to be near
+    is never far by a search run to exhaustion."""
+
+    @pytest.mark.parametrize(
+        "case", ["enneper", "catenoid", "random", "huge-edge"]
+    )
+    def test_dropped_pairs_are_near(self, case):
+        rng = np.random.default_rng(11)
+        if case == "enneper":
+            spec = SamplingSpec(-2.2, 2.2, -2.2, 2.2, nx=24, ny=24)
+            mesh, limits = build_mesh(enneper(), spec), (1.5, 3.0)
+        elif case == "catenoid":
+            mesh, limits = build_mesh(catenoid(), catenoid_spec(16)), (0.3, 0.45)
+        elif case == "random":
+            mesh, limits = random_grid_mesh(rng, 8, 12), (0.3, 0.6, 1.0)
+        else:
+            # the first edge of grid row 0 is 1e15 long: summed into the
+            # prefix sums along that row, it would round them to 1/8
+            mesh = random_grid_mesh(rng, 4, 30, excluded=0.0, infinite=0.0)
+            lengths = mesh.edge_lengths.copy()
+            lengths[mesh.edge_ends.tolist().index([0, 1])] = 1e15
+            mesh = dataclasses.replace(mesh, edge_lengths=lengths)
+            limits = (0.3, 0.7, 1.1, 2.0)
+        adjacency = adjacency_lists(mesh)
+        if case in ("enneper", "catenoid"):
+            candidates = _spatial_hash_pairs(mesh.positions(), 0.4)
+            a, b = np.array([(a, b) for a, b, _ in candidates]).T
+        else:
+            a, b = np.triu_indices(len(adjacency), 1)
+        full = np.array([exhaustive_dijkstra(adjacency, v)
+                         for v in range(len(adjacency))])
+        for limit in limits:
+            near = _grid_path_within(mesh, a, b, limit)
+            assert near.any() and not near.all()
+            assert (full[a[near], b[near]] <= limit).all()
 
 class TestLambdaReuse:
     """Every swept mesh against a full rebuild of the deformed data."""
