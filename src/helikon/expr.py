@@ -23,6 +23,17 @@ product: -2*u is -(2*u), not Python's (-2)*u.
 
 A one-form is written "<expr> du" ("dz" is accepted as a synonym on plane
 domains).
+
+eval_expr makes one kernel call per elliptic kind, not one per block.  An
+Expr's plan, built on its first evaluation, lists each kind's distinct
+blocks in the order the tree walk first reaches them (a quotient's
+denominator before its numerator); the call takes the stacked arguments
+u - shift of those blocks, and the walk reads each block's row.  Stacks
+stop at 15 * paths.BLOCK_PANELS points, the size of an integrand call, so
+a block on more points than that is called alone.  The kernels give the
+same bits for a point whatever array it sits in, so stacking changes no
+value; when a stacked call raises PoleAt, the walk runs block by block,
+so the error is the one that order meets first.
 """
 
 import ast
@@ -31,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, paths
 from .errors import DomainError, DomainViolation, ExprSyntaxError, PoleAt
 from .lattice import Lattice
 
@@ -155,7 +166,8 @@ class Exp(Node):
 
 
 # kind -> (name of its kernel in `kernels`, parity under u -> -u); the
-# kernel is looked up at call time, so a wrapped kernel is the one called
+# kernel is looked up at call time, so a wrapped kernel is the one called,
+# once per stack of an Expr's plan (_elliptic_plan) in eval_expr
 _ELLIPTIC = {
     "wp": ("wp", 1),
     "wpp": ("wp_prime", -1),
@@ -242,36 +254,91 @@ def _pole_check(u, small):
         raise PoleAt(kernels.first_where(u, small))
 
 
-def _eval_node(node, u, lat):
+def _eval_node(node, u, lat, values=None):
     """Value of node at u: a complex scalar, or an ndarray of points (the
-    result then broadcasts against u)."""
+    result then broadcasts against u).  values maps id(block) to the
+    block's value at u (_stacked_values); without it, each elliptic block
+    calls its kernel."""
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
         return u
     if isinstance(node, Add):
-        return _eval_node(node.a, u, lat) + _eval_node(node.b, u, lat)
+        return (_eval_node(node.a, u, lat, values)
+                + _eval_node(node.b, u, lat, values))
     if isinstance(node, Sub):
-        return _eval_node(node.a, u, lat) - _eval_node(node.b, u, lat)
+        return (_eval_node(node.a, u, lat, values)
+                - _eval_node(node.b, u, lat, values))
     if isinstance(node, Mul):
-        return _eval_node(node.a, u, lat) * _eval_node(node.b, u, lat)
+        return (_eval_node(node.a, u, lat, values)
+                * _eval_node(node.b, u, lat, values))
     if isinstance(node, Div):
-        den = _eval_node(node.b, u, lat)
+        den = _eval_node(node.b, u, lat, values)
         _pole_check(u, abs(den) < _DIV_FLOOR)
-        return _eval_node(node.a, u, lat) / den
+        return _eval_node(node.a, u, lat, values) / den
     if isinstance(node, Neg):
-        return -_eval_node(node.a, u, lat)
+        return -_eval_node(node.a, u, lat, values)
     if isinstance(node, Pow):
-        base = _eval_node(node.base, u, lat)
+        base = _eval_node(node.base, u, lat, values)
         if node.n < 0:
             _pole_check(u, abs(base) < _DIV_FLOOR)
         return base ** node.n
     if isinstance(node, Exp):
-        return np.exp(_eval_node(node.arg, u, lat))
+        return np.exp(_eval_node(node.arg, u, lat, values))
     if isinstance(node, Elliptic):
+        if values is not None:
+            return values[id(node)]
         kernel = getattr(kernels, _ELLIPTIC[node.kind][0])
         return kernel(u - node.shift, lat)
     raise TypeError(f"unknown node {node!r}")
+
+
+def _elliptic_plan(node):
+    """[(kernel name, shifts, ids)] per elliptic kind of node, in the order
+    _eval_node first reaches each kind: the kind's distinct shifts in the
+    order it first reaches them, and for each the ids of its blocks."""
+    kinds = {}  # kind -> {repr(shift): (shift, [id(block)])}
+
+    def walk(n):
+        if isinstance(n, Elliptic):
+            # repr, not ==, tells -0.0 from 0.0, as u - shift does
+            rows = kinds.setdefault(n.kind, {})
+            rows.setdefault(repr(n.shift), (n.shift, []))[1].append(id(n))
+        elif isinstance(n, Div):
+            walk(n.b)  # the denominator first, as _eval_node takes it
+            walk(n.a)
+        else:
+            for attr in ("a", "b", "base", "arg"):
+                child = getattr(n, attr, None)
+                if child is not None:
+                    walk(child)
+
+    walk(node)
+    return [
+        (
+            _ELLIPTIC[kind][0],
+            np.array([shift for shift, _ in rows.values()], dtype=complex),
+            [ids for _, ids in rows.values()],
+        )
+        for kind, rows in kinds.items()
+    ]
+
+
+def _stacked_values(plan, u, lat):
+    """{id(block): value at u} for the blocks of plan: one kernel call per
+    kind, on the stacked u - shift, split so that no call exceeds
+    15 * paths.BLOCK_PANELS points unless one block alone does."""
+    per_call = max(1, 15 * paths.BLOCK_PANELS // max(u.size, 1))
+    axes = (-1,) + (1,) * u.ndim
+    values = {}
+    for name, shifts, ids in plan:
+        kernel = getattr(kernels, name)
+        for lo in range(0, shifts.size, per_call):
+            rows = kernel(u - shifts[lo:lo + per_call].reshape(axes), lat)
+            for row, blocks in zip(rows, ids[lo:lo + per_call]):
+                for block in blocks:
+                    values[block] = row
+    return values
 
 
 def _diff_node(node, lat):
@@ -435,6 +502,7 @@ class Expr:
             raise DomainError("elliptic blocks require a torus domain")
         self.node = node
         self.domain = domain
+        self._plan = None  # _elliptic_plan(node), on the first evaluation
 
     # -- arithmetic sugar (same-domain operands or plain numbers) -----------
     def _coerce(self, other):
@@ -509,8 +577,8 @@ def eval_expr(e, u):
     the errors name the first offending point).  A scalar runs as a
     one-point array, so that an overflow gives inf there too.
     """
-    node = e.coeff.node if isinstance(e, FormExpr) else e.node
-    domain = e.domain
+    e = e.coeff if isinstance(e, FormExpr) else e
+    node, domain = e.node, e.domain
     scalar = np.ndim(u) == 0
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     if domain.punctures:
@@ -519,7 +587,13 @@ def eval_expr(e, u):
         if np.count_nonzero(hit):
             where = kernels.first_where(u, hit.any(axis=-1))
             raise DomainViolation(f"u = {where} is a declared puncture")
-    val = _eval_node(node, u, domain.lattice)
+    if e._plan is None:
+        e._plan = _elliptic_plan(node)
+    try:
+        values = _stacked_values(e._plan, u, domain.lattice)
+    except PoleAt:
+        values = None  # block by block: the first error of that order
+    val = _eval_node(node, u, domain.lattice, values)
     if np.ndim(val) == 0:
         val = np.full(u.shape, val)
     return complex(val[0]) if scalar else val

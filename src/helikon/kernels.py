@@ -7,7 +7,10 @@ wp, wp', zeta and sigma are omega^-2, omega^-3, omega^-1 and omega times
 those of <1, tau'> at v = u / omega.  On its cell they sum 2 <= N <= 4
 terms (term_count) of Lattice.terms in the powers w^(2n+1), w = exp(i*pi*v0)
 (DLMF 20.2.1).  A kernel takes a complex scalar or an ndarray and returns
-the same; a scalar runs as a one-point array, through the same arithmetic.
+the same; a scalar runs as a one-point array.  It acts point by point, bit
+for bit: a point gets the same value alone and anywhere in an array of up
+to 7,680 points, so eval_expr may stack an expression's blocks into one
+call.
 """
 
 import math
@@ -129,10 +132,11 @@ def _wp_prime(v0, m, n, lat):
     a0, b, t = x - y, x + y, 1.0
     for i, (c, *_) in enumerate(lat.terms[1:], 1):
         w, wi = next(powers)
-        x_, y_ = x, y  # updated in place, freed before the next power
+        x_, y_ = x, y  # freed before the next power
         x, y = c * w, c * wi
-        x_ *= x
-        x_ += y_ * y
+        # not x_ *= x: numpy rounds a one-point in-place complex product
+        # otherwise than the same product inside a longer array
+        x_ = x_ * x + y_ * y
         t = t + x_ if i % 2 else t - x_
         del x_, y_
         a0 += x - y

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from references import parse_expr as reference_parse_expr
 
+from helikon import kernels, paths
 from helikon.errors import (
     DomainError,
     DomainViolation,
@@ -24,6 +25,7 @@ from helikon.expr import (
     Pow,
     Sub,
     Var,
+    _eval_node,
     constant,
     coordinate,
     differentiate,
@@ -34,6 +36,7 @@ from helikon.expr import (
     torus,
 )
 from helikon.kernels import sigma_w, wp, wp_prime, zeta_w
+from helikon.solver import periodic_g1h_family
 
 PLANE = Plane()
 TORUS = torus(1j)
@@ -339,6 +342,101 @@ class TestArrayEvaluation:
         points = np.array([0.1 + 0.1j, 0.3j + 2 - 1j, 0.2 + 0.4j])
         with pytest.raises(DomainViolation):
             eval_expr(parse_expr("u", dom), points)
+
+
+def block_by_block(e, u):
+    """e at the points u with one kernel call per elliptic block: the
+    values and the first error that eval_expr's stacked calls keep."""
+    e = e.coeff if isinstance(e, FormExpr) else e
+    u = np.atleast_1d(np.asarray(u, dtype=complex))
+    return _eval_node(e.node, u, e.domain.lattice)
+
+
+def cell_points(n, seed=3):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n)
+
+
+def bits(values):
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+class TestStackedEvaluation:
+    CANDIDATE = torus(1j, (0.3j, -0.3j))
+    G = ("exp((0-3.141592653589793)*u)*sigma(u-0.3*i)*sigma(u+0.3*i+0.5)"
+         "/(sigma(u+0.3*i)*sigma(u-0.3*i-0.5))")
+    DH = "(0-i)*(zeta(u-0.3*i) - zeta(u+0.3*i)) du"
+
+    def cases(self):
+        g = parse_expr(self.G, self.CANDIDATE)
+        dh = parse_expr(self.DH, self.CANDIDATE)
+        # the solve family's member, as the end-regularity check reads it
+        member = periodic_g1h_family({
+            "tau": 1j, "E1": 0.25 + 0.1j,
+            "zero_shifts": [-0.75 - 0.1j], "pole_shifts": [0.75 + 0.1j],
+        })
+        return {
+            "g": g,  # 4 sigma blocks
+            "dh": dh,  # 2 zeta blocks
+            "dg/g": log_derivative(g),
+            "d(dh)/du": differentiate(dh),
+            # 6 zeta blocks on 4 shifts
+            "family dg/g - i dh": (log_derivative(member.g)
+                                   + member.dh.scale(-1j)),
+        }
+
+    @pytest.mark.parametrize("n", (1, 15, 1000, 3000))
+    def test_stacking_changes_no_value(self, n):
+        # at 3000 points the 4-shift stacks pass 15 * BLOCK_PANELS points
+        u = cell_points(n)
+        for name, e in self.cases().items():
+            want = bits(block_by_block(e, u))
+            got = eval_expr(e, complex(u[0]) if n == 1 else u)
+            assert bits(got) == want, name
+            assert bits(eval_expr(e, u)) == want, name  # the plan is kept
+
+    def test_one_kernel_call_per_kind(self, monkeypatch):
+        calls = []
+        for name in ("sigma_w", "zeta_w"):
+            kernel = getattr(kernels, name)
+
+            def counted(u, lat, kernel=kernel, name=name):
+                calls.append((name, np.size(u)))
+                return kernel(u, lat)
+
+            monkeypatch.setattr(kernels, name, counted)
+        cases = self.cases()
+        eval_expr(cases["g"], cell_points(60))
+        assert calls == [("sigma_w", 240)]
+        calls.clear()
+        eval_expr(cases["dh"], cell_points(60))
+        assert calls == [("zeta_w", 120)]
+        calls.clear()
+        eval_expr(cases["g"], cell_points(3000))
+        assert calls == [("sigma_w", 6000)] * 2
+        calls.clear()
+        limit = 15 * paths.BLOCK_PANELS
+        eval_expr(cases["g"], cell_points(limit + 1))
+        assert calls == [("sigma_w", limit + 1)] * 4  # a block alone
+
+    def test_pole_errors_follow_block_order(self):
+        # the denominator sigma(u - 0.1) vanishes at u = 0.1, screened
+        # before the numerator's zeta(u - 0.2) is reached; the stacked zeta
+        # call meets its pole at u = 0.2, an earlier point
+        e = parse_expr("zeta(u - 0.2) / sigma(u - 0.1)", TORUS)
+        u = np.array([0.3, 0.2, 0.1, 0.4], dtype=complex)
+        with pytest.raises(PoleAt) as want:
+            block_by_block(e, u)
+        with pytest.raises(PoleAt) as got:
+            eval_expr(e, u)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert got.value.point == 0.1
+        z = np.concatenate([u, cell_points(40)])
+        sampled = paths.evaluate(lambda z: eval_expr(e, z), z)
+        assert bits(sampled) == bits(
+            paths.evaluate(lambda z: block_by_block(e, z), z))
+        assert np.isnan(sampled).tolist() == [False, True, True] + [False] * 41
 
 
 class TestCalculus:

@@ -326,9 +326,7 @@ class TestMpmathOracle:
         for f in KERNELS:
             out = f(u, lat_g)
             assert out.shape == u.shape
-            one = f(u[1, 0], lat_g)
-            # the contraction may round differently for one point and many
-            assert abs(out[1, 0] - one) <= 1e-15 * abs(one)
+            assert out[1, 0] == f(u[1, 0], lat_g)
 
     def test_pole_anywhere_in_array(self, lat_g):
         u = np.array([0.1 + 0.2j, 2.0 - lat_g.tau, 0.3 + 0.1j])
@@ -405,3 +403,27 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+
+def bits(values):
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+class TestPointwise:
+    """A kernel gives the same bits for a point alone and in an array of up
+    to 15 * paths.BLOCK_PANELS points, whatever its place there, so that
+    eval_expr may stack blocks into one call."""
+
+    @pytest.mark.parametrize("tau", (1j, 0.3 + 0.8j, 0.1 + 0.2j))
+    @pytest.mark.parametrize("f", KERNELS, ids=lambda f: f.__name__)
+    def test_same_bits_alone_and_in_arrays(self, tau, f):
+        lat = Lattice(tau)
+        u = cell_sweep(lat.tau, 7680)
+        full = f(u, lat)
+        for lo, hi in ((0, 15), (7, 22), (0, 1000), (6000, 7000)):
+            assert bits(f(u[lo:hi], lat)) == bits(full[lo:hi]), (lo, hi)
+        for k in range(0, 7680, 40):
+            assert bits(f(u[k], lat)) == bits(full[k:k + 1]), k
+            assert bits(f(u[k:k + 1], lat)) == bits(full[k:k + 1]), k
+        # a stack of rows, as eval_expr makes it
+        assert bits(f(u.reshape(4, -1), lat)) == bits(full)
