@@ -8,9 +8,13 @@ those of <1, tau'> at v = u / omega.  On its cell they sum 2 <= N <= 4
 terms (term_count) of Lattice.terms in the powers w^(2n+1), w = exp(i*pi*v0)
 (DLMF 20.2.1).  A kernel takes a complex scalar or an ndarray and returns
 the same; a scalar runs as a one-point array.  It acts point by point, bit
-for bit: a point gets the same value alone and anywhere in an array of up
-to 7,680 points, so eval_expr may stack an expression's blocks into one
-call.
+for bit: a point gets the same value alone and anywhere in an array of any
+size and shape, so eval_expr may stack an expression's blocks into one
+call.  numpy reuses a temporary of 256 KiB or more (16,384 complex points)
+in place, so that v0 * (0.5 * eta1 * v0 + eta) in sigma, say, becomes an
+in-place product, and its in-place complex product rounds otherwise than
+the out-of-place one; so _kernel runs the series on slices of at most
+KERNEL_SLICE = 8,192 points.
 """
 
 import math
@@ -20,6 +24,8 @@ import numpy as np
 from .errors import PoleAt
 
 POLE_RADIUS = 1e-10
+# the most points a kernel body takes at once (see above)
+KERNEL_SLICE = 8192
 
 
 def term_count(im_tau, tol):
@@ -156,7 +162,16 @@ def _kernel(body, u, lat, poles=True):
         near = np.abs(v0) < POLE_RADIUS / abs(lat.omega)
         if np.count_nonzero(near):
             raise PoleAt(first_where(z, near))
-    out = body(v0, m, n, lat)
+    if v0.size <= KERNEL_SLICE:
+        out = body(v0, m, n, lat)
+    else:
+        # slice by slice, for the same bits (see the module docstring)
+        v0, m, n = v0.ravel(), m.ravel(), n.ravel()
+        out = np.concatenate([
+            body(v0[s:s + KERNEL_SLICE], m[s:s + KERNEL_SLICE],
+                 n[s:s + KERNEL_SLICE], lat)
+            for s in range(0, len(v0), KERNEL_SLICE)
+        ]).reshape(z.shape)
     return complex(out[0]) if np.ndim(u) == 0 else out
 
 

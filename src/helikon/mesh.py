@@ -11,7 +11,12 @@ built only when read.
 
 The self-intersection probe pairs a spatial hash (extrinsic nearness) with
 shortest paths on the mesh edge graph (intrinsic separation) — the
-discretized form of a near-pair with large intrinsic distance.  Two exact
+discretized form of a near-pair with large intrinsic distance.  The hash
+bins vertices into cubes of side delta_ext, sorts them once by a cube code,
+and finds each vertex's 13 forward neighbour cubes as 5 ranges of codes, by
+one searchsorted for the ranges' left ends and one for their right ends.
+Its keys floor(xyz / delta_ext) must be exact integers, so the probe
+refuses a mesh with max |xyz| of 2^52 delta_ext or more.  Two exact
 bounds keep the searches few and short.  From above: a candidate whose
 grid L-path (prefix sums of edge lengths along one grid row and one grid
 column) is at most the threshold times (1 - 1e-9) is near, and is dropped
@@ -392,24 +397,6 @@ class ProbeReport:
     embedded: bool
 
 
-# the 13 neighbour cell offsets after (0, 0, 0) in lexicographic order, so
-# that each pair of neighbouring cells is visited once
-_FORWARD = [
-    (dx, dy, dz)
-    for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
-    if (dx, dy, dz) > (0, 0, 0)
-]
-
-
-def _all_pairs(start_a, count_a, start_b, count_b):
-    """Positions (i, j) of every pair with i in [start_a[k], start_a[k] +
-    count_a[k]) and j in [start_b[k], ...) over all k, in that order."""
-    n = count_a * count_b
-    k = np.repeat(np.arange(len(n)), n)
-    r = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
-    return start_a[k] + r // count_b[k], start_b[k] + r % count_b[k]
-
-
 def _spatial_hash_pairs(positions, cell):
     """Candidate index pairs (a, b, d) at extrinsic distance d < cell,
     sorted by (a, b).
@@ -418,41 +405,39 @@ def _spatial_hash_pairs(positions, cell):
     is tested when its cubes are equal or neighbours; a is the vertex of the
     cube whose key comes first (the smaller index within one cube).
     """
-    keys = np.floor(positions / cell).astype(np.int64).reshape(-1, 3)
-    # one integer code per cube: each axis numbers its keys and their
-    # neighbours by rank, so that codes cannot overflow; rank[axis][o + 1]
-    # holds the ranks of every vertex's key + o
-    rank, count = [], []
+    keys = np.floor(positions / cell).astype(np.int64)
+    # each axis numbers its n distinct keys in order from 1, one apart where
+    # keys are adjacent and two apart across a gap, so that a step of one
+    # stays below the radix 2n + 1 and meets a key exactly where the key's
+    # own step does.  The mixed-radix cube codes sort as the keys do and
+    # are below (2V + 1)^3
+    numbers, radix = [], []
     for k in keys.T:
-        values, inverse = np.unique(
-            np.concatenate([k - 1, k, k + 1]), return_inverse=True
-        )
-        rank.append(inverse.reshape(3, -1))
-        count.append(len(values))
+        values, inverse = np.unique(k, return_inverse=True)
+        gaps = np.minimum(np.diff(values, prepend=values[:1]), 2)
+        numbers.append((np.cumsum(gaps) + 1)[inverse])
+        radix.append(2 * len(values) + 1)
+    step_y, step_x = radix[2], radix[1] * radix[2]  # one cube along y, x
+    code = (numbers[0] * radix[1] + numbers[1]) * radix[2] + numbers[2]
+    order = np.argsort(code, kind="stable")  # by cube, then by index
+    code = code[order]
 
-    def code(vertices, offset):
-        r = [rank[axis][o + 1, vertices] for axis, o in enumerate(offset)]
-        return (r[0] * count[1] + r[1]) * count[2] + r[2]
-
-    own = code(slice(None), (0, 0, 0))
-    order = np.argsort(own, kind="stable")  # by cube, then by index
-    first = np.flatnonzero(np.diff(own[order], prepend=-1))
-    size = np.diff(first, append=order.size)
-    head = order[first]  # one vertex of each cube
-    cubes = own[head]  # sorted
-
-    i, j = _all_pairs(first, size, first, size)
-    keep = i < j
-    ia, ib = [order[i[keep]]], [order[j[keep]]]
-    for offset in _FORWARD:
-        other = code(head, offset)
-        at = np.searchsorted(cubes, other)
-        hit = np.flatnonzero(at < len(cubes))
-        hit = hit[cubes[at[hit]] == other[hit]]
-        i, j = _all_pairs(first[hit], size[hit], first[at[hit]], size[at[hit]])
-        ia.append(order[i])
-        ib.append(order[j])
-    a, b = np.concatenate(ia), np.concatenate(ib)
+    # the 13 forward neighbour cubes of the vertex at sorted position p and
+    # code c, as 5 ranges [lo, hi) of sorted positions: the rest of its own
+    # cube with (0, 0, +1), from p + 1 to the last code c + 1; then
+    # (0, +1, .) and (+1, -1|0|+1, .), each the codes c + shift - 1 to
+    # c + shift + 1.  A row per range keeps searchsorted's keys sorted
+    shifts = np.array([step_y, step_x - step_y, step_x, step_x + step_y])
+    mid = code + shifts[:, None]
+    lo = np.vstack(
+        [np.arange(1, len(code) + 1), np.searchsorted(code, mid - 1)]
+    )
+    hi = np.searchsorted(code, np.vstack([code + 1, mid + 1]), side="right")
+    # every pair (order[p], order[q]), q in a range of p
+    count = (hi - lo).ravel()
+    a = np.repeat(np.tile(order, 5), count)
+    offset = np.repeat(lo.ravel() - (np.cumsum(count) - count), count)
+    b = order[np.arange(len(offset)) + offset]
     diff = positions[a] - positions[b]
     d = np.sqrt(np.vecdot(diff, diff))  # the arithmetic of np.linalg.norm
     near = np.flatnonzero(d < cell)
@@ -579,8 +564,9 @@ def default_thresholds(mesh):
 
 def _thresholds(mesh, delta_ext, delta_int):
     """(delta_ext, effective delta_int) of a probe of mesh: the defaults
-    fill in a missing threshold, and both must be finite, positive and
-    delta_int above twice the longest edge."""
+    fill in a missing threshold, and both must be finite and positive,
+    the largest coordinate |xyz| below 2^52 delta_ext, and delta_int above
+    twice the longest edge."""
     if delta_ext is None or delta_int is None:
         d_ext_default, d_int_default = default_thresholds(mesh)
         delta_ext = d_ext_default if delta_ext is None else delta_ext
@@ -590,6 +576,14 @@ def _thresholds(mesh, delta_ext, delta_int):
             raise ThresholdOrder(
                 f"{name} = {value:.3g} must be a finite positive length"
             )
+    # the spatial hash's cube keys floor(xyz / delta_ext) are exact
+    # integers only below 2^52
+    extent = float(np.abs(mesh.xyz).max(initial=0.0))
+    if extent >= 2.0 ** 52 * delta_ext:
+        raise ThresholdOrder(
+            f"delta_ext = {delta_ext:.3g} is too small for the mesh's extent"
+            f" max |xyz| = {extent:.3g}: their ratio must stay below 2^52"
+        )
     max_edge = mesh.max_edge_length()
     if delta_int <= 2.0 * max_edge:
         raise ThresholdOrder(

@@ -290,6 +290,26 @@ class TestMain:
         assert code == 1
         assert "must be a finite positive length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["probe", "sweep"])
+    def test_tiny_delta_ext_exit_code(self, tmp_path, capsys, command):
+        # cube keys xyz / delta_ext of 2^63 or more once overflowed to one
+        # key, and a 64x64 probe tested all V^2 / 2 pairs in 800 MB
+        with open(scene_path("helicoid.scene")) as fh:
+            text = fh.read()
+        body = "delta_ext = 1e-300\ndelta_int = 1.0\n"
+        text = text[:text.index("[probe]")]
+        text += f"[probe]\n{body}\n[sweep]\nlambdas = 1\n{body}"
+        bad = tmp_path / "tiny.scene"
+        bad.write_text(text)
+        t0 = time.perf_counter()
+        code = main([command, "--scene", str(bad), "--resolution", "64x64",
+                     "--no-json"])
+        assert code == 1
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "delta_ext = 1e-300" in err and "max |xyz| = 3.14" in err
+
     @pytest.mark.parametrize(
         "command, body, where",
         [

@@ -410,9 +410,9 @@ def bits(values):
 
 
 class TestPointwise:
-    """A kernel gives the same bits for a point alone and in an array of up
-    to 15 * paths.BLOCK_PANELS points, whatever its place there, so that
-    eval_expr may stack blocks into one call."""
+    """A kernel gives the same bits for a point alone and in an array of any
+    size, whatever its place there, so that eval_expr may stack blocks into
+    one call."""
 
     @pytest.mark.parametrize("tau", (1j, 0.3 + 0.8j, 0.1 + 0.2j))
     @pytest.mark.parametrize("f", KERNELS, ids=lambda f: f.__name__)
@@ -427,3 +427,17 @@ class TestPointwise:
             assert bits(f(u[k:k + 1], lat)) == bits(full[k:k + 1]), k
         # a stack of rows, as eval_expr makes it
         assert bits(f(u.reshape(4, -1), lat)) == bits(full)
+
+    @pytest.mark.parametrize("size", (16384, 20000))
+    @pytest.mark.parametrize("tau", (1j, 0.3 + 0.8j, 0.1 + 0.2j))
+    @pytest.mark.parametrize("f", KERNELS, ids=lambda f: f.__name__)
+    def test_same_bits_in_large_arrays(self, tau, f, size):
+        # numpy reuses a temporary of 16,384 complex points or more in
+        # place, and its in-place complex product rounds otherwise
+        lat = Lattice(tau)
+        u = cell_sweep(lat.tau, size)
+        full = f(u, lat)
+        for lo in range(0, size, 1000):
+            hi = lo + 1000
+            assert bits(f(u[lo:hi], lat)) == bits(full[lo:hi]), lo
+        assert bits(f(u.reshape(8, -1), lat)) == bits(full)

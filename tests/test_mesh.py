@@ -477,6 +477,21 @@ class TestProbe:
         with pytest.raises(ThresholdOrder):
             probe_self_intersection(mesh)
 
+    def test_delta_ext_below_exact_keys_refused(self):
+        # the cube keys xyz / delta_ext must be exact integers, below 2^52;
+        # at 1e-300 they once overflowed int64 and fell into one cube
+        spec = SamplingSpec(-math.pi, math.pi, -1.0, 1.0, nx=10, ny=10)
+        mesh = build_mesh(helicoid(), spec)
+        extent = float(np.abs(mesh.xyz).max())
+        for delta_ext in (1e-300, extent / 2.0 ** 52):
+            with pytest.raises(ThresholdOrder, match="max \\|xyz\\|"):
+                probe_self_intersection(mesh, delta_ext, 3.0)
+            with pytest.raises(ThresholdOrder, match="max \\|xyz\\|"):
+                lambda_sweep(helicoid(), [1.0], spec, delta_ext=delta_ext,
+                             delta_int=3.0)
+        rep = probe_self_intersection(mesh, extent / 2.0 ** 51, 3.0)
+        assert rep.embedded
+
     def test_default_thresholds_scale_with_bbox(self):
         spec = SamplingSpec(-math.pi, math.pi, -1.0, 1.0, nx=10, ny=10)
         mesh = build_mesh(helicoid(), spec)
@@ -538,6 +553,95 @@ class TestSpatialHash:
             positions, 1e-12
         )
         assert _spatial_hash_pairs(positions[:1], 0.1) == []
+        assert _spatial_hash_pairs(positions[:0], 0.1) == []
+
+    @pytest.mark.parametrize("keys", [(0, 2, 5), (-7, -6, -4, -1, 0, 1)],
+                             ids=["gaps", "adjacent-and-gaps"])
+    def test_key_gaps(self, keys):
+        # on each axis, clumps of points at the given cube keys: a gap of
+        # one empty cube (0, 2 or -6, -4), of several (2, 5 or -4, -1), and
+        # adjacent keys; points crowd the cube faces, so that many pairs
+        # lie just under or over one cell apart
+        rng = np.random.default_rng(11)
+        cell = 0.25
+        k = rng.choice(keys, size=(500, 3))
+        s = rng.choice([0.0, 0.02, 0.5, 0.98, 0.999], size=(500, 3))
+        positions = (k + s + rng.uniform(0, 1e-3, size=(500, 3))) * cell
+        got = _spatial_hash_pairs(positions, cell)
+        assert got and got == brute_force_pairs(positions, cell)
+
+    def test_negative_keys(self):
+        positions = np.random.default_rng(12).uniform(-3, -1, size=(400, 3))
+        positions[::2, 1] += 2.5  # and some that cross zero on y
+        for cell in (0.1, 0.35):
+            got = _spatial_hash_pairs(positions, cell)
+            assert got and got == brute_force_pairs(positions, cell)
+
+    def test_one_cube(self):
+        # every point in one cube, and every pair nearer than cell
+        positions = np.random.default_rng(13).uniform(0.1, 0.4, size=(60, 3))
+        got = _spatial_hash_pairs(positions, 1.0)
+        assert len(got) == 60 * 59 // 2
+        assert got == brute_force_pairs(positions, 1.0)
+
+    def test_coincident_points(self):
+        # pairs at distance 0, within one cube and oriented by index
+        rng = np.random.default_rng(14)
+        base = rng.uniform(-1, 1, size=(40, 3))
+        positions = base[rng.integers(0, 40, size=120)]
+        got = _spatial_hash_pairs(positions, 0.2)
+        assert sum(d == 0.0 for _, _, d in got) >= 80
+        assert got == brute_force_pairs(positions, 0.2)
+
+
+def all_pairs(positions, cell):
+    """brute_force_pairs as array operations over every pair at once."""
+    keys = np.floor(positions / cell)
+    a, b = np.triu_indices(len(positions), 1)
+    # the first axis where the cube keys differ decides the orientation
+    differ = keys[a] != keys[b]
+    axis = np.argmax(differ, axis=1)
+    rows = np.arange(len(a))
+    swap = differ[rows, axis] & (keys[b, axis] < keys[a, axis])
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
+    diff = positions[a] - positions[b]
+    # np.linalg.norm of one vector, as brute_force_pairs takes it
+    d = np.sqrt(np.vecdot(diff, diff))
+    near = np.flatnonzero(d < cell)
+    near = near[np.lexsort((b[near], a[near]))]
+    return list(zip(a[near].tolist(), b[near].tolist(), d[near].tolist()))
+
+
+class TestHashInSweeps:
+    @pytest.mark.parametrize(
+        "data, spec, lambdas, delta_ext, delta_int",
+        [
+            (catenoid(), catenoid_spec(24), [0.5, 1.0, 2.0], 0.2, 3.0),
+            (enneper(), SamplingSpec(-2, 2, -2, 2, nx=24, ny=24), [0.5, 1.0],
+             0.15, 2.0),
+        ],
+        ids=["catenoid", "enneper"],
+    )
+    def test_every_call_matches_all_pairs(self, monkeypatch, data, spec,
+                                          lambdas, delta_ext, delta_int):
+        # every spatial hash of a sweep, the Enneper one's bisection too
+        calls = []
+
+        def captured(positions, cell):
+            out = _spatial_hash_pairs(positions, cell)
+            calls.append((np.array(positions), cell, out))
+            return out
+
+        monkeypatch.setattr(mesh_module, "_spatial_hash_pairs", captured)
+        lambda_sweep(data, lambdas, spec, delta_ext=delta_ext,
+                     delta_int=delta_int)
+        assert len(calls) >= len(lambdas)
+        assert sum(len(out) for _, _, out in calls) > 0
+        for positions, cell, out in calls:
+            assert out == all_pairs(positions, cell)
+        # the oracle itself, against the loops on part of the last mesh
+        part = positions[::3]
+        assert all_pairs(part, cell) == brute_force_pairs(part, cell)
 
 
 def adjacency_lists(mesh):
