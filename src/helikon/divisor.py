@@ -3,15 +3,14 @@
 Zeros and poles are located by the argument principle on a jittered grid of
 parallelogram cells covering the fundamental domain.  The winding integrals
 of a whole grid come from one quadrature run over its distinct cell sides,
-and those of each of two refinement rounds (every subcell of every hot
-cell) from one more.  They only need to distinguish integers, so they run
-at loose quadrature tolerance.  The last round's hot subcells then take the
-argument-principle moments m_j = (1/2 pi i) * integral of u^j f'/f du,
-j = 0, 1, 2, on a circle around each, all circles in one run of the
-periodic trapezoidal rule: a subcell of winding k holds the point m1 / k,
-and m2 / k - (m1 / k)^2 vanishes unless it holds several distinct points
-(Delves & Lyness, Math. Comp. 21, 1967; Kravanja & Van Barel, LNM 1727,
-2000).
+and those of the 4 x 4 subcells of every hot cell from one more.  They only
+need to distinguish integers, so they run at loose quadrature tolerance.
+The hot subcells then take the argument-principle moments
+m_j = (1/2 pi i) * integral of u^j f'/f du, j = 0, 1, 2, on a circle around
+each, all circles in one run of the periodic trapezoidal rule: a subcell of
+winding k holds the point m1 / k, and m2 / k - (m1 / k)^2 vanishes unless
+it holds several distinct points (Delves & Lyness, Math. Comp. 21, 1967;
+Kravanja & Van Barel, LNM 1727, 2000).
 """
 
 import cmath
@@ -103,9 +102,8 @@ def locate_divisor(obj, grid=8):
     """Locate zeros and poles of a torus Expr/FormExpr in the fundamental cell.
 
     Raises ZeroOnContour when every jittered grid fails, and
-    ClusteredDivisor when distinct points share a subcell of the last
-    refinement round (1/(4 grid) of a period wide); a larger grid separates
-    them.
+    ClusteredDivisor when distinct points share a subcell of a hot cell
+    (1/(4 grid) of a period wide); a larger grid separates them.
     """
     f = _coefficient(obj)
     lat = f.domain.lattice
@@ -240,20 +238,20 @@ def _locate_with_base(f, fp, lat, base, grid):
     if not hot:
         return Divisor(entries=[])
 
-    # subdivide hot cells to separate nearby points
-    for _ in range(2):
-        subcells = []
-        for s0, t0, s1, t1, _ in hot:
-            sm, tm = 0.5 * (s0 + s1), 0.5 * (t0 + t1)
-            subcells += [
-                (s0, t0, sm, tm), (sm, t0, s1, tm),
-                (s0, tm, sm, t1), (sm, tm, s1, t1),
-            ]
-        windings = _cell_windings(f, fp, base, e1, e2, subcells)
-        for i, cell in enumerate(hot):
-            if sum(windings[4 * i:4 * i + 4]) != cell[4]:
-                raise ZeroOnContour("subdivision lost winding; jittering")
-        hot = [(*c, k) for c, k in zip(subcells, windings) if k != 0]
+    # split every hot cell into 4 x 4 subcells, each side halved twice
+    subcells = []
+    for s0, t0, s1, t1, _ in hot:
+        sm, tm = 0.5 * (s0 + s1), 0.5 * (t0 + t1)
+        ss = (s0, 0.5 * (s0 + sm), sm, 0.5 * (sm + s1), s1)
+        ts = (t0, 0.5 * (t0 + tm), tm, 0.5 * (tm + t1), t1)
+        subcells += [
+            (ss[i], ts[j], ss[i + 1], ts[j + 1]) for j in range(4) for i in range(4)
+        ]
+    windings = _cell_windings(f, fp, base, e1, e2, subcells)
+    for i, cell in enumerate(hot):
+        if sum(windings[16 * i:16 * i + 16]) != cell[4]:
+            raise ZeroOnContour("subdivision lost winding; jittering")
+    hot = [(*c, k) for c, k in zip(subcells, windings) if k != 0]
 
     entries = []
     points = _moment_points(f, fp, base, e1, e2, hot)

@@ -313,29 +313,29 @@ def _reference_with_base(f, fp, tau, base, grid):
             k = _reference_winding(f, fp, _cell_contour(base, e1, e2, *cell))
             if k != 0:
                 hot.append((*cell, k))
-    for _ in range(2):
-        refined = []
-        for s0, t0, s1, t1, k in hot:
-            sm, tm = 0.5 * (s0 + s1), 0.5 * (t0 + t1)
-            found = 0
-            for cell in (
-                (s0, t0, sm, tm), (sm, t0, s1, tm),
-                (s0, tm, sm, t1), (sm, tm, s1, t1),
-            ):
+    refined = []
+    for s0, t0, s1, t1, k in hot:
+        # the quarter points of the cell's sides, each side halved twice
+        sm, tm = 0.5 * (s0 + s1), 0.5 * (t0 + t1)
+        ss = (s0, 0.5 * (s0 + sm), sm, 0.5 * (sm + s1), s1)
+        ts = (t0, 0.5 * (t0 + tm), tm, 0.5 * (tm + t1), t1)
+        found = 0
+        for j in range(4):
+            for i in range(4):
+                cell = (ss[i], ts[j], ss[i + 1], ts[j + 1])
                 kk = _reference_winding(
                     f, fp, _cell_contour(base, e1, e2, *cell)
                 )
                 if kk != 0:
                     refined.append((*cell, kk))
                     found += kk
-            if found != k:
-                raise ZeroOnContour("subdivision lost winding")
-        hot = refined
-    return hot
+        if found != k:
+            raise ZeroOnContour("subdivision lost winding")
+    return refined
 
 
 def reference_hot_cells(form, grid=8, jitter_tries=5):
-    """The grid base and the last round's hot subcells (s0, t0, s1, t1, k)
+    """The grid base and the hot 1/(4 grid) subcells (s0, t0, s1, t1, k)
     of locate_divisor, with one quadrature run per cell."""
     f = form.coeff
     fp = differentiate(f)
@@ -422,14 +422,21 @@ def assert_entries_near(entries, want, tau, tol):
         ), (p, n, want)
 
 
+def complex_text(z):
+    """The complex z as expression text, to the last bit."""
+    return f"({z.real!r} + {z.imag!r}*i)"
+
+
 def sigma_pair(a, b):
     """sigma(u - a) sigma(u - b) / sigma(u)^2 du: simple zeros at a and b,
     a double pole at 0."""
-    def arg(z):
-        return f"({z.real!r} + {z.imag!r}*i)"
-    return parse_expr(
-        f"sigma(u - {arg(a)})*sigma(u - {arg(b)})/sigma(u)^2 du", TORUS
-    )
+    a, b = complex_text(a), complex_text(b)
+    return parse_expr(f"sigma(u - {a})*sigma(u - {b})/sigma(u)^2 du", TORUS)
+
+
+def first_grid_point(s, t):
+    """The point FIRST_BASE + s + t i of the first grid at tau = i."""
+    return FIRST_BASE + s + t * 1j
 
 
 class TestBatchedDivisor:
@@ -506,10 +513,37 @@ class TestBatchedDivisor:
             dv.entries, [(s, -2), (s + 0.5 + 0.5j, 2)], 1j, 1e-12
         )
 
+    def test_zero_on_interior_subcell_line_jitters(self, monkeypatch):
+        # z lies on the line t = 1/32 inside the first grid's hot cell
+        # [0, 1/8]^2: a side of that cell's 4 x 4 subcells, but of no grid
+        # cell, so the first grid fails in its subcell run; the second
+        # grid finds +-z and the double pole at 0
+        z = first_grid_point(0.03, 1 / 32)
+        text = complex_text(z)
+        form = parse_expr(
+            f"sigma(u - {text})*sigma(u + {text})/sigma(u)^2 du", TORUS
+        )
+        f = form.coeff
+        cells = []
+        windings = divisor_module._cell_windings
+
+        def counted(*args, **kwargs):
+            cells.append(len(args[5]))
+            return windings(*args, **kwargs)
+
+        monkeypatch.setattr(divisor_module, "_cell_windings", counted)
+        with pytest.raises(ZeroOnContour):
+            _locate_with_base(f, differentiate(f), LAT, FIRST_BASE, 8)
+        # the grid, then 16 subcells of each hot cell: z's, -z's and 0's
+        assert cells == [64, 48]
+        dv = locate_divisor(form)
+        assert_matches_reference(dv, form)
+        assert_entries_near(dv.entries, [(z, 1), (-z, 1), (0j, -2)], 1j, 1e-12)
+
     def test_quadrature_runs_per_grid(self, monkeypatch):
-        # one run for the grid and one per refinement round, over the
-        # distinct cell sides (8 x 9 horizontal and 9 x 8 vertical ones on
-        # the grid), and one over the last round's circles
+        # one run for the grid and one for the 4 x 4 subcells of its hot
+        # cells, over the distinct cell sides (8 x 9 horizontal and 9 x 8
+        # vertical ones on the grid), and one over the hot subcells' circles
         runs, attempts = [], []
         integrate, locate = (
             divisor_module.integrate_paths, divisor_module._locate_with_base
@@ -527,7 +561,7 @@ class TestBatchedDivisor:
         monkeypatch.setattr(divisor_module, "_locate_with_base", counted_locate)
         dv, ok = divisor_audit(parse_expr("wp(u) du", TORUS))
         assert ok and attempts
-        assert len(runs) <= 4 * len(attempts)
+        assert len(runs) <= 3 * len(attempts)
         assert runs[0] == 144
         # the moments: one circle per hot subcell, the double pole at 0
         # and the double zero at (1 + i)/2
@@ -564,3 +598,21 @@ class TestBatchedDivisor:
         assert_entries_near(
             dv.entries, [(a, 1), (b, 1), (0j, -2)], 1j, 1e-12
         )
+
+    def test_zero_pole_pair_sharing_a_sixteenth_subcell(self):
+        # the zero a and the pole c share a 1/16 subcell of the hot cell
+        # [1/4, 3/8]^2 of the first grid, where their windings cancel, but
+        # lie in different 1/32 subcells; every subcell of a hot cell is
+        # searched, so both are found, not only the verdict's counts
+        a, b, e = (first_grid_point(x, x) for x in (0.27, 0.35, 0.7))
+        c, p = first_grid_point(0.29, 0.27), first_grid_point(0.7, 0.2)
+        d = a + b + e - c - p
+        k = exp_factor_coefficient([a, b, e], [c, p, d], LAT)
+        num = "*".join(f"sigma(u - {complex_text(x)})" for x in (a, b, e))
+        den = "*".join(f"sigma(u - {complex_text(x)})" for x in (c, p, d))
+        form = parse_expr(f"exp({complex_text(k)}*u)*{num}/({den}) du", TORUS)
+        dv, ok = divisor_audit(form)
+        assert ok
+        assert_matches_reference(dv, form)
+        want = [(a, 1), (b, 1), (e, 1), (c, -1), (p, -1), (d, -1)]
+        assert_entries_near(dv.entries, want, 1j, 1e-12)
