@@ -104,6 +104,11 @@ def locate_divisor(obj, grid=8):
     Raises ZeroOnContour when every jittered grid fails, and
     ClusteredDivisor when distinct points share a subcell of a hot cell
     (1/(4 grid) of a period wide); a larger grid separates them.
+
+    The grid sees each cell's net winding only, so a zero and a pole in
+    one grid cell cancel and are missed without an error.  At tau = i,
+    sigma(u-0.2)*sigma(u+0.3)/(sigma(u+0.2)*sigma(u-0.3)) has its zeros and
+    poles 0.1 apart: grid=8 finds nothing, and grid=16 all four points.
     """
     f = _coefficient(obj)
     lat = f.domain.lattice
@@ -160,8 +165,8 @@ def _cell_windings(f, fp, base, e1, e2, cells, tol=2e-3):
     (see _cell_integrals); ZeroOnContour if any cell fails."""
 
     def integrand(z):
-        den = eval_expr(f, z)
-        return eval_expr(fp, z) / den
+        den, num = eval_expr((f, fp), z)
+        return num / den
 
     w = (_cell_integrals(integrand, base, e1, e2, cells, tol) / TWO_PI_I).real
     k = np.round(w)
@@ -190,7 +195,8 @@ def _moment_points(f, fp, base, e1, e2, hot):
     radius = CIRCLE_SCALE * 0.5 * np.maximum(abs(ds + dt), abs(ds - dt))
 
     def integrand(z):
-        d = eval_expr(fp, z) / eval_expr(f, z)
+        num, den = eval_expr((fp, f), z)
+        d = num / den
         return np.stack([d, z * d, z * z * d])
 
     def checks(m):

@@ -24,20 +24,27 @@ product: -2*u is -(2*u), not Python's (-2)*u.
 A one-form is written "<expr> du" ("dz" is accepted as a synonym on plane
 domains).
 
-eval_expr makes one kernel call per elliptic kind, not one per block.  An
-Expr's plan, built on its first evaluation, lists each kind's distinct
-blocks in the order the tree walk first reaches them (a quotient's
-denominator before its numerator); the call takes the stacked arguments
-u - shift of those blocks, and the walk reads each block's row.  Stacks
-stop at 15 * paths.BLOCK_PANELS points, the size of an integrand call, so
-a block on more points than that is called alone.  The kernels give the
-same bits for a point whatever array it sits in, so stacking changes no
-value; when a stacked call raises PoleAt, the walk runs block by block,
-so the error is the one that order meets first.
+eval_expr makes one kernel call per elliptic kind, not one per block, and
+evaluates a tuple of expressions on one domain together, as the divisor
+integrand f'/f takes f and f', and the period forms g and dh.  The plan of
+an expression, or of a tuple (kept by its first expression for the last
+tuple it led), built on its first evaluation, lists the distinct shifts
+of all the elliptic blocks in the order the tree walks first reach them
+(a quotient's denominator before its numerator), and each kind's rows of
+them.  The stacked arguments u - shift are reduced to the cell once, in
+one kernels.Cells, and each kind's kernel is called on its rows; the
+walks read each block's row.  Stacks stop at 15 * paths.BLOCK_PANELS
+points, the size of an integrand call, so a shift on more points than
+that is stacked alone.  The kernels give the same bits for a point
+whatever array it sits in and whichever kernels share its Cells, so
+stacking changes no value; when a stacked call raises PoleAt, the walks
+run block by block, expression by expression in order, so the error is
+the one that evaluating them one by one meets first.
 """
 
 import ast
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,17 +300,21 @@ def _eval_node(node, u, lat, values=None):
     raise TypeError(f"unknown node {node!r}")
 
 
-def _elliptic_plan(node):
-    """[(kernel name, shifts, ids)] per elliptic kind of node, in the order
-    _eval_node first reaches each kind: the kind's distinct shifts in the
-    order it first reaches them, and for each the ids of its blocks."""
-    kinds = {}  # kind -> {repr(shift): (shift, [id(block)])}
+def _elliptic_plan(nodes):
+    """(shifts, kinds) of the elliptic blocks of nodes, walked in order as
+    _eval_node reaches them: the distinct shifts of all kinds in the order
+    the walk first reaches them, and for each kind, in the order the walk
+    first reaches it, (kernel name, its rows of shifts in ascending order,
+    the ids of its blocks on each row)."""
+    kinds = {}  # kind -> {repr(shift): [id(block)]}
+    shifts = {}  # repr(shift) -> shift, in the order first reached
 
     def walk(n):
         if isinstance(n, Elliptic):
             # repr, not ==, tells -0.0 from 0.0, as u - shift does
-            rows = kinds.setdefault(n.kind, {})
-            rows.setdefault(repr(n.shift), (n.shift, []))[1].append(id(n))
+            key = repr(n.shift)
+            shifts.setdefault(key, n.shift)
+            kinds.setdefault(n.kind, {}).setdefault(key, []).append(id(n))
         elif isinstance(n, Div):
             walk(n.b)  # the denominator first, as _eval_node takes it
             walk(n.a)
@@ -313,29 +324,45 @@ def _elliptic_plan(node):
                 if child is not None:
                     walk(child)
 
-    walk(node)
-    return [
-        (
-            _ELLIPTIC[kind][0],
-            np.array([shift for shift, _ in rows.values()], dtype=complex),
-            [ids for _, ids in rows.values()],
-        )
-        for kind, rows in kinds.items()
-    ]
+    for node in nodes:
+        walk(node)
+    row = {key: i for i, key in enumerate(shifts)}
+    return (
+        np.array(list(shifts.values()), dtype=complex),
+        [
+            (
+                _ELLIPTIC[kind][0],
+                sorted(row[key] for key in rows),
+                [rows[key] for key in sorted(rows, key=row.get)],
+            )
+            for kind, rows in kinds.items()
+        ],
+    )
 
 
 def _stacked_values(plan, u, lat):
-    """{id(block): value at u} for the blocks of plan: one kernel call per
-    kind, on the stacked u - shift, split so that no call exceeds
-    15 * paths.BLOCK_PANELS points unless one block alone does."""
+    """{id(block): value at u} for the blocks of plan: per stack of shifted
+    arguments u - shift, one kernels.Cells and one kernel call per kind on
+    its rows.  A stack holds every shift, split so that none exceeds
+    15 * paths.BLOCK_PANELS points unless one shift alone does."""
+    shifts, kinds = plan
     per_call = max(1, 15 * paths.BLOCK_PANELS // max(u.size, 1))
     axes = (-1,) + (1,) * u.ndim
     values = {}
-    for name, shifts, ids in plan:
-        kernel = getattr(kernels, name)
-        for lo in range(0, shifts.size, per_call):
-            rows = kernel(u - shifts[lo:lo + per_call].reshape(axes), lat)
-            for row, blocks in zip(rows, ids[lo:lo + per_call]):
+    for lo in range(0, shifts.size, per_call):
+        calls = kinds  # one stack, the common case
+        if per_call < shifts.size:
+            calls = []
+            for name, rows, ids in kinds:
+                a, b = bisect_left(rows, lo), bisect_left(rows, lo + per_call)
+                if a < b:
+                    calls.append(
+                        (name, [r - lo for r in rows[a:b]], ids[a:b]))
+        cells = kernels.Cells(u - shifts[lo:lo + per_call].reshape(axes), lat,
+                              [name for name, _, _ in calls])
+        for name, index, ids in calls:
+            rows = getattr(kernels, name)(kernels.Rows(cells, index), lat)
+            for row, blocks in zip(rows, ids):
                 for block in blocks:
                     values[block] = row
     return values
@@ -502,7 +529,10 @@ class Expr:
             raise DomainError("elliptic blocks require a torus domain")
         self.node = node
         self.domain = domain
-        self._plan = None  # _elliptic_plan(node), on the first evaluation
+        # (others, _elliptic_plan) of this expression alone (others = ())
+        # and of the last tuple it led, built on their first evaluation; one
+        # tuple only, as a caller may pair it with a new expression each time
+        self._plan = self._joint = None
 
     # -- arithmetic sugar (same-domain operands or plain numbers) -----------
     def _coerce(self, other):
@@ -576,9 +606,19 @@ def eval_expr(e, u):
     A complex for a scalar u; for an ndarray u, an array of its shape (and
     the errors name the first offending point).  A scalar runs as a
     one-point array, so that an overflow gives inf there too.
+
+    e may also be a tuple of expressions on one domain: their values, as a
+    tuple, from one puncture screen and one plan.  The error is the first
+    that evaluating them one by one, in order, meets.
     """
-    e = e.coeff if isinstance(e, FormExpr) else e
-    node, domain = e.node, e.domain
+    joint = isinstance(e, tuple)
+    exprs = [x.coeff if isinstance(x, FormExpr) else x
+             for x in (e if joint else (e,))]
+    first, others = exprs[0], tuple(exprs[1:])
+    domain = first.domain
+    for x in others:
+        if x.domain is not domain and x.domain != domain:
+            raise DomainError("expressions evaluated together need one domain")
     scalar = np.ndim(u) == 0
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     if domain.punctures:
@@ -587,16 +627,25 @@ def eval_expr(e, u):
         if np.count_nonzero(hit):
             where = kernels.first_where(u, hit.any(axis=-1))
             raise DomainViolation(f"u = {where} is a declared puncture")
-    if e._plan is None:
-        e._plan = _elliptic_plan(node)
+    cached = first._joint if others else first._plan
+    if cached is None or cached[0] != others:
+        cached = (others, _elliptic_plan([x.node for x in exprs]))
+        if others:
+            first._joint = cached
+        else:
+            first._plan = cached
+    plan = cached[1]
     try:
-        values = _stacked_values(e._plan, u, domain.lattice)
+        values = _stacked_values(plan, u, domain.lattice)
     except PoleAt:
         values = None  # block by block: the first error of that order
-    val = _eval_node(node, u, domain.lattice, values)
-    if np.ndim(val) == 0:
-        val = np.full(u.shape, val)
-    return complex(val[0]) if scalar else val
+    out = []
+    for x in exprs:
+        val = _eval_node(x.node, u, domain.lattice, values)
+        if np.ndim(val) == 0:
+            val = np.full(u.shape, val)
+        out.append(complex(val[0]) if scalar else val)
+    return tuple(out) if joint else out[0]
 
 
 def reciprocal_values(values, u):

@@ -6,15 +6,30 @@ Im(tau') >= sqrt(3)/2, and scale back by homogeneity (DLMF 23.10(iv)):
 wp, wp', zeta and sigma are omega^-2, omega^-3, omega^-1 and omega times
 those of <1, tau'> at v = u / omega.  On its cell they sum 2 <= N <= 4
 terms (term_count) of Lattice.terms in the powers w^(2n+1), w = exp(i*pi*v0)
-(DLMF 20.2.1).  A kernel takes a complex scalar or an ndarray and returns
-the same; a scalar runs as a one-point array.  It acts point by point, bit
-for bit: a point gets the same value alone and anywhere in an array of any
-size and shape, so eval_expr may stack an expression's blocks into one
-call.  numpy reuses a temporary of 256 KiB or more (16,384 complex points)
-in place, so that v0 * (0.5 * eta1 * v0 + eta) in sigma, say, becomes an
-in-place product, and its in-place complex product rounds otherwise than
-the out-of-place one; so _kernel runs the series on slices of at most
-KERNEL_SLICE = 8,192 points.
+(DLMF 20.2.1).  A kernel takes a complex scalar, an ndarray, or rows of a
+Cells, and returns a complex, an array of the same shape, or an array of
+the rows' shape.
+
+Cells is the work the four kernels share.  On each slice of at most
+KERNEL_SLICE of its points it reduces them to the cell once (m, n, v0 and
+the pole screen), and forms the odd powers of w and the theta sums A_j up
+to the highest order its kernels read: sigma reads A_0, zeta A_0 and A_1,
+wp A_0 .. A_2, and wp' the powers.  Each kernel's body reads that work.  A
+kernel called on points is the one-kernel case: a Cells read slice by
+slice by that kernel alone, which keeps nothing.  eval_expr builds one
+Cells per stack of shifted arguments and calls each kind's kernel on its
+rows.
+
+A kernel acts point by point, bit for bit: a point gets the same value
+alone and anywhere in an array of any size and shape, whichever kernels
+share its Cells.  numpy reuses a temporary of 256 KiB or more (16,384
+complex points) in place, so that v0 * (0.5 * eta1 * v0 + eta) in sigma,
+say, would become an in-place product, and its in-place complex product
+rounds otherwise than the out-of-place one; the slices keep every
+temporary far below that.  KERNEL_SLICE = 1,920, a quarter of an integrand
+call (15 * paths.BLOCK_PANELS points), is sized to the cache as well: a
+slice's arrays are 30 KiB each, so the allocator reuses their memory
+instead of mapping fresh pages for every temporary.
 """
 
 import math
@@ -25,7 +40,7 @@ from .errors import PoleAt
 
 POLE_RADIUS = 1e-10
 # the most points a kernel body takes at once (see above)
-KERNEL_SLICE = 8192
+KERNEL_SLICE = 1920
 
 
 def term_count(im_tau, tol):
@@ -64,11 +79,12 @@ def odd_powers(v0):
         w, wi = w * w2, wi * wi2
 
 
-def theta_sums(v0, terms, count):
+def theta_sums(powers, terms, count):
     """The first count of A_j = sum_n c k^j (w^k - (-1)^j w^-k), j = 0..2,
-    with w = exp(i*pi*v0) and the Lattice.terms of tau: theta_1, theta_1',
-    theta_1'' at pi*v0 are q^(1/4) times (-i A_0, A_1, i A_2)."""
-    powers = odd_powers(v0)
+    from the odd powers of w = exp(i*pi*v0), an iterator (odd_powers(v0)
+    frees each power once it is summed), and the Lattice.terms of tau:
+    theta_1, theta_1', theta_1'' at pi*v0 are q^(1/4) times
+    (-i A_0, A_1, i A_2).  A_j takes the same steps whatever count is."""
     w, wi = next(powers)
     # the n = 0 term, where c k^j = 1
     sums = [w + wi if j % 2 else w - wi for j in range(count)]
@@ -102,94 +118,192 @@ def reduce_to_cell(u, tau):
     return u0, m, n
 
 
-def _sigma(v0, m, n, lat):
+class _Slice:
+    """One slice of a Cells: its points z = omega (v0 + m + n*tau') with v0
+    in the cell of <1, tau'>, where omega v0 = z - (md + nb) - (mc + na)*tau
+    carries no rounding of z / omega; near, the points within POLE_RADIUS
+    of a pole (None if no kernel screens); the theta sums; and the odd
+    powers (None if no kernel reads them)."""
+
+    __slots__ = ("z", "m", "n", "v0", "near", "sums", "powers")
+
+    def __init__(self, z, lat, order, screen, keep_powers):
+        m, n = cell_index(z / lat.omega, lat.tau_r)
+        a, b, c, d = lat.basis
+        v0 = (z - (m * d + n * b) - (m * c + n * a) * lat.tau) / lat.omega
+        self.z, self.m, self.n, self.v0 = z, m, n, v0
+        self.near = (np.abs(v0) < POLE_RADIUS / abs(lat.omega)
+                     if screen else None)
+        powers = odd_powers(v0)
+        self.powers = None
+        if keep_powers:  # wp' reads them all
+            self.powers = [next(powers) for _ in lat.terms]
+            powers = iter(self.powers)
+        self.sums = theta_sums(powers, lat.terms, order) if order else []
+
+    def part(self, lo, hi):
+        """Points lo .. hi - 1 of the slice, as views."""
+        if lo == 0 and hi == self.z.size:
+            return self
+        part = _Slice.__new__(_Slice)
+        for name in ("z", "m", "n", "v0", "near"):
+            value = getattr(self, name)
+            setattr(part, name, None if value is None else value[lo:hi])
+        part.sums = [a[lo:hi] for a in self.sums]
+        part.powers = (None if self.powers is None
+                       else [(w[lo:hi], wi[lo:hi]) for w, wi in self.powers])
+        return part
+
+
+class Cells:
+    """The points u on lat, reduced to the cell once for the kernels named
+    (of wp, wp_prime, zeta_w and sigma_w).  Slice k holds the points from
+    k * KERNEL_SLICE on in u's flat order; it is built when a kernel first
+    reads it, and kept for the others when several kernels read u."""
+
+    def __init__(self, u, lat, names):
+        z = np.asarray(u, dtype=complex)
+        self.z, self.shape, self.lat = z.reshape(-1), z.shape, lat
+        self.order = max(_KERNELS[name][1] for name in names)
+        self.screen = any(_KERNELS[name][2] for name in names)
+        self.keep_powers = "wp_prime" in names
+        self.kept = {} if len(names) > 1 else None
+
+    def slice(self, k):
+        s = None if self.kept is None else self.kept.get(k)
+        if s is None:
+            s = _Slice(self.z[k * KERNEL_SLICE:(k + 1) * KERNEL_SLICE],
+                       self.lat, self.order, self.screen, self.keep_powers)
+            if self.kept is not None:
+                self.kept[k] = s
+        return s
+
+
+class Rows:
+    """Rows index (ascending, along u's first axis) of a Cells' points, or
+    all of them, as one kernel argument: size counts the points (as np.size
+    reads it), shape is that of the values, and parts lists (slice k, lo,
+    hi) for the rows' points of each slice in turn."""
+
+    def __init__(self, cells, index=None):
+        self.cells = cells
+        size = cells.z.size
+        if index is None or len(index) == cells.shape[0]:
+            self.shape, self.size, runs = cells.shape, size, [(0, size)]
+            if size <= KERNEL_SLICE:
+                self.parts = [(0, 0, size)]
+                return
+        else:
+            width = size // cells.shape[0]
+            self.shape = (len(index),) + cells.shape[1:]
+            self.size = len(index) * width
+            runs = []  # consecutive rows make one run
+            for i in index:
+                if runs and runs[-1][1] == i * width:
+                    runs[-1] = (runs[-1][0], (i + 1) * width)
+                else:
+                    runs.append((i * width, (i + 1) * width))
+        self.parts = [
+            (k, max(a, k * KERNEL_SLICE) - k * KERNEL_SLICE,
+             min(b, (k + 1) * KERNEL_SLICE) - k * KERNEL_SLICE)
+            for a, b in runs
+            for k in range(a // KERNEL_SLICE, -(-b // KERNEL_SLICE))
+        ]
+
+
+def _sigma(s, lat):
     eta1, eta2 = lat.eta_r
-    (a0,) = theta_sums(v0, lat.terms, 1)
+    m, n, v0 = s.m, s.n, s.v0
     # omega sigma'(v0) = omega exp(eta1' v0^2 / 2) theta_1 / (pi theta_1'(0)),
     # times the quasi-periodicity factor back to v0 + m + n*tau'
     eta = m * eta1 + n * eta2
     expo = v0 * (0.5 * eta1 * v0 + eta) + 0.5 * eta * (m + n * lat.tau_r)
-    sign = 1.0 - 2.0 * np.mod(m + n + m * n, 2)
-    return lat.sigma_scale * sign * a0 * np.exp(expo)
+    # (-1)^(m + n + mn) with np.mod's bits, nan included: a third of its
+    # time on a full slice (11 against 33 us on a 2-core Xeon)
+    x = m + n + m * n
+    sign = 1 - 2 * (x - 2 * np.floor(x / 2))
+    return lat.sigma_scale * sign * s.sums[0] * np.exp(expo)
 
 
-def _zeta(v0, m, n, lat):
+def _zeta(s, lat):
     eta1, eta2 = lat.eta_r
-    a0, a1 = theta_sums(v0, lat.terms, 2)
-    z0 = eta1 * v0 + 1j * np.pi * a1 / a0
-    return (z0 + m * eta1 + n * eta2) / lat.omega
+    a0, a1 = s.sums[:2]
+    z0 = eta1 * s.v0 + 1j * np.pi * a1 / a0
+    return (z0 + s.m * eta1 + s.n * eta2) / lat.omega
 
 
-def _wp(v0, m, n, lat):
-    a0, a1, a2 = theta_sums(v0, lat.terms, 3)
+def _wp(s, lat):
+    a0, a1, a2 = s.sums[:3]
     x = a1 / a0
     return (np.pi ** 2 * (a2 / a0 - x * x) - lat.eta_r[0]) / lat.omega ** 2
 
 
-def _wp_prime(v0, m, n, lat):
+def _wp_prime(s, lat):
     # -2 pi^3 theta_1'(0)^2 theta_2 theta_3 theta_4 / theta_1^3 (DLMF 23.6.2),
     # theta_3 theta_4 (z, q) = theta_4(0, q^2) theta_4(2z, q^2) (DLMF 20.7.11):
     # unlike -pi^3 (log theta_1)''', nothing cancels where wp' is small.  With
     # x = c w^k, y = c w^-k, theta_2 sums (-1)^n (x + y) and theta_4(2z, q^2)
     # sums (-1)^n q^(2n^2) (w^4n + w^-4n) = (-1)^(n+1) (x x_ + y y_), x_ and
     # y_ the previous term's: no factor leaves theta_1's range on the cell
-    powers = odd_powers(v0)
-    x, y = next(powers)  # n = 0, c = 1
+    x, y = s.powers[0]  # n = 0, c = 1
     a0, b, t = x - y, x + y, 1.0
-    for i, (c, *_) in enumerate(lat.terms[1:], 1):
-        w, wi = next(powers)
-        x_, y_ = x, y  # freed before the next power
+    for i, ((c, *_), (w, wi)) in enumerate(
+            zip(lat.terms[1:], s.powers[1:]), 1):
+        x_, y_ = x, y
         x, y = c * w, c * wi
         # not x_ *= x: numpy rounds a one-point in-place complex product
         # otherwise than the same product inside a longer array
         x_ = x_ * x + y_ * y
         t = t + x_ if i % 2 else t - x_
-        del x_, y_
         a0 += x - y
         b = b - (x + y) if i % 2 else b + (x + y)
     return lat.wpp_scale * (b * t) / (a0 * a0 * a0)
 
 
-def _kernel(body, u, lat, poles=True):
-    """body(v0, m, n, lat), u = omega (v0 + m + n*tau') with v0 in the cell
-    of <1, tau'>, where omega v0 = u - (md + nb) - (mc + na)*tau carries no
-    rounding of u / omega; with poles, PoleAt within POLE_RADIUS of a pole."""
-    z = np.atleast_1d(np.asarray(u, dtype=complex))
-    m, n = cell_index(z / lat.omega, lat.tau_r)
-    a, b, c, d = lat.basis
-    v0 = (z - (m * d + n * b) - (m * c + n * a) * lat.tau) / lat.omega
-    if poles:
-        near = np.abs(v0) < POLE_RADIUS / abs(lat.omega)
-        if np.count_nonzero(near):
-            raise PoleAt(first_where(z, near))
-    if v0.size <= KERNEL_SLICE:
-        out = body(v0, m, n, lat)
+# kernel -> (its body, the theta sums it reads, whether it screens poles)
+_KERNELS = {
+    "wp": (_wp, 3, True),
+    "wp_prime": (_wp_prime, 0, True),
+    "zeta_w": (_zeta, 2, True),
+    "sigma_w": (_sigma, 1, False),
+}
+
+
+def _kernel(name, u, lat):
+    """The kernel name at u, rows of a Cells or points on lat, slice by
+    slice; PoleAt at the first point within POLE_RADIUS of a pole."""
+    rows = u if isinstance(u, Rows) else Rows(Cells(u, lat, (name,)))
+    body, _, poles = _KERNELS[name]
+    cells = rows.cells
+    parts = []
+    for k, lo, hi in rows.parts:
+        s = cells.slice(k).part(lo, hi)
+        if poles and np.count_nonzero(s.near):
+            raise PoleAt(first_where(s.z, s.near))
+        parts.append(body(s, cells.lat))
+    if len(parts) == 1:
+        out = parts[0]
     else:
-        # slice by slice, for the same bits (see the module docstring)
-        v0, m, n = v0.ravel(), m.ravel(), n.ravel()
-        out = np.concatenate([
-            body(v0[s:s + KERNEL_SLICE], m[s:s + KERNEL_SLICE],
-                 n[s:s + KERNEL_SLICE], lat)
-            for s in range(0, len(v0), KERNEL_SLICE)
-        ]).reshape(z.shape)
-    return complex(out[0]) if np.ndim(u) == 0 else out
+        out = np.concatenate(parts) if parts else np.empty(0, dtype=complex)
+    out = out.reshape(rows.shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 def wp(u, lat):
     """Weierstrass p-function on lat's lattice <1, tau>."""
-    return _kernel(_wp, u, lat)
+    return _kernel("wp", u, lat)
 
 
 def wp_prime(u, lat):
     """Derivative of the p-function."""
-    return _kernel(_wp_prime, u, lat)
+    return _kernel("wp_prime", u, lat)
 
 
 def zeta_w(u, lat):
     """Weierstrass zeta function (quasi-periodic, increments eta1/eta2)."""
-    return _kernel(_zeta, u, lat)
+    return _kernel("zeta_w", u, lat)
 
 
 def sigma_w(u, lat):
     """Weierstrass sigma function (entire)."""
-    return _kernel(_sigma, u, lat, poles=False)
+    return _kernel("sigma_w", u, lat)

@@ -70,13 +70,12 @@ class WeierstrassData:
 
     def period_values(self, u):
         """The coefficients of the period forms (g dh, dh/g, dh) at the
-        points u, as a (3, n) array, from one evaluation of g and one of dh.
+        points u, as a (3, n) array, from one joint evaluation of g and dh.
 
         Raises PoleAt where g or dh has a pole or g vanishes.  The
         Lopez-Ros deformation g -> lam*g scales the rows (lopez_ros_triples).
         """
-        g = eval_expr(self.g, u)
-        h = eval_expr(self.dh.coeff, u)
+        g, h = eval_expr((self.g, self.dh.coeff), u)
         return np.stack([g * h, reciprocal_values(g, u) * h, h])
 
     def log_gauss_form(self):

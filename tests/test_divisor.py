@@ -567,6 +567,33 @@ class TestBatchedDivisor:
         # and the double zero at (1 + i)/2
         assert runs[-1] == 2
 
+    def test_one_evaluation_per_integrand_call(self, monkeypatch):
+        # f'/f comes from one joint evaluation of f and f' on the points
+        integrand_calls, evals = {}, []
+        integrate, evaluate = (
+            divisor_module.integrate_paths, divisor_module.eval_expr
+        )
+
+        def counted_integrate(integrand, *args, **kwargs):
+            name = integrand.__qualname__.split(".")[0]
+
+            def counted(z):
+                integrand_calls[name] = integrand_calls.get(name, 0) + 1
+                return integrand(z)
+
+            return integrate(counted, *args, **kwargs)
+
+        def counted_eval(e, u):
+            evals.append(len(e) if isinstance(e, tuple) else 1)
+            return evaluate(e, u)
+
+        monkeypatch.setattr(divisor_module, "integrate_paths", counted_integrate)
+        monkeypatch.setattr(divisor_module, "eval_expr", counted_eval)
+        dv, ok = divisor_audit(parse_expr("wp(u) du", TORUS))
+        assert ok
+        assert set(integrand_calls) == {"_cell_windings", "_moment_points"}
+        assert evals == [2] * sum(integrand_calls.values())
+
     def test_clustered_points_fall_back_to_cell_sides(self, monkeypatch):
         # the zeros a and b = a + 0.03 sit in neighbouring subcells, and b
         # lies inside a's circle, so that subcell's m0 is 2, not 1: its

@@ -1,8 +1,10 @@
 """Expression language: parsing, evaluation, calculus, pullbacks."""
 
 import cmath
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -437,6 +439,124 @@ class TestStackedEvaluation:
         assert bits(sampled) == bits(
             paths.evaluate(lambda z: block_by_block(e, z), z))
         assert np.isnan(sampled).tolist() == [False, True, True] + [False] * 41
+
+
+class TestJointEvaluation:
+    """eval_expr on a tuple of expressions: one puncture screen, one plan
+    and one kernel call per kind, with the values and errors of separate
+    evaluations in the tuple's order."""
+
+    CANDIDATE = TestStackedEvaluation.CANDIDATE
+
+    def pairs(self):
+        cases = TestStackedEvaluation().cases()
+        g, dh = cases["g"], cases["dh"]
+        out = {"g, dh": (g, dh), "dh, g": (dh, g)}
+        for name in ("g", "dh"):
+            f = cases[name].coeff if name == "dh" else cases[name]
+            out[f"{name}, d{name}"] = (f, differentiate(f))
+        f = parse_expr("wp(u - 0.1)", TORUS)
+        out["wp, wpp"] = (f, differentiate(f))
+        out["wpp, wp"] = (differentiate(f), f)
+        return out
+
+    @pytest.mark.parametrize("n", (1, 15, 1000, 3000, 7681))
+    def test_same_bits_as_separate_evaluations(self, n):
+        u = cell_points(n)
+        for name, pair in self.pairs().items():
+            want = [bits(eval_expr(e, u)) for e in pair]
+            assert [bits(v) for v in eval_expr(pair, u)] == want, name
+            assert [bits(v) for v in eval_expr(pair, u)] == want, name
+        scalar = eval_expr(pair, complex(u[0]))
+        assert all(isinstance(v, complex) for v in scalar)
+        assert [bits(v) for v in scalar] == [
+            bits(eval_expr(e, complex(u[0]))) for e in pair]
+
+    def test_one_kernel_call_per_kind(self, monkeypatch):
+        calls = []
+        for name in ("sigma_w", "zeta_w"):
+            kernel = getattr(kernels, name)
+
+            def counted(u, lat, kernel=kernel, name=name):
+                calls.append((name, np.size(u)))
+                return kernel(u, lat)
+
+            monkeypatch.setattr(kernels, name, counted)
+        g, dh = self.pairs()["g, dh"]
+        eval_expr((g, dh), cell_points(60))
+        # g's four sigma shifts and dh's two zeta shifts, +-0.3i shared
+        assert sorted(calls) == [("sigma_w", 240), ("zeta_w", 120)]
+
+    def first_error(self, evaluate):
+        with pytest.raises((PoleAt, DomainViolation)) as exc:
+            evaluate()
+        return type(exc.value), str(exc.value)
+
+    @pytest.mark.parametrize("where", ("f", "fp", "both", "puncture"))
+    def test_first_error_of_the_order(self, where):
+        # f = zeta(u - 0.2) / sigma(u - 0.1) has poles at 0.1 and 0.2 (its
+        # derivative's blocks too); in the fp case only the second
+        # expression has poles: the stacked zeta call meets 0.35 first,
+        # the walk the denominator's zero at 0.31; in the both case the
+        # first expression's zeta block meets 0.2, the second's wp 1.35
+        dom = torus(1j, (0.45,))
+        f = parse_expr("zeta(u - 0.2) / sigma(u - 0.1)", dom)
+        pairs = {
+            "f": (f, differentiate(f)),
+            "fp": (parse_expr("wp(u - 0.3)", dom),
+                   parse_expr("zeta(u - 0.35) / (u - 0.31)", dom)),
+            "both": (parse_expr("zeta(u - 0.2) + 1 / (u - 0.31)", dom),
+                     parse_expr("wp(u - 0.35)", dom)),
+            "puncture": (f, differentiate(f)),
+        }
+        u = {
+            "f": np.array([0.3, 0.2, 0.1, 0.4], dtype=complex),
+            "fp": np.array([0.35, 0.31, 0.4], dtype=complex),
+            "both": np.array([1.35, 0.31, 0.2], dtype=complex),
+            "puncture": np.array([0.3, 0.2, 0.45, 0.4], dtype=complex),
+        }[where]
+        pair = pairs[where]
+
+        def separately():
+            return [eval_expr(e, u) for e in pair]
+
+        want = self.first_error(separately)
+        assert want == {
+            "f": (PoleAt, str(PoleAt(0.1 + 0j))),
+            "fp": (PoleAt, str(PoleAt(0.31 + 0j))),
+            # the zeta kernel names its argument u - 0.2, as it does alone
+            "both": (PoleAt, str(PoleAt(0j))),
+            "puncture": (DomainViolation,
+                         "u = (0.45+0j) is a declared puncture"),
+        }[where]
+        assert self.first_error(lambda: eval_expr(pair, u)) == want
+        assert self.first_error(lambda: eval_expr(pair[::-1], u)) == (
+            self.first_error(lambda: [eval_expr(e, u) for e in pair[::-1]]))
+
+    def test_one_joint_plan_per_leading_expression(self):
+        # a caller that pairs f with a new expression on every call, as
+        # locate_divisor pairs a scene's form with its derivative, leaves
+        # f holding the last partner only
+        f = parse_expr("wp(u - 0.1)", TORUS)
+        u = cell_points(15)
+        partners = []
+        for _ in range(3):
+            fp = differentiate(f)
+            assert bits(eval_expr((f, fp), u)[1]) == bits(eval_expr(fp, u))
+            partners.append(weakref.ref(fp))
+            del fp
+        gc.collect()
+        assert [p() is None for p in partners] == [True, True, False]
+
+    def test_one_domain(self):
+        other = torus(1j, (0.3,))
+        with pytest.raises(DomainError):
+            eval_expr((parse_expr("wp(u)", TORUS),
+                       parse_expr("wp(u)", other)), 0.2)
+        # an equal domain, not the same object, is one domain
+        same = torus(1j)
+        assert eval_expr((parse_expr("u", TORUS), parse_expr("u", same)),
+                         0.2) == (0.2, 0.2)
 
 
 class TestCalculus:

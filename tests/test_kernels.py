@@ -10,6 +10,7 @@ truncation of its own choosing.
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -18,6 +19,9 @@ import pytest
 from helikon.errors import InvalidModulus, PoleAt
 from helikon.expr import Torus
 from helikon.kernels import (
+    KERNEL_SLICE,
+    Cells,
+    Rows,
     reduce_to_cell,
     sigma_w,
     wp,
@@ -441,3 +445,68 @@ class TestPointwise:
             hi = lo + 1000
             assert bits(f(u[lo:hi], lat)) == bits(full[lo:hi]), lo
         assert bits(f(u.reshape(8, -1), lat)) == bits(full)
+
+    @pytest.mark.parametrize(
+        "size", (1, KERNEL_SLICE - 1, KERNEL_SLICE, KERNEL_SLICE + 1, 7680,
+                 16384))
+    @pytest.mark.parametrize("tau", (1j, 0.3 + 0.8j, 0.1 + 0.2j))
+    def test_shared_cells_give_the_same_bits(self, tau, size):
+        # every kind read from one reduction, as eval_expr reads a stack,
+        # equals the kind called alone, in any order of the calls
+        lat = Lattice(tau)
+        u = cell_sweep(lat.tau, size)
+        alone = [bits(f(u, lat)) for f in KERNELS]
+        for order in (KERNELS, KERNELS[::-1]):
+            cells = Cells(u, lat, [f.__name__ for f in order])
+            shared = {f: bits(f(Rows(cells), lat)) for f in order}
+            assert [shared[f] for f in KERNELS] == alone
+
+    @pytest.mark.parametrize("tau", (1j, 0.3 + 0.8j, 0.1 + 0.2j))
+    def test_rows_of_shared_cells(self, tau):
+        # rows of 1,000 points: the runs start and end inside the slices
+        lat = Lattice(tau)
+        u = cell_sweep(lat.tau, 1000)
+        stack = u - np.array([0.0, 0.25 + 0.1j, -0.3j, 0.4])[:, None]
+        reads = {sigma_w: [0, 1, 2, 3], zeta_w: [1, 3], wp: [2],
+                 wp_prime: [0, 1]}
+        cells = Cells(stack, lat, [f.__name__ for f in reads])
+        for f, index in reads.items():
+            rows = Rows(cells, index)
+            assert np.size(rows) == 1000 * len(index)
+            assert bits(f(rows, lat)) == bits(f(stack[index], lat))
+
+    def test_rows_keep_the_first_pole(self):
+        lat = Lattice(0.3 + 0.8j)
+        stack = cell_sweep(lat.tau, 3000).reshape(3, -1)
+        # lattice points: one in a row wp does not read, then one in each
+        # of its two slices (flat points 1,900 and 2,005)
+        stack[0, 3], stack[1, 900], stack[2, 5] = 0.0, 1.0 + lat.tau, -1.0
+        cells = Cells(stack, lat, ("sigma_w", "wp"))
+        with pytest.raises(PoleAt) as rows:
+            wp(Rows(cells, [1, 2]), lat)
+        with pytest.raises(PoleAt) as alone:
+            wp(stack[1:], lat)
+        assert str(rows.value) == str(alone.value)
+        assert rows.value.point == stack[1, 900]
+        assert bits(sigma_w(Rows(cells), lat)) == bits(sigma_w(stack, lat))
+
+    @pytest.mark.parametrize("tau", (1j, 0.3 + 0.8j, 0.1 + 0.2j))
+    def test_sigma_at_non_finite_points(self, tau):
+        # nan where a point is not finite, and no warning past errstate:
+        # (-1)^(m + n + mn) is x - 2 floor(x / 2), which has np.mod's bits
+        # at non-finite x too, where an int cast would warn
+        lat = Lattice(tau)
+        parts = [math.nan, math.inf, -math.inf, 0.0, 0.3]
+        u = np.array([complex(a, b) for a in parts for b in parts])
+        finite = np.isfinite(u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                got = sigma_w(u, lat)
+                one_by_one = [sigma_w(p, lat) for p in u]
+        assert np.isnan(got.real[~finite]).all()
+        assert np.isnan(got.imag[~finite]).all()
+        assert bits(got[finite]) == bits(np.array(one_by_one)[finite])
+        x = np.array([math.nan, math.inf, -math.inf, -3.0, -2.0, 0.0, 7.0])
+        with np.errstate(all="ignore"):
+            assert bits(x - 2 * np.floor(x / 2)) == bits(np.mod(x, 2))

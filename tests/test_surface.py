@@ -145,6 +145,28 @@ class TestPeriodsAndFlux:
         assert rep.max_residual < 1e-10
         assert rep.closes
 
+    def test_one_evaluation_per_integrand_call(self, monkeypatch):
+        # g and dh come from one joint evaluation per period_values call
+        sc = load_scene(os.path.join(SCENES, "periodic-candidate.scene"))
+        data, basis = sc.data["candidate"], sc.cycle_basis()
+        calls, evals = [], []
+        values = WeierstrassData.period_values
+        evaluate = surface_module.eval_expr
+
+        def counted_values(self, u):
+            calls.append(np.size(u))
+            return values(self, u)
+
+        def counted_eval(e, u):
+            evals.append(len(e) if isinstance(e, tuple) else 1)
+            return evaluate(e, u)
+
+        monkeypatch.setattr(WeierstrassData, "period_values", counted_values)
+        monkeypatch.setattr(surface_module, "eval_expr", counted_eval)
+        rep = period_report(data, basis)
+        assert len(rep.entries) == 2 and calls
+        assert evals == [2] * len(calls)
+
     def test_catenoid_flux(self):
         data = catenoid()
         f = flux(data, circle(0, 1.0))
