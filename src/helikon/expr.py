@@ -35,11 +35,12 @@ them.  The stacked arguments u - shift are reduced to the cell once, in
 one kernels.Cells, and each kind's kernel is called on its rows; the
 walks read each block's row.  Stacks stop at 15 * paths.BLOCK_PANELS
 points, the size of an integrand call, so a shift on more points than
-that is stacked alone.  The kernels give the same bits for a point
-whatever array it sits in and whichever kernels share its Cells, so
-stacking changes no value; when a stacked call raises PoleAt, the walks
-run block by block, expression by expression in order, so the error is
-the one that evaluating them one by one meets first.
+that is stacked alone.  The kernels give the same bits for a finite
+point whatever array it sits in and whichever kernels share its Cells, so
+stacking changes no finite value; when a stacked call raises PoleAt, the
+walks run block by block, expression by expression in order, so the
+error is the one that evaluating them one by one meets first, and it
+names the point u, not the block's argument u - shift.
 """
 
 import ast
@@ -296,7 +297,12 @@ def _eval_node(node, u, lat, values=None):
         if values is not None:
             return values[id(node)]
         kernel = getattr(kernels, _ELLIPTIC[node.kind][0])
-        return kernel(u - node.shift, lat)
+        z = u - node.shift
+        try:
+            return kernel(z, lat)
+        except PoleAt as exc:
+            # the kernel names the first z at a pole; name its u instead
+            raise PoleAt(kernels.first_where(u, z == exc.point)) from None
     raise TypeError(f"unknown node {node!r}")
 
 

@@ -20,14 +20,17 @@ slice by that kernel alone, which keeps nothing.  eval_expr builds one
 Cells per stack of shifted arguments and calls each kind's kernel on its
 rows.
 
-A kernel acts point by point, bit for bit: a point gets the same value
-alone and anywhere in an array of any size and shape, whichever kernels
-share its Cells.  numpy reuses a temporary of 256 KiB or more (16,384
-complex points) in place, so that v0 * (0.5 * eta1 * v0 + eta) in sigma,
-say, would become an in-place product, and its in-place complex product
-rounds otherwise than the out-of-place one; the slices keep every
-temporary far below that.  KERNEL_SLICE = 1,920, a quarter of an integrand
-call (15 * paths.BLOCK_PANELS points), is sized to the cache as well: a
+A kernel acts point by point, bit for bit: a finite point gets the same
+value alone and anywhere in an array of any size and shape, whichever
+kernels share its Cells.  A non-finite point is the exception: sigma_w may
+give its nan another sign bit alone than inside an array (at tau = i, 14
+of the 25 points a + bi with a, b in {nan, inf, -inf, 0, 0.3}).  numpy
+reuses a temporary of 256 KiB or more (16,384 complex points) in place, so
+that v0 * (0.5 * eta1 * v0 + eta) in sigma, say, would become an in-place
+product, and its in-place complex product rounds otherwise than the
+out-of-place one; the slices keep every temporary far below that.
+KERNEL_SLICE = 1,920, a quarter of an integrand call
+(15 * paths.BLOCK_PANELS points), is sized to the cache as well: a
 slice's arrays are 30 KiB each, so the allocator reuses their memory
 instead of mapping fresh pages for every temporary.
 """

@@ -16,23 +16,29 @@ bins vertices into cubes of side delta_ext, sorts them once by a cube code,
 and finds each vertex's 13 forward neighbour cubes as 5 ranges of codes, by
 one searchsorted for the ranges' left ends and one for their right ends.
 Its keys floor(xyz / delta_ext) must be exact integers, so the probe
-refuses a mesh with max |xyz| of 2^52 delta_ext or more.  Two exact
+refuses a mesh with max |xyz| of 2^52 delta_ext or more.  Three exact
 bounds keep the searches few and short.  From above: a candidate whose
 grid L-path (prefix sums of edge lengths along one grid row and one grid
 column) is at most the threshold times (1 - 1e-9) is near, and is dropped
-unsearched.  From below: every edge is at least as long as its chord, so
-(1 - 1e-9) times the straight-line distance to the targets steers an A*
-search that settles what Dijkstra would.  Both 1e-9 slacks absorb
-rounding, so the pairs and their distances are Dijkstra's to the bit.  The
-graph is a CSR form of the edge arrays, built only when candidates survive
-the first bound.  Far pairs come source by source from one generator: the
-probe lists them all, while a lambda sweep's verdict stops at the first.
+unsearched.  From below, by the grid gaps: a path crosses every gap
+between the rows and every gap between the columns of its ends, so the
+sums of the gaps' least crossings (prefix sums again) bound it; a
+candidate whose bound to its target and the target's neighbours, times
+(1 - 1e-9), is beyond the search's cutoff is far at distance inf, the
+search's answer, unsearched.  From below, by the chord: every edge is at
+least as long as its chord, so (1 - 1e-9) times the straight-line distance
+to the targets steers an A* search that settles what Dijkstra would.  The
+1e-9 slacks absorb rounding, so the pairs and their distances are
+Dijkstra's to the bit.  The graph is a CSR form of the edge arrays, built
+only when a candidate survives both grid bounds; on the helicoid and
+catenoid scenes and the Enneper meshes of the plane-embed benchmark, none
+does.  Far pairs come source by source from one generator: the probe
+lists them all, while a lambda sweep's verdict stops at the first.
 """
 
 import heapq
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -397,6 +403,13 @@ class ProbeReport:
     embedded: bool
 
 
+def _ranges(lo, count):
+    """The indices lo[k], lo[k] + 1, .., lo[k] + count[k] - 1 of every k in
+    turn, as one array."""
+    offset = np.repeat(lo - (np.cumsum(count) - count), count)
+    return np.arange(len(offset)) + offset
+
+
 def _spatial_hash_pairs(positions, cell):
     """Candidate index pairs (a, b, d) at extrinsic distance d < cell,
     sorted by (a, b).
@@ -436,8 +449,7 @@ def _spatial_hash_pairs(positions, cell):
     # every pair (order[p], order[q]), q in a range of p
     count = (hi - lo).ravel()
     a = np.repeat(np.tile(order, 5), count)
-    offset = np.repeat(lo.ravel() - (np.cumsum(count) - count), count)
-    b = order[np.arange(len(offset)) + offset]
+    b = order[_ranges(lo.ravel(), count)]
     diff = positions[a] - positions[b]
     d = np.sqrt(np.vecdot(diff, diff))  # the arithmetic of np.linalg.norm
     near = np.flatnonzero(d < cell)
@@ -460,10 +472,22 @@ def _csr_graph(mesh):
     return ptr.tolist(), head[order].tolist(), length.tolist(), mesh.xyz
 
 
-def _grid_path_within(mesh, a, b, limit):
+def _grid_edges(mesh):
+    """(ij, lo, span): the grid point (i, j) of every vertex, as a (V, 2)
+    int array, and per edge the lesser (i, j) of its two ends and its
+    (|di|, |dj|), each an (E, 2) array; a grid step spans (1, 0) or
+    (0, 1)."""
+    at = np.argwhere(mesh.grid >= 0)
+    ij = np.zeros((len(mesh.u), 2), dtype=int)
+    ij[mesh.grid[tuple(at.T)]] = at
+    p, q = ij[mesh.edge_ends].transpose(1, 0, 2)
+    return ij, np.minimum(p, q), np.abs(q - p)
+
+
+def _grid_path_within(mesh, grid_edges, a, b, limit):
     """True where a grid L-path from vertex a[k] to vertex b[k], along a's
     row and then b's column or the other way round, is at most
-    limit (1 - 1e-9) long.  Any path bounds the graph distance from above,
+    limit (1 - 1e-9) long; grid_edges is _grid_edges(mesh).  Any path bounds the graph distance from above,
     so there a[k] and b[k] are within limit on the edge graph.
 
     Path lengths are differences of prefix sums along the grid lines, and
@@ -471,18 +495,13 @@ def _grid_path_within(mesh, a, b, limit):
     edge, or one longer than limit, is blocked: keeping long edges out of
     the prefix sums keeps their rounding from swamping the differences.
     """
-    grid = mesh.grid
-    at = np.argwhere(grid >= 0)
-    ij = np.zeros((len(mesh.u), 2), dtype=int)
-    ij[grid[tuple(at.T)]] = at
+    ij, lo, span = grid_edges
     # steps[e][i, j] is the length of the grid edge from (i, j) to
     # (i + 1, j) for e = 0, or to (i, j + 1) for e = 1; inf where missing
-    steps = np.full((2,) + grid.shape, np.inf)
-    p, q = ij[mesh.edge_ends].transpose(1, 0, 2)
-    step = np.abs(q - p)
-    unit = step.sum(axis=1) == 1
-    lo = np.minimum(p, q)[unit]
-    steps[step[unit, 1], lo[:, 0], lo[:, 1]] = mesh.edge_lengths[unit]
+    steps = np.full((2,) + mesh.grid.shape, np.inf)
+    unit = span.sum(axis=1) == 1
+    lo = lo[unit]
+    steps[span[unit, 1], lo[:, 0], lo[:, 1]] = mesh.edge_lengths[unit]
 
     # the grid lines of each axis as [line, position]: steps along i run
     # down columns, steps along j along rows; per line, the usable length
@@ -502,6 +521,53 @@ def _grid_path_within(mesh, a, b, limit):
     along_row = segment(1, ia, ja, jb) + segment(0, jb, ia, ib)
     along_column = segment(0, ja, ia, ib) + segment(1, ib, ja, jb)
     return np.minimum(along_row, along_column) <= limit * (1.0 - 1e-9)
+
+
+def _grid_gap_bound(mesh, grid_edges, a, b, cutoff):
+    """A lower bound on the edge-graph distance from vertex a[k] to b[k]
+    and to each of b[k]'s edge neighbours, the goals of a search for b[k]
+    (_graph_distance): where it is above cutoff / (1 - 1e-9), a search
+    from a[k] stopped at cutoff settles none of them and leaves b[k] at
+    inf.  grid_edges is _grid_edges(mesh).
+
+    A path from grid point (i, j) to (i', j') crosses every gap between
+    rows i and i' and every gap between columns j and j', each on an edge
+    of its own, so it is at least as long as the sum of the gaps' least
+    crossings.  An edge that crosses k gaps counts its length / k in each
+    (k = 1 for a grid step).  The bound is a difference of prefix sums per
+    axis, and the 1e-9 slack covers their rounding.  A gap's least
+    crossing is capped at 2 cutoff, which alone is still beyond cutoff:
+    that keeps a gap no edge crosses (inf) and very long edges out of the
+    prefix sums.  nan, which no search relaxes, counts as no edge.
+    """
+    ij, lo, span = grid_edges
+    share = mesh.edge_lengths / np.maximum(span.sum(axis=1), 1)
+    prefix = []
+    for axis, n in enumerate(mesh.grid.shape):
+        # least[g] is the least crossing of the gap between lines g and
+        # g + 1; prefix[x] sums least[:x]
+        least = np.full(n, np.inf)
+        count = span[:, axis]
+        np.fmin.at(least, _ranges(lo[:, axis], count), np.repeat(share, count))
+        sums = np.zeros(n)
+        np.cumsum(np.fmin(least[:-1], 2.0 * cutoff), out=sums[1:])
+        prefix.append(sums)
+
+    def bound(x, y):
+        (ix, jx), (iy, jy) = ij[x].T, ij[y].T
+        rows, columns = prefix
+        return np.abs(rows[iy] - rows[ix]) + np.abs(columns[jy] - columns[jx])
+
+    # the goal set of b[k]: b[k] itself and the heads of its half-edges
+    tail, head = np.concatenate([mesh.edge_ends, mesh.edge_ends[:, ::-1]]).T
+    order = np.argsort(tail, kind="stable")
+    tail, head = tail[order], head[order]
+    start = np.searchsorted(tail, b)
+    count = np.searchsorted(tail, b, side="right") - start
+    k = np.repeat(np.arange(len(b)), count)
+    least = bound(a, b)
+    np.minimum.at(least, k, bound(a[k], head[_ranges(start, count)]))
+    return least
 
 
 def _graph_distance(graph, source, targets, cutoff):
@@ -596,27 +662,42 @@ def _thresholds(mesh, delta_ext, delta_int):
 def _far_pairs(mesh, delta_ext, eff_int):
     """Yield (a, b, extrinsic, intrinsic) for every candidate pair closer
     than delta_ext in space and farther than eff_int on the edge graph, one
-    source a at a time, in candidate order.  A candidate that a grid path
-    shows to be within eff_int (_grid_path_within) is dropped unsearched.
+    source a at a time, in candidate order.
+
+    Two grid bounds decide most candidates unsearched: one that a grid
+    path shows to be within eff_int (_grid_path_within) is dropped, and
+    one that the grid gaps show to be beyond the search's cutoff
+    (_grid_gap_bound) is far at intrinsic distance inf, the distance the
+    search would give it.  _graph_distance searches the rest, on a graph
+    built for the first of them.
     """
     candidates = _spatial_hash_pairs(mesh.xyz, delta_ext)
     if not candidates:
         return
     a, b, _ = np.array(candidates).T
-    near = _grid_path_within(mesh, a.astype(int), b.astype(int), eff_int)
-    candidates = list(itertools.compress(candidates, (~near).tolist()))
-    if not candidates:
+    a, b = a.astype(int), b.astype(int)
+    grid_edges = _grid_edges(mesh)
+    rest = np.flatnonzero(~_grid_path_within(mesh, grid_edges, a, b, eff_int))
+    if not rest.size:
         return
-    graph = _csr_graph(mesh)
+    cutoff = eff_int * 1.01
+    bound = _grid_gap_bound(mesh, grid_edges, a[rest], b[rest], cutoff)
+    beyond = bound * (1.0 - 1e-9) > cutoff
+    kept = zip([candidates[k] for k in rest.tolist()], beyond.tolist())
+    graph = None
     # candidates are sorted by (a, b), so each source's targets are a run
-    for a, run in itertools.groupby(candidates, key=operator.itemgetter(0)):
+    for a, run in itertools.groupby(kept, key=lambda t: t[0][0]):
         run = list(run)
-        intrinsic = _graph_distance(
-            graph, a, [b for _, b, _ in run], eff_int * 1.01
-        )
-        for (_, b, d), far in zip(run, intrinsic):
-            if far > eff_int:
-                yield a, b, d, float(far)
+        targets = [b for (_, b, _), far in run if not far]
+        searched = iter(())
+        if targets:
+            if graph is None:
+                graph = _csr_graph(mesh)
+            searched = iter(_graph_distance(graph, a, targets, cutoff))
+        for (_, b, d), far in run:
+            intrinsic = math.inf if far else next(searched)
+            if intrinsic > eff_int:
+                yield a, b, d, float(intrinsic)
 
 
 def probe_self_intersection(mesh, delta_ext=None, delta_int=None):

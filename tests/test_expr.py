@@ -339,6 +339,18 @@ class TestArrayEvaluation:
         with pytest.raises(PoleAt, match="0.05-0.61j"):
             eval_expr(e, self.POINTS)
 
+    @pytest.mark.parametrize("kind", ("wp", "wpp", "zeta"))
+    def test_shifted_block_names_u(self, kind):
+        # kind(u - 0.2) has its poles at u = 0.2 and, a period on, at 1.2:
+        # the error names u, not the kernel's argument u - 0.2, whether the
+        # blocks are stacked or evaluated one by one
+        e = parse_expr(f"{kind}(u - 0.2) * u", TORUS)
+        for u, point in ((0.2, 0.2), (np.array([0.5, 1.2, 0.2]), 1.2)):
+            for evaluate in (eval_expr, block_by_block):
+                with pytest.raises(PoleAt) as exc:
+                    evaluate(e, u)
+                assert exc.value.point == point
+
     def test_puncture_at_one_point_mod_lattice(self):
         dom = torus(1j, (0.3j,))
         points = np.array([0.1 + 0.1j, 0.3j + 2 - 1j, 0.2 + 0.4j])
@@ -524,8 +536,8 @@ class TestJointEvaluation:
         assert want == {
             "f": (PoleAt, str(PoleAt(0.1 + 0j))),
             "fp": (PoleAt, str(PoleAt(0.31 + 0j))),
-            # the zeta kernel names its argument u - 0.2, as it does alone
-            "both": (PoleAt, str(PoleAt(0j))),
+            # the zeta block names u, not its argument u - 0.2
+            "both": (PoleAt, str(PoleAt(0.2 + 0j))),
             "puncture": (DomainViolation,
                          "u = (0.45+0j) is a declared puncture"),
         }[where]

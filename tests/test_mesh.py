@@ -3,6 +3,7 @@
 import dataclasses
 import heapq
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from helikon.mesh import (
     _csr_graph,
     _far_pairs,
     _graph_distance,
+    _grid_edges,
+    _grid_gap_bound,
     _grid_path_within,
     _mesh_integrals,
     _spatial_hash_pairs,
@@ -834,9 +837,177 @@ class TestGridPathFilter:
         full = np.array([exhaustive_dijkstra(adjacency, v)
                          for v in range(len(adjacency))])
         for limit in limits:
-            near = _grid_path_within(mesh, a, b, limit)
+            near = _grid_path_within(mesh, _grid_edges(mesh), a, b, limit)
             assert near.any() and not near.all()
             assert (full[a[near], b[near]] <= limit).all()
+
+
+def goal_distance(adjacency, full, a, b):
+    """Per pair k, the least distance from a[k] to b[k] or to one of b[k]'s
+    neighbours, with full[v] the distances from v."""
+    return np.array([
+        min(full[x][w] for w in [y] + [n for n, _ in adjacency[y]])
+        for x, y in zip(a.tolist(), b.tolist())
+    ])
+
+
+class TestGridGapBound:
+    """The grid-gap lower bound against searches run to exhaustion: at most
+    the distance to every goal, and where it is beyond a cutoff, a search
+    stopped there finds nothing."""
+
+    @pytest.mark.parametrize("case", ["enneper", "catenoid", "random"])
+    def test_below_every_goal(self, case):
+        rng = np.random.default_rng(5)
+        if case == "enneper":
+            spec = SamplingSpec(-2.2, 2.2, -2.2, 2.2, nx=24, ny=24)
+            mesh, cell, cutoffs = build_mesh(enneper(), spec), 0.4, (1.5, 3.0)
+        elif case == "catenoid":
+            mesh = build_mesh(catenoid(), catenoid_spec(16))
+            cell, cutoffs = 0.8, (0.2, 0.5)
+        else:
+            mesh, cutoffs = random_grid_mesh(rng, 9, 12), (0.3, 0.6, 1.0)
+        adjacency = adjacency_lists(mesh)
+        if case == "random":
+            a, b = np.nonzero(~np.eye(len(adjacency), dtype=bool))
+        else:
+            candidates = _spatial_hash_pairs(mesh.positions(), cell)
+            a, b = np.array([(a, b) for a, b, _ in candidates]).T
+        full = {v: exhaustive_dijkstra(adjacency, v) for v in set(a.tolist())}
+        goal = goal_distance(adjacency, full, a, b)
+        graph = _csr_graph(mesh)
+        for cutoff in cutoffs:
+            bound = _grid_gap_bound(mesh, _grid_edges(mesh), a, b, cutoff)
+            assert (bound * (1.0 - 1e-9) <= goal).all()
+            beyond = np.flatnonzero(bound * (1.0 - 1e-9) > cutoff)
+            assert 0 < len(beyond) < len(a)
+            for k in beyond[:60].tolist():
+                got = _graph_distance(graph, a[k], [b[k]], cutoff)
+                assert got == [math.inf]
+
+    def test_huge_edge(self):
+        # one grid row whose first edge is 1e15 long: summed into the prefix
+        # sums, it would round them to 1/8.  Every other pair's bound is its
+        # distance along the row, the one path, to the nearest goal
+        mesh = random_grid_mesh(np.random.default_rng(2), 1, 30,
+                                excluded=0.0, infinite=0.0)
+        lengths = mesh.edge_lengths.copy()
+        lengths[mesh.edge_ends.tolist().index([0, 1])] = 1e15
+        mesh = dataclasses.replace(mesh, edge_lengths=lengths)
+        adjacency = adjacency_lists(mesh)
+        a, b = np.nonzero(~np.eye(len(adjacency), dtype=bool))
+        full = {v: exhaustive_dijkstra(adjacency, v) for v in range(30)}
+        goal = goal_distance(adjacency, full, a, b)
+        for cutoff in (0.3, 1.0, 2.0):
+            bound = _grid_gap_bound(mesh, _grid_edges(mesh), a, b, cutoff)
+            assert (bound * (1.0 - 1e-9) <= goal).all()
+            row = goal <= 2.0 * cutoff
+            assert row.any() and not row.all()
+            assert np.allclose(bound[row], goal[row], rtol=1e-12, atol=0)
+            assert (bound[~row] >= 2.0 * cutoff).all()
+
+    def test_gap_no_edge_crosses(self):
+        # no edge between grid columns 4 and 5: a pair across them is two
+        # cutoffs apart by the bound, and far at inf among the probe's
+        # pairs, with no inf - inf in the prefix sums
+        mesh = random_grid_mesh(np.random.default_rng(3), 6, 10,
+                                excluded=0.0, infinite=0.0)
+        column = np.tile(np.arange(10), 6)  # vertex 10 i + j at (i, j)
+        cut = (column[mesh.edge_ends] == [4, 5]).all(axis=1)
+        mesh = dataclasses.replace(mesh, edge_ends=mesh.edge_ends[~cut],
+                                   edge_lengths=mesh.edge_lengths[~cut])
+        a, b = np.nonzero(~np.eye(len(mesh.u), dtype=bool))
+        across = (column[a] <= 4) != (column[b] <= 4)
+        adjacency = adjacency_lists(mesh)
+        full = {v: exhaustive_dijkstra(adjacency, v) for v in range(60)}
+        goal = goal_distance(adjacency, full, a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = _grid_gap_bound(mesh, _grid_edges(mesh), a, b, 0.5)
+            pairs = list(_far_pairs(mesh, 0.25, 0.5 / 1.01))
+        assert (bound[across] >= 1.0).all() and np.isinf(goal[across]).all()
+        assert (bound[~across] * (1.0 - 1e-9) <= goal[~across]).all()
+        assert any(math.isinf(d) for _, _, _, d in pairs)
+
+    def test_edge_not_unit_step(self):
+        # one grid row of unit edges 1 long and a shortcut from column 2 to
+        # column 8, 3 long: it crosses 6 gaps and counts 1/2 in each, so
+        # the bound from column 1 to column 9's goal 8 is 1 + 3, the
+        # distance, where counting 3 in each gap would give 1 + 6
+        mesh = random_grid_mesh(np.random.default_rng(4), 1, 12,
+                                excluded=0.0, infinite=0.0)
+        mesh = dataclasses.replace(
+            mesh, edge_ends=np.vstack([mesh.edge_ends, [[2, 8]]]),
+            edge_lengths=np.append(np.ones(11), 3.0))
+        adjacency = adjacency_lists(mesh)
+        a, b = np.nonzero(~np.eye(12, dtype=bool))
+        full = {v: exhaustive_dijkstra(adjacency, v) for v in range(12)}
+        goal = goal_distance(adjacency, full, a, b)
+        edges = _grid_edges(mesh)
+        assert (_grid_gap_bound(mesh, edges, a, b, 10.0) <= goal).all()
+        one = _grid_gap_bound(mesh, edges, np.array([1]), np.array([9]), 10.0)
+        assert one.tolist() == [4.0]
+
+        # and a 7 x 7 grid with, beside its unit steps, edges of two rows
+        # and one column, each crossing three gaps
+        rng = np.random.default_rng(6)
+        mesh = random_grid_mesh(rng, 7, 7, excluded=0.0, infinite=0.0)
+        ij = np.argwhere(mesh.grid >= 0)
+        p = mesh.grid[:-2, :-1].ravel()
+        q = mesh.grid[2:, 1:].ravel()
+        chord = np.linalg.norm(mesh.xyz[q] - mesh.xyz[p], axis=1)
+        mesh = dataclasses.replace(
+            mesh, edge_ends=np.vstack([mesh.edge_ends, np.stack([p, q], 1)]),
+            edge_lengths=np.append(mesh.edge_lengths, 0.6 * chord))
+        assert (np.abs(ij[q] - ij[p]).sum(axis=1) == 3).all()
+        adjacency = adjacency_lists(mesh)
+        a, b = np.nonzero(~np.eye(len(adjacency), dtype=bool))
+        full = {v: exhaustive_dijkstra(adjacency, v) for v in range(49)}
+        goal = goal_distance(adjacency, full, a, b)
+        for cutoff in (0.2, 0.5):
+            bound = _grid_gap_bound(mesh, _grid_edges(mesh), a, b, cutoff)
+            assert (bound * (1.0 - 1e-9) <= goal).all()
+
+    def test_far_pairs_match_searching_every_pair(self, monkeypatch):
+        # the plane-embed benchmark's probes and sweeps: the bound decides
+        # every candidate the grid path leaves open, with the tuples, bit
+        # for bit, of a search of each
+        heli = SamplingSpec(-math.pi, math.pi, -1.0, 1.0, nx=40, ny=40)
+        calls = [(build_mesh(helicoid(), heli), 0.05, 1.0)]
+        spec = SamplingSpec(-2, 2, -2, 2, nx=56, ny=56)
+        calls.append((build_mesh(enneper(), spec), 0.05, 2.0))
+        far_pairs = mesh_module._far_pairs
+
+        def capture(m, delta_ext, eff_int):
+            calls.append((m, delta_ext, eff_int / INTRINSIC_SLACK))
+            return far_pairs(m, delta_ext, eff_int)
+
+        monkeypatch.setattr(mesh_module, "_far_pairs", capture)
+        lambda_sweep(catenoid(), [0.5, 1.0, 2.0], catenoid_spec(48),
+                     delta_ext=0.05, delta_int=1.5)
+        lambda_sweep(enneper(), [0.5, 1.0],
+                     SamplingSpec(-2, 2, -2, 2, nx=48, ny=48),
+                     delta_ext=0.05, delta_int=2.0)
+        monkeypatch.setattr(mesh_module, "_far_pairs", far_pairs)
+
+        searches = []
+
+        def counted(graph, source, targets, cutoff):
+            searches.append(len(targets))
+            return _graph_distance(graph, source, targets, cutoff)
+
+        monkeypatch.setattr(mesh_module, "_graph_distance", counted)
+        got = [list(_far_pairs(m, d, INTRINSIC_SLACK * i))
+               for m, d, i in calls]
+        assert not searches
+        monkeypatch.setattr(mesh_module, "_grid_gap_bound",
+                            lambda mesh, edges, a, b, cutoff: np.zeros(len(a)))
+        want = [list(_far_pairs(m, d, INTRINSIC_SLACK * i))
+                for m, d, i in calls]
+        assert sum(searches) >= 20
+        assert repr(got) == repr(want)
+        assert sum(map(len, got)) >= 20
+
 
 class TestLambdaReuse:
     """Every swept mesh against a full rebuild of the deformed data."""
