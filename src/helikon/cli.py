@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 from .divisor import (
     classify_fixed_points,
@@ -26,6 +25,7 @@ from .mesh import (
     lambda_sweep,
     probe_self_intersection,
 )
+from .records import replace
 from .scene import (
     _parse_complex_list,
     load_scene,

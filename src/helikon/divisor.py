@@ -14,7 +14,6 @@ Kravanja & Van Barel, LNM 1727, 2000).
 """
 
 import cmath
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .errors import (
 from .expr import FormExpr, differentiate, eval_expr, pullback
 from .kernels import reduce_to_cell
 from .paths import Lines, circle, integrate_path, integrate_paths
+from .records import field, record
 
 TWO_PI_I = 2j * cmath.pi
 # a contour that meets (or nearly meets) a zero or pole of f raises these;
@@ -77,7 +77,7 @@ def laurent_coefficient(w, p, k, radius=0.05, tol=1e-12):
     return val / TWO_PI_I
 
 
-@dataclass
+@record
 class Divisor:
     entries: list = field(default_factory=list)  # (point, signed order)
 

@@ -46,13 +46,13 @@ names the point u, not the block's argument u - shift.
 import ast
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels, paths
 from .errors import DomainError, DomainViolation, ExprSyntaxError, PoleAt
 from .lattice import Lattice
+from .records import record
 
 _DIV_FLOOR = 1e-150
 
@@ -60,7 +60,7 @@ _DIV_FLOOR = 1e-150
 # ---------------------------------------------------------------------------
 # domains
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Plane:
     punctures: tuple = ()
 
@@ -80,7 +80,7 @@ class Plane:
         return self.distance(a, b) < tol
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Torus:
     lat: Lattice
     punctures: tuple = ()
@@ -120,7 +120,7 @@ class Node:
         return False
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Const(Node):
     value: complex
 
@@ -128,47 +128,47 @@ class Const(Node):
         return value is None or self.value == value
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Var(Node):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Add(Node):
     a: Node
     b: Node
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Sub(Node):
     a: Node
     b: Node
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Mul(Node):
     a: Node
     b: Node
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Div(Node):
     a: Node
     b: Node
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Neg(Node):
     a: Node
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Pow(Node):
     base: Node
     n: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Exp(Node):
     arg: Node
 
@@ -184,7 +184,7 @@ _ELLIPTIC = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Elliptic(Node):
     """The elliptic block kind(u - shift), kind one of _ELLIPTIC."""
     kind: str

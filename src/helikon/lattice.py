@@ -14,12 +14,12 @@ eta2 = (d eta2' - b eta1') / omega (DLMF 23.18).
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidModulus
 from .kernels import reduce_to_cell, term_count, wp
+from .records import field, record
 
 LEGENDRE_CONSTANT = 2j * cmath.pi
 # wp''s theta_4(2v, q'^2) n = 1 term, up to 1 on the cell, is w times c_1 w^3
@@ -46,7 +46,7 @@ def reduce_modulus(tau):
             raise InvalidModulus("tau is too thin: -1/tau overflows")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Lattice:
     tau: complex
     series_tol: float = 1e-14

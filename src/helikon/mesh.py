@@ -39,7 +39,6 @@ lists them all, while a lambda sweep's verdict stops at the first.
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +46,7 @@ import numpy as np
 from .errors import DisconnectedSampling, NotVerticalFlux, ThresholdOrder
 from .expr import eval_expr
 from .paths import BLOCK_PANELS, Lines, evaluate
+from .records import field, record
 from .surface import (
     checked_lambda,
     lopez_ros,
@@ -66,7 +66,7 @@ INTRINSIC_SLACK = 1.5
 BRACKET_REL = 0.01
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SamplingSpec:
     """Axis-aligned sampling rectangle in the u-plane with exclusion disks."""
 
@@ -110,7 +110,7 @@ class SamplingSpec:
         return mask
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class SurfaceMesh:
     """A triangulated grid held as arrays: per vertex its u, position and
     unit normal; the faces; per grid edge its two vertex indices and its
@@ -164,8 +164,19 @@ class SurfaceMesh:
 
 
 # the 8-point Gauss-Legendre rule of the edge lengths, its nodes as
-# fractions of an edge
-_GL_T, _GL_W = np.polynomial.legendre.leggauss(8)
+# fractions of an edge; the values of numpy.polynomial.legendre.leggauss(8)
+# to the bit, written out so that importing mesh does not load
+# numpy.polynomial
+_GL_T = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+    -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+    0.7966664774136267, 0.9602898564975362,
+])
+_GL_W = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+    0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+    0.22238103445337443, 0.10122853629037706,
+])
 _GL_S = 0.5 * (_GL_T + 1.0)
 
 
@@ -395,7 +406,7 @@ def export_mesh(mesh, fmt="obj"):
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-@dataclass
+@record
 class ProbeReport:
     pairs: list  # of (index a, index b, extrinsic dist, intrinsic dist)
     delta_ext: float
@@ -631,8 +642,8 @@ def default_thresholds(mesh):
 def _thresholds(mesh, delta_ext, delta_int):
     """(delta_ext, effective delta_int) of a probe of mesh: the defaults
     fill in a missing threshold, and both must be finite and positive,
-    the largest coordinate |xyz| below 2^52 delta_ext, and delta_int above
-    twice the longest edge."""
+    the largest coordinate |xyz| below 2^52 delta_ext, delta_int above
+    twice the longest edge, and INTRINSIC_SLACK * delta_int finite."""
     if delta_ext is None or delta_int is None:
         d_ext_default, d_int_default = default_thresholds(mesh)
         delta_ext = d_ext_default if delta_ext is None else delta_ext
@@ -656,7 +667,15 @@ def _thresholds(mesh, delta_ext, delta_int):
             f"delta_int = {delta_int:.3g} must exceed twice the max edge"
             f" length {max_edge:.3g}; refine the mesh or raise the threshold"
         )
-    return delta_ext, INTRINSIC_SLACK * delta_int
+    # an infinite effective threshold would pass inf into the grid bounds'
+    # prefix sums, whose differences are then inf - inf
+    effective = INTRINSIC_SLACK * delta_int
+    if not math.isfinite(effective):
+        raise ThresholdOrder(
+            f"delta_int = {delta_int:.3g} is too large: {INTRINSIC_SLACK}"
+            " times it, the effective threshold, is not a finite length"
+        )
+    return delta_ext, effective
 
 
 def _far_pairs(mesh, delta_ext, eff_int):
@@ -720,7 +739,7 @@ def probe_self_intersection(mesh, delta_ext=None, delta_int=None):
     )
 
 
-@dataclass
+@record
 class SweepResult:
     table: list  # of (lambda, embedded, max period residual)
     bracket: tuple = None  # (lambda_lo, lambda_hi) or None

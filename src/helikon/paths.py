@@ -35,11 +35,11 @@ the involution report: nan where f raises PoleAt or DomainViolation.
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainViolation, NoConvergence, NonFiniteSample, PoleAt
+from .records import record
 
 ENDPOINT_TOL = 1e-12
 PANEL_BUDGET = 2 ** 20
@@ -103,7 +103,7 @@ _WEIGHTS[0] = _WK
 _WEIGHTS[1, 1::2] = _WG
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Line:
     start: complex
     end: complex
@@ -123,7 +123,7 @@ class Line:
         return self.end
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Arc:
     center: complex
     radius: float

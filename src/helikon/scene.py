@@ -9,7 +9,6 @@ line at fault, where one line is.
 import cmath
 import math
 import os
-from dataclasses import dataclass, field
 
 from .errors import (
     DomainError,
@@ -28,6 +27,7 @@ from .expr import (
 )
 from .lattice import Lattice
 from .paths import circle, polyline, rectangle
+from .records import field, record
 from .surface import CycleBasis, WeierstrassData, finite_value
 
 def parse_complex(text):
@@ -58,7 +58,7 @@ def parse_positive(text):
     return value
 
 
-@dataclass
+@record
 class Scene:
     name: str = "scene"
     lattice: object = None

@@ -18,7 +18,6 @@ family by construction and is checked after the solve, not solved for.
 """
 
 import warnings
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .expr import (
 )
 from .lattice import Lattice
 from .paths import circle, generator, integrate_paths
+from .records import record, replace
 from .surface import (
     WeierstrassData,
     lopez_ros_triples,
@@ -61,7 +61,7 @@ MIN_RHO = 0.05
 # the period condition
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HorizontalPeriod:
     """Closure of the horizontal periods on one cycle:
     oint g dh - conj(oint g^-1 dh) = 0 (two real components), by direct
@@ -75,7 +75,7 @@ class HorizontalPeriod:
         return [r.real, r.imag]
 
 
-@dataclass
+@record
 class FamilySpec:
     """Parameter layout, constructor and closed-form period map of a family.
 
@@ -303,7 +303,7 @@ def standard_g1h_family(tau=1j, shift=None, E1=0.25 + 0.1j, quad_tol=1e-10):
 # the driver
 
 
-@dataclass
+@record
 class SolveResult:
     params: np.ndarray
     history: list  # residual norm at the start and after every step

@@ -11,11 +11,9 @@ has zero real part; flux is the imaginary part of the same triple.
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .divisor import locate_divisor
 from .errors import (
     DomainError,
     NonFiniteSample,
@@ -43,6 +41,7 @@ from .paths import (
     integrate_paths,
     polyline,
 )
+from .records import record, replace
 
 # the seed of the generic sample points (_generic_samples)
 SAMPLE_SEED = 20240817
@@ -54,7 +53,7 @@ UNIT_BAND = 1e-8
 DETOUR_FACTOR = 0.05
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WeierstrassData:
     g: Expr
     dh: FormExpr
@@ -83,7 +82,7 @@ class WeierstrassData:
         return log_derivative(self.g)
 
 
-@dataclass
+@record
 class CycleBasis:
     """Named basis cycles.  A single Line that closes modulo the lattice is
     a torus generator: the basis holds it marked periodic (paths.generator),
@@ -115,7 +114,7 @@ class CycleBasis:
         return list(zip(self.labels, self.cycles))
 
 
-@dataclass
+@record
 class CyclePeriods:
     label: str
     p_plus: complex
@@ -131,7 +130,7 @@ class CyclePeriods:
         return abs(self.p_three.real)
 
 
-@dataclass
+@record
 class PeriodReport:
     entries: list
     tol: float
@@ -147,7 +146,7 @@ class PeriodReport:
         return self.max_residual < self.tol
 
 
-@dataclass
+@record
 class FluxVector:
     components: tuple  # three reals
 
@@ -233,7 +232,7 @@ def flux(data, cycle, tol=1e-10):
     return fluxes(data, [cycle], tol)[0]
 
 
-@dataclass
+@record
 class VerticalFluxReport:
     vertical: bool
     vacuous: bool
@@ -318,7 +317,7 @@ def _sampled_form_deviation(w, inv, samples):
     return float(np.abs(eval_expr(sym.coeff, samples)).max())
 
 
-@dataclass
+@record
 class InvolutionReport:
     dh_odd: bool
     dgg_odd: bool
@@ -423,70 +422,6 @@ def symmetry_verify(data, inv, samples):
         dev = np.linalg.norm(fip - np.array([fp[0], -fp[1], -fp[2]]))
         worst = max(worst, dev)
     return worst
-
-
-@dataclass
-class ExactnessReport:
-    exact: bool
-    vacuous: bool
-    magnitudes: dict
-
-
-def exactness_check(data, basis, tol=1e-10):
-    """True iff g dh and (1/g) dh integrate to ~0 over every basis cycle."""
-    rows = period_triples(data, basis.cycles, tol * 1e-2).tolist()
-    mags = {
-        label: max(abs(p_plus), abs(p_minus))
-        for label, (p_plus, p_minus, _) in zip(basis.labels, rows)
-    }
-    vacuous = not mags
-    return ExactnessReport(
-        exact=all(m < tol for m in mags.values()), vacuous=vacuous, magnitudes=mags
-    )
-
-
-@dataclass
-class PairingReport:
-    ok: bool
-    vacuous: bool
-    pairs: list
-    violations: list
-
-
-def pole_zero_pairing(data, inv, tol=1e-8):
-    """Check each pole of g pairs with a zero of g of equal order at I(p),
-    and that the zero set of dh is involution-stable."""
-    domain = data.domain
-    lat = domain.lattice
-    if lat is None:
-        return PairingReport(ok=True, vacuous=True, pairs=[], violations=[])
-    gdiv = locate_divisor(data.g)
-    violations = []
-    pairs = []
-    zeros = gdiv.zeros()
-    for p, m in gdiv.poles():
-        image = inv.apply(p)
-        match = next(
-            ((z, n) for z, n in zeros if lat.same_point(z, image, 1e-6)), None
-        )
-        if match is None:
-            violations.append(f"pole at {p} (order {m}) has no zero at I(p)")
-        elif match[1] != m:
-            violations.append(
-                f"pole at {p} order {m} pairs with zero of order {match[1]}"
-            )
-        else:
-            pairs.append((p, match[0], m))
-    dh_div = locate_divisor(data.dh)
-    dh_zeros = [z for z, _ in dh_div.zeros()]
-    for z in dh_zeros:
-        image = inv.apply(z)
-        if not any(lat.same_point(image, z2, 1e-6) for z2 in dh_zeros):
-            violations.append(f"dh zero at {z} not involution-stable")
-    vacuous = not gdiv.poles() and not gdiv.zeros()
-    return PairingReport(
-        ok=not violations, vacuous=vacuous, pairs=pairs, violations=violations
-    )
 
 
 def straight_route(data, p):

@@ -8,7 +8,9 @@ poles with array calls; the tests compare its picks with the screen one
 point at a time (`screened_samples`).  Expression text is read by Python's
 own parser; the tests compare its trees with the recursive-descent parser
 below (`parse_expr`), which defines the grammar the scene files were
-written in.
+written in.  Two checks that no command runs live here too: the exactness
+of g dh and dh / g over a cycle basis (`exactness_check`), and the pairing
+of g's poles with its zeros under an involution (`pole_zero_pairing`).
 """
 
 import math
@@ -17,6 +19,7 @@ from collections import deque
 
 import numpy as np
 
+from helikon.divisor import locate_divisor
 from helikon.errors import ExprSyntaxError, PoleAt, SampleAtPole
 from helikon.expr import (
     _ELLIPTIC,
@@ -37,7 +40,8 @@ from helikon.expr import (
     power,
     sub,
 )
-from helikon.surface import SAMPLE_SEED, _generic_samples
+from helikon.records import record
+from helikon.surface import SAMPLE_SEED, _generic_samples, period_triples
 
 
 def gauss_normal(data, p):
@@ -270,3 +274,67 @@ def parse_expr(text, domain):
     if is_form:
         return FormExpr(e)
     return e
+
+
+@record
+class ExactnessReport:
+    exact: bool
+    vacuous: bool
+    magnitudes: dict
+
+
+def exactness_check(data, basis, tol=1e-10):
+    """True iff g dh and (1/g) dh integrate to ~0 over every basis cycle."""
+    rows = period_triples(data, basis.cycles, tol * 1e-2).tolist()
+    mags = {
+        label: max(abs(p_plus), abs(p_minus))
+        for label, (p_plus, p_minus, _) in zip(basis.labels, rows)
+    }
+    vacuous = not mags
+    return ExactnessReport(
+        exact=all(m < tol for m in mags.values()), vacuous=vacuous, magnitudes=mags
+    )
+
+
+@record
+class PairingReport:
+    ok: bool
+    vacuous: bool
+    pairs: list
+    violations: list
+
+
+def pole_zero_pairing(data, inv, tol=1e-8):
+    """Check each pole of g pairs with a zero of g of equal order at I(p),
+    and that the zero set of dh is involution-stable."""
+    domain = data.domain
+    lat = domain.lattice
+    if lat is None:
+        return PairingReport(ok=True, vacuous=True, pairs=[], violations=[])
+    gdiv = locate_divisor(data.g)
+    violations = []
+    pairs = []
+    zeros = gdiv.zeros()
+    for p, m in gdiv.poles():
+        image = inv.apply(p)
+        match = next(
+            ((z, n) for z, n in zeros if lat.same_point(z, image, 1e-6)), None
+        )
+        if match is None:
+            violations.append(f"pole at {p} (order {m}) has no zero at I(p)")
+        elif match[1] != m:
+            violations.append(
+                f"pole at {p} order {m} pairs with zero of order {match[1]}"
+            )
+        else:
+            pairs.append((p, match[0], m))
+    dh_div = locate_divisor(data.dh)
+    dh_zeros = [z for z, _ in dh_div.zeros()]
+    for z in dh_zeros:
+        image = inv.apply(z)
+        if not any(lat.same_point(image, z2, 1e-6) for z2 in dh_zeros):
+            violations.append(f"dh zero at {z} not involution-stable")
+    vacuous = not gdiv.poles() and not gdiv.zeros()
+    return PairingReport(
+        ok=not violations, vacuous=vacuous, pairs=pairs, violations=violations
+    )

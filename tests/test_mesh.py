@@ -1,6 +1,5 @@
 """Mesh construction, OBJ export, the embeddedness probe, and the sweep."""
 
-import dataclasses
 import heapq
 import math
 import warnings
@@ -44,6 +43,7 @@ from helikon.mesh import (
     probe_self_intersection,
 )
 from helikon.paths import circle
+from helikon.records import replace
 from helikon.surface import (
     CycleBasis,
     WeierstrassData,
@@ -495,6 +495,17 @@ class TestProbe:
         rep = probe_self_intersection(mesh, extent / 2.0 ** 51, 3.0)
         assert rep.embedded
 
+    def test_delta_int_with_infinite_effective_threshold_refused(self):
+        # 1.5 * 1.5e308 overflows to inf, which once reached the grid
+        # bounds' prefix sums as inf - inf; 1e300 is a finite threshold
+        mesh = build_mesh(enneper(), SamplingSpec(-2, 2, -2, 2, nx=24, ny=24))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = probe_self_intersection(mesh, 0.2, 1e300)
+            with pytest.raises(ThresholdOrder, match="not a finite length"):
+                probe_self_intersection(mesh, 0.2, 1.5e308)
+        assert rep.embedded and rep.delta_int == INTRINSIC_SLACK * 1e300
+
     def test_default_thresholds_scale_with_bbox(self):
         spec = SamplingSpec(-math.pi, math.pi, -1.0, 1.0, nx=10, ny=10)
         mesh = build_mesh(helicoid(), spec)
@@ -662,7 +673,7 @@ def walled(mesh):
     u0, u1 = mesh.u[mesh.edge_ends].T
     wall = (np.sign(u0.real) != np.sign(u1.real)) & (u0.imag > -1.0)
     lengths = np.where(wall, math.inf, mesh.edge_lengths)
-    return dataclasses.replace(mesh, edge_lengths=lengths)
+    return replace(mesh, edge_lengths=lengths)
 
 
 def random_grid_mesh(rng, nx, ny, excluded=0.1, infinite=0.05):
@@ -826,7 +837,7 @@ class TestGridPathFilter:
             mesh = random_grid_mesh(rng, 4, 30, excluded=0.0, infinite=0.0)
             lengths = mesh.edge_lengths.copy()
             lengths[mesh.edge_ends.tolist().index([0, 1])] = 1e15
-            mesh = dataclasses.replace(mesh, edge_lengths=lengths)
+            mesh = replace(mesh, edge_lengths=lengths)
             limits = (0.3, 0.7, 1.1, 2.0)
         adjacency = adjacency_lists(mesh)
         if case in ("enneper", "catenoid"):
@@ -893,7 +904,7 @@ class TestGridGapBound:
                                 excluded=0.0, infinite=0.0)
         lengths = mesh.edge_lengths.copy()
         lengths[mesh.edge_ends.tolist().index([0, 1])] = 1e15
-        mesh = dataclasses.replace(mesh, edge_lengths=lengths)
+        mesh = replace(mesh, edge_lengths=lengths)
         adjacency = adjacency_lists(mesh)
         a, b = np.nonzero(~np.eye(len(adjacency), dtype=bool))
         full = {v: exhaustive_dijkstra(adjacency, v) for v in range(30)}
@@ -914,7 +925,7 @@ class TestGridGapBound:
                                 excluded=0.0, infinite=0.0)
         column = np.tile(np.arange(10), 6)  # vertex 10 i + j at (i, j)
         cut = (column[mesh.edge_ends] == [4, 5]).all(axis=1)
-        mesh = dataclasses.replace(mesh, edge_ends=mesh.edge_ends[~cut],
+        mesh = replace(mesh, edge_ends=mesh.edge_ends[~cut],
                                    edge_lengths=mesh.edge_lengths[~cut])
         a, b = np.nonzero(~np.eye(len(mesh.u), dtype=bool))
         across = (column[a] <= 4) != (column[b] <= 4)
@@ -936,7 +947,7 @@ class TestGridGapBound:
         # distance, where counting 3 in each gap would give 1 + 6
         mesh = random_grid_mesh(np.random.default_rng(4), 1, 12,
                                 excluded=0.0, infinite=0.0)
-        mesh = dataclasses.replace(
+        mesh = replace(
             mesh, edge_ends=np.vstack([mesh.edge_ends, [[2, 8]]]),
             edge_lengths=np.append(np.ones(11), 3.0))
         adjacency = adjacency_lists(mesh)
@@ -956,7 +967,7 @@ class TestGridGapBound:
         p = mesh.grid[:-2, :-1].ravel()
         q = mesh.grid[2:, 1:].ravel()
         chord = np.linalg.norm(mesh.xyz[q] - mesh.xyz[p], axis=1)
-        mesh = dataclasses.replace(
+        mesh = replace(
             mesh, edge_ends=np.vstack([mesh.edge_ends, np.stack([p, q], 1)]),
             edge_lengths=np.append(mesh.edge_lengths, 0.6 * chord))
         assert (np.abs(ij[q] - ij[p]).sum(axis=1) == 3).all()

@@ -227,7 +227,7 @@ class TestResidualConditions:
         assert asymptotic_residual(data, data.domain.punctures) < 1e-10
 
     def test_asymptotic_residual_flags_wrong_dh_scale(self):
-        from dataclasses import replace
+        from helikon.records import replace
 
         data = periodic_g1h_family(
             {"E1": 0.25 + 0.1j, "zero_shifts": [-0.75 - 0.1j],

@@ -3,7 +3,6 @@
 import cmath
 import math
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,13 +22,13 @@ from helikon.expr import (
     torus,
 )
 from helikon.paths import Arc, circle, polyline
+from helikon.records import replace
 from helikon.scene import load_scene
 from helikon.surface import (
     CycleBasis,
     WeierstrassData,
     _generic_samples,
     _involute_path,
-    exactness_check,
     flux,
     fluxes,
     immerse,
@@ -38,13 +37,18 @@ from helikon.surface import (
     lopez_ros,
     period_report,
     period_triple,
-    pole_zero_pairing,
     recombine,
     straight_route,
     symmetry_verify,
 )
 
-from references import conformal_factor, gauss_normal, screened_samples
+from references import (
+    conformal_factor,
+    exactness_check,
+    gauss_normal,
+    pole_zero_pairing,
+    screened_samples,
+)
 
 PLANE = Plane()
 PUNCTURED = Plane((0,))
