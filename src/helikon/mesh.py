@@ -1,39 +1,30 @@
 """Mesh discretization, OBJ export, and the embeddedness probe.
 
-Vertices are immersed once each by cumulative integration over a spanning
-tree of grid edges.  The period triples of all the tree edges come from one
+Vertices are immersed by cumulative integration over a spanning tree of
+grid edges.  The period triples of all the tree edges come from one
 level-synchronous quadrature run, and g at the vertices and at the edge
-length nodes from paths.evaluate (its one pole rule gives nan at a pole of
-g), so an n x m mesh costs O(nm) work in O(nm / paths.BLOCK_PANELS) array
-calls; a lambda sweep pays them once and recombines them for every lambda.
-A mesh holds arrays from assembly to verdict: its vertex and edge lists are
-built only when read.
+length nodes from paths.evaluate (nan at a pole of g), so an n x m mesh
+costs O(nm) work in O(nm / paths.BLOCK_PANELS) array calls.  One walk of
+the tree sums the triples into each vertex's path sum from the root, and
+the mesh at any lambda of a sweep is the recombined path sums.  A mesh
+holds arrays from assembly to verdict: its faces, normals, vertex and
+edge lists are built only when read.
 
 The self-intersection probe pairs a spatial hash (extrinsic nearness) with
-shortest paths on the mesh edge graph (intrinsic separation) — the
+shortest paths on the mesh edge graph (intrinsic separation), the
 discretized form of a near-pair with large intrinsic distance.  The hash
-bins vertices into cubes of side delta_ext, sorts them once by a cube code,
-and finds each vertex's 13 forward neighbour cubes as 5 ranges of codes, by
-one searchsorted for the ranges' left ends and one for their right ends.
-Its keys floor(xyz / delta_ext) must be exact integers, so the probe
-refuses a mesh with max |xyz| of 2^52 delta_ext or more.  Three exact
-bounds keep the searches few and short.  From above: a candidate whose
-grid L-path (prefix sums of edge lengths along one grid row and one grid
-column) is at most the threshold times (1 - 1e-9) is near, and is dropped
-unsearched.  From below, by the grid gaps: a path crosses every gap
-between the rows and every gap between the columns of its ends, so the
-sums of the gaps' least crossings (prefix sums again) bound it; a
-candidate whose bound to its target and the target's neighbours, times
-(1 - 1e-9), is beyond the search's cutoff is far at distance inf, the
-search's answer, unsearched.  From below, by the chord: every edge is at
-least as long as its chord, so (1 - 1e-9) times the straight-line distance
-to the targets steers an A* search that settles what Dijkstra would.  The
-1e-9 slacks absorb rounding, so the pairs and their distances are
-Dijkstra's to the bit.  The graph is a CSR form of the edge arrays, built
-only when a candidate survives both grid bounds; on the helicoid and
-catenoid scenes and the Enneper meshes of the plane-embed benchmark, none
-does.  Far pairs come source by source from one generator: the probe
-lists them all, while a lambda sweep's verdict stops at the first.
+sorts the vertices once by the code of their cube of side delta_ext, whose
+keys floor(xyz / delta_ext) must be exact integers (max |xyz| below 2^52
+delta_ext), and reads each vertex's 13 forward neighbour cubes as 5 code
+ranges.  Three exact bounds, each with a 1e-9 slack for rounding, keep the
+searches few and short: a grid L-path from above drops near candidates
+(_grid_path_within), the grid gaps' least crossings from below decide far
+ones at distance inf (_grid_gap_bound), and the chord steers an A* search
+that settles what Dijkstra would (_graph_distance), so the pairs and their
+distances are Dijkstra's to the bit.  Far pairs come source by source
+from one generator: the probe lists them all, while a lambda sweep's
+verdict stops at the first, and a sweep's verdicts share one set of grid
+geometry (_grid_edges).
 """
 
 import heapq
@@ -110,16 +101,24 @@ class SamplingSpec:
         return mask
 
 
+def _built(build):
+    """A read-only property whose value build(mesh) is made on first read."""
+    def get(mesh):
+        if build.__name__ not in mesh._lists:
+            mesh._lists[build.__name__] = build(mesh)
+        return mesh._lists[build.__name__]
+    return property(get, doc=build.__doc__)
+
+
 @record(eq=False)
 class SurfaceMesh:
     """A triangulated grid held as arrays: per vertex its u, position and
-    unit normal; the faces; per grid edge its two vertex indices and its
-    intrinsic length; and per grid point its vertex index."""
+    value of g; per grid edge its two vertex indices and its intrinsic
+    length; and per grid point its vertex index."""
 
     u: np.ndarray  # complex, one per vertex
     xyz: np.ndarray  # (V, 3) positions
-    normals: np.ndarray  # (V, 3)
-    faces: list  # of (i, j, k) vertex indices
+    g: np.ndarray  # complex, one per vertex, nan at a pole
     edge_ends: np.ndarray  # (E, 2) vertex indices
     edge_lengths: np.ndarray  # (E,) intrinsic lengths
     # (nx, ny) vertex index per grid point, -1 if excluded; each vertex
@@ -128,25 +127,32 @@ class SurfaceMesh:
     label: str = ""
     _lists: dict = field(default_factory=dict, init=False, repr=False)
 
-    @property
+    @_built
+    def faces(self):
+        """(a, b, c) and (a, c, d) per grid square whose corners a = (i, j),
+        b = (i + 1, j), c = (i + 1, j + 1) and d = (i, j + 1) are vertices."""
+        v = self.grid
+        corners = np.stack([v[:-1, :-1], v[1:, :-1], v[1:, 1:], v[:-1, 1:]])
+        quad = corners[:, (corners >= 0).all(axis=0)].tolist()
+        return [face for a, b, c, d in zip(*quad)
+                for face in ((a, b, c), (a, c, d))]
+
+    @_built
+    def normals(self):
+        """The (V, 3) unit normals, the Gauss map of g."""
+        return _gauss_normals(self.g)
+
+    @_built
     def vertices(self):
         """(u: complex, position: ndarray(3), normal: ndarray(3)) per
-        vertex, built on first access."""
-        if "vertices" not in self._lists:
-            self._lists["vertices"] = list(
-                zip(self.u.tolist(), self.xyz, self.normals)
-            )
-        return self._lists["vertices"]
+        vertex."""
+        return list(zip(self.u.tolist(), self.xyz, self.normals))
 
-    @property
+    @_built
     def edges(self):
-        """(i, j, intrinsic length) per grid edge, built on first access."""
-        if "edges" not in self._lists:
-            ia, ib = self.edge_ends.T.tolist()
-            self._lists["edges"] = list(
-                zip(ia, ib, self.edge_lengths.tolist())
-            )
-        return self._lists["edges"]
+        """(i, j, intrinsic length) per grid edge."""
+        ia, ib = self.edge_ends.T.tolist()
+        return list(zip(ia, ib, self.edge_lengths.tolist()))
 
     def positions(self):
         """The (V, 3) vertex positions as a read-only view of xyz."""
@@ -222,11 +228,11 @@ class _MeshIntegrals(NamedTuple):
 
     verts: np.ndarray  # complex u per vertex
     grid: np.ndarray  # (nx, ny) vertex index per grid point, -1 if excluded
-    faces: list
     child: np.ndarray
     parent: np.ndarray
     level_ends: np.ndarray
     triples: np.ndarray  # complex, one (P+, P-, P3) row per tree edge
+    sums: np.ndarray  # complex, the triples' sum over each vertex's path
     g_values: np.ndarray  # complex g per vertex, nan at poles
     edges: np.ndarray  # (i, j) vertex index pairs of the grid edges
     edge_du: np.ndarray  # |u_j - u_i|
@@ -239,7 +245,7 @@ def _mesh_integrals(data, spec, tol=1e-10):
     The root is the included vertex nearest the basepoint, reached by the
     route policy; the other vertices hang off a breadth-first spanning tree
     of grid edges, which must reach every included vertex.  Vertices are
-    numbered, and faces and grid edges listed, in row-major (i, j) order.
+    numbered, and grid edges listed, in row-major (i, j) order.
     """
     mask = spec.inclusion_mask()
     if not np.count_nonzero(mask):
@@ -272,10 +278,12 @@ def _mesh_integrals(data, spec, tol=1e-10):
         cand = neighbours[level].ravel()
         new = np.flatnonzero(cand >= 0)
         new = new[~seen[cand[new]]]
-        _, first = np.unique(cand[new], return_index=True)
-        new = new[np.sort(first)]
         if not new.size:
             break
+        order = np.argsort(cand[new], kind="stable")
+        first = np.ones(len(new), dtype=bool)
+        first[order[1:]] = np.diff(cand[new[order]]) != 0
+        new = new[first]
         parent.append(level[new // 4])
         level = cand[new]
         seen[level] = True
@@ -297,30 +305,24 @@ def _mesh_integrals(data, spec, tol=1e-10):
     else:
         route = straight_route(data, root_u)
         triples = period_triples(data, [route, edges], tol)
+    # one level of the tree at a time: its parents, one level up, are summed
+    sums = np.empty((len(points), 3), dtype=complex)
+    sums[root] = triples[0]
+    for lo, hi in zip(level_ends[:-1], level_ends[1:]):
+        sums[child[lo:hi]] = sums[parent[lo:hi]] + triples[lo:hi]
 
     g_values = evaluate(data.g, points)
-
-    quad = mask[:-1, :-1] & mask[1:, :-1] & mask[1:, 1:] & mask[:-1, 1:]
-    i, j = np.nonzero(quad)
-    corners = (
-        index[i, j], index[i + 1, j], index[i + 1, j + 1], index[i, j + 1]
-    )
-    faces = [
-        face
-        for a, b, c, d in zip(*(k.tolist() for k in corners))
-        for face in ((a, b, c), (a, c, d))
-    ]
-
     u0, u1 = points[ends[:, 0]], points[ends[:, 1]]
-
+    for shared in (points, index, ends, g_values):
+        shared.flags.writeable = False
     return _MeshIntegrals(
         verts=points,
         grid=index,
-        faces=faces,
         child=child,
         parent=parent,
         level_ends=level_ends,
         triples=triples,
+        sums=sums,
         g_values=g_values,
         edges=ends,
         edge_du=np.abs(u1 - u0),
@@ -341,41 +343,31 @@ def _gauss_normals(g_values):
     normals[ok] = np.stack(
         [2.0 * g.real, 2.0 * g.imag, m2 - 1.0], axis=1
     ) / (m2 + 1.0)[:, None]
+    normals.flags.writeable = False
     return normals
 
 
 def _assemble_mesh(integrals, lam, label):
-    """The mesh of lopez_ros(data, lam) from data's _mesh_integrals.
-
-    The deformation g -> lam g scales the period triples by (lam, 1/lam, 1)
-    (lopez_ros_triples) and the edge Gauss sums (A, B) likewise, so no
-    quadrature is repeated.
-    """
-    triples = lopez_ros_triples(integrals.triples, lam)
+    """The mesh of lopez_ros(data, lam) from data's _mesh_integrals, with
+    read-only arrays.  g -> lam g scales the path sums and the edge Gauss
+    sums (A, B) by (lam, 1/lam, 1) (lopez_ros_triples) and (lam, 1/lam)."""
+    sums = lopez_ros_triples(integrals.sums, lam)
+    positions = np.stack([c.real for c in recombine(*sums.T)], axis=1)
     g_values = integrals.g_values
-    sum_a, sum_b = integrals.edge_sums.T
     if lam != 1.0:
         g_values = complex(lam) * g_values
-    deltas = np.array(recombine(*triples.T)).real.T
-
-    positions = np.empty((len(integrals.verts), 3))
-    child, parent = integrals.child, integrals.parent
-    positions[child[0]] = deltas[0]
-    # one level of the tree at a time: its parents, one level up, are placed
-    ends = integrals.level_ends
-    for lo, hi in zip(ends[:-1], ends[1:]):
-        positions[child[lo:hi]] = positions[parent[lo:hi]] + deltas[lo:hi]
-
+    sum_a, sum_b = integrals.edge_sums.T
     ia, ib = integrals.edges.T
     length = 0.25 * integrals.edge_du * (lam * sum_a + sum_b / lam)
     chord = np.linalg.norm(positions[ib] - positions[ia], axis=1)
     # intrinsic arc length can never undercut the chord
     length = np.maximum(length, chord)
+    for own in (positions, g_values, length):
+        own.flags.writeable = False
     return SurfaceMesh(
         u=integrals.verts,
         xyz=positions,
-        normals=_gauss_normals(g_values),
-        faces=integrals.faces,
+        g=g_values,
         edge_ends=integrals.edges,
         edge_lengths=length,
         grid=integrals.grid,
@@ -384,12 +376,9 @@ def _assemble_mesh(integrals, lam, label):
 
 
 def build_mesh(data, spec, tol=1e-10):
-    """Discretize the immersion over the sampling rectangle.
-
-    The basepoint connects to the nearest included grid vertex by the route
-    policy; all other vertices follow by cumulative integration along grid
-    edges (breadth-first spanning tree).
-    """
+    """Discretize the immersion over the sampling rectangle: the included
+    grid vertex nearest the basepoint by the route policy, the others by
+    cumulative integration along a breadth-first tree of grid edges."""
     return _assemble_mesh(_mesh_integrals(data, spec, tol), 1.0, data.label)
 
 
@@ -484,29 +473,33 @@ def _csr_graph(mesh):
 
 
 def _grid_edges(mesh):
-    """(ij, lo, span): the grid point (i, j) of every vertex, as a (V, 2)
-    int array, and per edge the lesser (i, j) of its two ends and its
-    (|di|, |dj|), each an (E, 2) array; a grid step spans (1, 0) or
-    (0, 1)."""
+    """(ij, lo, span, tail, head), the grid geometry, which no lambda
+    changes: the (V, 2) grid point (i, j) of every vertex; per edge the
+    lesser (i, j) of its ends and its (|di|, |dj|), each (E, 2), a grid
+    step spanning (1, 0) or (0, 1); and the half-edges tail -> head of
+    every edge both ways, sorted stably by tail."""
     at = np.argwhere(mesh.grid >= 0)
     ij = np.zeros((len(mesh.u), 2), dtype=int)
     ij[mesh.grid[tuple(at.T)]] = at
     p, q = ij[mesh.edge_ends].transpose(1, 0, 2)
-    return ij, np.minimum(p, q), np.abs(q - p)
+    tail, head = np.concatenate([mesh.edge_ends, mesh.edge_ends[:, ::-1]]).T
+    order = np.argsort(tail, kind="stable")
+    return ij, np.minimum(p, q), np.abs(q - p), tail[order], head[order]
 
 
 def _grid_path_within(mesh, grid_edges, a, b, limit):
     """True where a grid L-path from vertex a[k] to vertex b[k], along a's
     row and then b's column or the other way round, is at most
-    limit (1 - 1e-9) long; grid_edges is _grid_edges(mesh).  Any path bounds the graph distance from above,
-    so there a[k] and b[k] are within limit on the edge graph.
+    limit (1 - 1e-9) long; grid_edges is _grid_edges(mesh).  Any path
+    bounds the graph distance from above, so there a[k] and b[k] are
+    within limit on the edge graph.
 
     Path lengths are differences of prefix sums along the grid lines, and
     the 1e-9 slack covers their rounding.  A path that uses a missing grid
     edge, or one longer than limit, is blocked: keeping long edges out of
     the prefix sums keeps their rounding from swamping the differences.
     """
-    ij, lo, span = grid_edges
+    ij, lo, span, _, _ = grid_edges
     # steps[e][i, j] is the length of the grid edge from (i, j) to
     # (i + 1, j) for e = 0, or to (i, j + 1) for e = 1; inf where missing
     steps = np.full((2,) + mesh.grid.shape, np.inf)
@@ -551,7 +544,7 @@ def _grid_gap_bound(mesh, grid_edges, a, b, cutoff):
     that keeps a gap no edge crosses (inf) and very long edges out of the
     prefix sums.  nan, which no search relaxes, counts as no edge.
     """
-    ij, lo, span = grid_edges
+    ij, lo, span, tail, head = grid_edges
     share = mesh.edge_lengths / np.maximum(span.sum(axis=1), 1)
     prefix = []
     for axis, n in enumerate(mesh.grid.shape):
@@ -570,9 +563,6 @@ def _grid_gap_bound(mesh, grid_edges, a, b, cutoff):
         return np.abs(rows[iy] - rows[ix]) + np.abs(columns[jy] - columns[jx])
 
     # the goal set of b[k]: b[k] itself and the heads of its half-edges
-    tail, head = np.concatenate([mesh.edge_ends, mesh.edge_ends[:, ::-1]]).T
-    order = np.argsort(tail, kind="stable")
-    tail, head = tail[order], head[order]
     start = np.searchsorted(tail, b)
     count = np.searchsorted(tail, b, side="right") - start
     k = np.repeat(np.arange(len(b)), count)
@@ -678,10 +668,10 @@ def _thresholds(mesh, delta_ext, delta_int):
     return delta_ext, effective
 
 
-def _far_pairs(mesh, delta_ext, eff_int):
+def _far_pairs(mesh, delta_ext, eff_int, grid_edges=None):
     """Yield (a, b, extrinsic, intrinsic) for every candidate pair closer
     than delta_ext in space and farther than eff_int on the edge graph, one
-    source a at a time, in candidate order.
+    source a at a time, in candidate order; grid_edges is _grid_edges(mesh).
 
     Two grid bounds decide most candidates unsearched: one that a grid
     path shows to be within eff_int (_grid_path_within) is dropped, and
@@ -695,7 +685,8 @@ def _far_pairs(mesh, delta_ext, eff_int):
         return
     a, b, _ = np.array(candidates).T
     a, b = a.astype(int), b.astype(int)
-    grid_edges = _grid_edges(mesh)
+    if grid_edges is None:
+        grid_edges = _grid_edges(mesh)
     rest = np.flatnonzero(~_grid_path_within(mesh, grid_edges, a, b, eff_int))
     if not rest.size:
         return
@@ -775,16 +766,20 @@ def lambda_sweep(
                 f"horizontal flux magnitudes {vf.horizontal_magnitudes}"
             )
     integrals = _mesh_integrals(data, spec)
+    grid_edges = None
 
     def verdict(lam):
+        nonlocal grid_edges
         deformed = lopez_ros(data, lam)
         resid = 0.0
         if triples is not None:
             scaled = lopez_ros_triples(triples, lam)
             resid = triples_report(basis.labels, scaled, tol).max_residual
         m = _assemble_mesh(integrals, lam, deformed.label)
+        if grid_edges is None:
+            grid_edges = _grid_edges(m)
         # the verdict needs one far pair, not the list
-        far = _far_pairs(m, *_thresholds(m, delta_ext, delta_int))
+        far = _far_pairs(m, *_thresholds(m, delta_ext, delta_int), grid_edges)
         return next(far, None) is None, resid
 
     table = []

@@ -10,7 +10,8 @@ a class attribute is the field's default, or a `field(...)`.  The class
 gets:
 
 - `__init__(*args, **kwargs)`, taking the `init` fields by position or by
-  name, defaults and `default_factory` filling in the ones left out; the
+  name, defaults and `default_factory` filling in the ones left out (only
+  a call that gives them all, by position or by name, skips `_bind`); the
   `init=False` fields with a `default_factory` are set after the others, and
   then `__post_init__()` runs if the class has one (looked up on the
   instance at each call, so a wrapped `__post_init__` is the one called);
@@ -88,6 +89,7 @@ def _build(cls, frozen, eq):
     params = tuple((f.name, f.default, f.default_factory)
                    for f in fields if f.init)
     names = tuple(name for name, _, _ in params)
+    keys = frozenset(names)
     made = tuple((f.name, f.default_factory) for f in fields
                  if not f.init and f.default_factory is not _MISSING)
     post = hasattr(cls, "__post_init__")
@@ -96,7 +98,9 @@ def _build(cls, frozen, eq):
     put = object.__setattr__
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(names):
+        if kwargs and not args and kwargs.keys() == keys:
+            args = map(kwargs.__getitem__, names)  # every init field by name
+        elif kwargs or len(args) != len(names):
             args = _bind(cls.__name__, params, args, kwargs)
         for name, value in zip(names, args):
             put(self, name, value)

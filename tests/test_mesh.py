@@ -166,7 +166,7 @@ class TestGridEnumeration:
         assert np.array_equal(spec.inclusion_mask(), mask)
         got = _mesh_integrals(helicoid(), spec)
         assert got.verts.tolist() == verts
-        assert got.faces == faces
+        assert _assemble_mesh(got, 1.0, "").faces == faces
         assert got.edges.tolist() == [list(e) for e in edges]
         assert np.array_equal(
             got.edge_du, [abs(verts[b] - verts[a]) for a, b in edges]
@@ -174,8 +174,9 @@ class TestGridEnumeration:
 
     @pytest.mark.parametrize("lam", [1.0, 1.7])
     def test_tree_walk_matches_loop(self, lam):
-        # positions placed level by level equal the per-vertex walk of the
-        # breadth-first tree, bit for bit
+        # path sums summed level by level equal the per-vertex walk of the
+        # breadth-first tree, and the positions at lam are their rescaled
+        # recombination, bit for bit
         spec = SamplingSpec(-2, 2, -1.5, 2.5, nx=23, ny=17,
                             exclusions=((0, 0.45), (1.2 + 1j, 0.3)))
         got = _mesh_integrals(helicoid(), spec)
@@ -186,14 +187,14 @@ class TestGridEnumeration:
         where = {v: k for k, v in enumerate(child)}
         assert all(depth[k] == depth[where[parent[k]]] + 1
                    for k in range(1, len(child)))
-        triples = got.triples.copy()
-        triples[:, 0] *= lam
-        triples[:, 1] /= lam
-        deltas = np.array(recombine(*triples.T)).real.T
-        positions = np.empty((len(got.verts), 3))
-        positions[child[0]] = deltas[0]
+        sums = np.empty((len(got.verts), 3), dtype=complex)
+        sums[child[0]] = got.triples[0]
         for k in range(1, len(child)):
-            positions[child[k]] = positions[parent[k]] + deltas[k]
+            sums[child[k]] = sums[parent[k]] + got.triples[k]
+        assert got.sums.tobytes() == sums.tobytes()
+        sums[:, 0] *= lam
+        sums[:, 1] /= lam
+        positions = np.array(recombine(*sums.T)).real.T
         mesh = _assemble_mesh(got, lam, "")
         assert np.array_equal(mesh.positions(), positions)
 
@@ -264,6 +265,39 @@ class TestBuildMesh:
         assert np.array_equal(pos, np.array([p for _, p, _ in mesh.vertices]))
         with pytest.raises(ValueError):
             pos[0, 0] = 1.0
+
+    def test_faces_and_normals_built_on_read(self):
+        # faces come from the grid and normals from g, each on first read
+        spec = SamplingSpec(-2, 2, -1.5, 2.5, nx=23, ny=17,
+                            exclusions=((0, 0.45), (1.2 + 1j, 0.3)))
+        _, _, faces, _ = reference_grid(spec)
+        integrals = _mesh_integrals(helicoid(), spec)
+        for lam in (1.0, 1.7):
+            mesh = _assemble_mesh(integrals, lam, "")
+            assert not mesh._lists
+            assert mesh.faces == faces and mesh.faces is mesh.faces
+            deformed = lopez_ros(helicoid(), lam)
+            want = [gauss_normal(deformed, u) for u in mesh.u.tolist()]
+            assert np.abs(mesh.normals - want).max() <= 1e-14
+            assert mesh.normals is mesh.normals
+
+    def test_arrays_are_read_only(self):
+        # every mesh of a sweep shares u, grid and edge_ends with the
+        # integrals, so no write may go through one mesh
+        spec = catenoid_spec(8)
+        integrals = _mesh_integrals(catenoid(), spec)
+        for mesh in (build_mesh(catenoid(), spec),
+                     _assemble_mesh(integrals, 0.5, "")):
+            before = mesh.positions().copy()
+            for row in mesh.vertices[0][1:]:
+                with pytest.raises(ValueError):
+                    row[0] = 99.0
+            assert np.array_equal(mesh.positions(), before)
+            for array in (mesh.u, mesh.xyz, mesh.g, mesh.normals,
+                          mesh.edge_ends, mesh.edge_lengths, mesh.grid):
+                with pytest.raises(ValueError):
+                    array[(0,) * array.ndim] = 0
+        assert mesh.u is integrals.verts and mesh.grid is integrals.grid
 
     def test_intrinsic_length_dominates_chord(self):
         mesh = build_mesh(catenoid(), catenoid_spec(12))
@@ -375,8 +409,7 @@ class TestExport:
         empty = SurfaceMesh(
             u=np.zeros(0, dtype=complex),
             xyz=np.zeros((0, 3)),
-            normals=np.zeros((0, 3)),
-            faces=[],
+            g=np.zeros(0, dtype=complex),
             edge_ends=np.zeros((0, 2), dtype=int),
             edge_lengths=np.zeros(0),
             grid=-np.ones((1, 1), dtype=int),
@@ -436,8 +469,7 @@ class TestProbe:
         mesh = SurfaceMesh(
             u=np.zeros(len(points), dtype=complex),
             xyz=np.array(points),
-            normals=np.zeros((len(points), 3)),
-            faces=[],
+            g=np.zeros(len(points), dtype=complex),
             edge_ends=np.zeros((0, 2), dtype=int),
             edge_lengths=np.zeros(0),
             grid=np.arange(len(points))[:, None],
@@ -703,8 +735,7 @@ def random_grid_mesh(rng, nx, ny, excluded=0.1, infinite=0.05):
     return SurfaceMesh(
         u=np.zeros(len(pos), dtype=complex),
         xyz=pos,
-        normals=np.zeros(pos.shape),
-        faces=[],
+        g=np.zeros(len(pos), dtype=complex),
         edge_ends=ends,
         edge_lengths=length,
         grid=grid,
@@ -989,9 +1020,9 @@ class TestGridGapBound:
         calls.append((build_mesh(enneper(), spec), 0.05, 2.0))
         far_pairs = mesh_module._far_pairs
 
-        def capture(m, delta_ext, eff_int):
+        def capture(m, delta_ext, eff_int, grid_edges=None):
             calls.append((m, delta_ext, eff_int / INTRINSIC_SLACK))
-            return far_pairs(m, delta_ext, eff_int)
+            return far_pairs(m, delta_ext, eff_int, grid_edges)
 
         monkeypatch.setattr(mesh_module, "_far_pairs", capture)
         lambda_sweep(catenoid(), [0.5, 1.0, 2.0], catenoid_spec(48),
@@ -1035,10 +1066,10 @@ class TestLambdaReuse:
         swept = {}
         far_pairs = mesh_module._far_pairs
 
-        def capture(m, delta_ext, eff_int):
+        def capture(m, delta_ext, eff_int, grid_edges=None):
             lam = float(m.label.rsplit("=", 1)[1]) if "=" in m.label else 1.0
             swept[lam] = m
-            return far_pairs(m, delta_ext, eff_int)
+            return far_pairs(m, delta_ext, eff_int, grid_edges)
 
         monkeypatch.setattr(mesh_module, "_far_pairs", capture)
         # 0.5 and 2 scale the integrals exactly; 1.3 rounds
@@ -1127,6 +1158,25 @@ class TestSweep:
             pairs[lam] = len(rep.pairs)
         if data.label == "enneper":
             assert pairs[0.8515625] == 0 and pairs[0.859375] == 4
+
+    def test_grid_geometry_once_per_sweep(self, monkeypatch):
+        # the Enneper bisection assembles a mesh per verdict: all of them
+        # share one _grid_edges, and no verdict reads the normals
+        counts = dict.fromkeys(
+            ["_assemble_mesh", "_grid_edges", "_gauss_normals"], 0
+        )
+        for name in counts:
+            def counted(*args, name=name, original=getattr(mesh_module, name)):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(mesh_module, name, counted)
+        spec = SamplingSpec(-2, 2, -2, 2, nx=48, ny=48)
+        res = lambda_sweep(enneper(), [0.5, 1.0], spec, delta_ext=0.05,
+                           delta_int=2.0)
+        assert res.bracket == (0.8515625, 0.859375)
+        assert counts == {"_assemble_mesh": 8, "_grid_edges": 1,
+                          "_gauss_normals": 0}
 
     def test_one_period_run_per_sweep(self, monkeypatch):
         # the flux test and every lambda's residuals come from one run over

@@ -82,6 +82,11 @@ CALLS = [
     ("Derived", (1j,), {}),
     ("Derived", (), {"tau": 2, "tol": 1e-8}),
     ("Identity", ([1.5],), {"label": "m"}),
+    # every init field by name, in and out of order, and all but one
+    ("Pair", (), {"a": 1, "b": 2}),
+    ("Pair", (), {"b": 2, "a": 1}),
+    ("Derived", (), {"tau": 2}),
+    ("Identity", (), {"label": "m", "xs": [2.5]}),
 ]
 
 
@@ -208,18 +213,49 @@ def test_class_attributes_match_dataclasses():
                     == outcome(lambda: getattr(ORACLE[name], attr)))
 
 
-@pytest.mark.parametrize("name, args, kwargs", [
-    ("Pair", (1, 2, 3), {}),
-    ("Pair", (1,), {}),
-    ("Pair", (1, 2), {"c": 3}),
-    ("Pair", (1,), {"a": 2}),
-    ("Derived", (1j,), {"double": 2j}),
-    ("Identity", ([],), {"memo": {}}),
-])
-def test_bad_arguments_raise_type_error(name, args, kwargs):
-    for cls in (ORACLE[name], RECORD[name]):
-        with pytest.raises(TypeError):
-            cls(*args, **kwargs)
+# (class name, args, kwargs, the record's message) of bad calls
+EXTRA = "got an unexpected or repeated keyword argument"
+BAD_CALLS = [
+    ("Pair", (1, 2, 3), {}, "takes 2 positional arguments but 3 were given"),
+    ("Pair", (1,), {}, "missing required argument 'b'"),
+    ("Pair", (1, 2), {"c": 3}, f"{EXTRA} 'c'"),
+    ("Pair", (1,), {"a": 2}, "missing required argument 'b'"),
+    ("Derived", (1j,), {"double": 2j}, f"{EXTRA} 'double'"),
+    ("Identity", ([],), {"memo": {}}, f"{EXTRA} 'memo'"),
+    # keyword calls: a name missing, an extra one, a repeated one
+    ("Pair", (), {"b": 2}, "missing required argument 'a'"),
+    ("Pair", (), {"a": 1, "b": 2, "c": 3}, f"{EXTRA} 'c'"),
+    ("Pair", (1,), {"a": 1, "b": 2}, f"{EXTRA} 'a'"),
+    ("Empty", (), {"a": 1}, f"{EXTRA} 'a'"),
+    ("Derived", (), {"tau": 1j, "double": 2j}, f"{EXTRA} 'double'"),
+]
+
+
+# ids as if parametrized by (name, args, kwargs) alone
+@pytest.mark.parametrize(
+    "name, args, kwargs, message", BAD_CALLS,
+    ids=[f"{call[0]}-args{k}-kwargs{k}" for k, call in enumerate(BAD_CALLS)],
+)
+def test_bad_arguments_raise_type_error(name, args, kwargs, message):
+    with pytest.raises(TypeError):
+        ORACLE[name](*args, **kwargs)
+    with pytest.raises(TypeError) as raised:
+        RECORD[name](*args, **kwargs)
+    assert str(raised.value) == f"{name}() {message}"
+
+
+def test_keyword_call_of_every_init_field_binds_nothing(monkeypatch):
+    # the fast path; any other keyword call goes through _bind
+    def refuse(*args):
+        raise AssertionError("bound in Python")
+
+    monkeypatch.setattr(records, "_bind", refuse)
+    got = RECORD["Pair"](b=2, a=1)
+    assert (got.a, got.b) == (1, 2)
+    got = RECORD["Derived"](tol=0.5, tau=1)
+    assert (got.tau, got.tol, got.double) == (1 + 0j, 0.5, 2 + 0j)
+    with pytest.raises(AssertionError):
+        RECORD["Derived"](tau=1)
 
 
 @pytest.mark.parametrize("name, args, kwargs, changes", [
