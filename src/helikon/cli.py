@@ -384,7 +384,7 @@ def cmd_mesh(scene, flags):
     report = {
         "results": {
             "vertices": len(m.u),
-            "faces": len(m.faces),
+            "faces": m.face_count(),
             "edges": len(m.edge_ends),
             "bounding_box_diagonal": m.bounding_box_diagonal(),
         },

@@ -16,12 +16,12 @@ discretized form of a near-pair with large intrinsic distance.  The hash
 sorts the vertices once by the code of their cube of side delta_ext, whose
 keys floor(xyz / delta_ext) must be exact integers (max |xyz| below 2^52
 delta_ext), and reads each vertex's 13 forward neighbour cubes as 5 code
-ranges.  Three exact bounds, each with a 1e-9 slack for rounding, keep the
-searches few and short: a grid L-path from above drops near candidates
-(_grid_path_within), the grid gaps' least crossings from below decide far
-ones at distance inf (_grid_gap_bound), and the chord steers an A* search
-that settles what Dijkstra would (_graph_distance), so the pairs and their
-distances are Dijkstra's to the bit.  Far pairs come source by source
+ranges.  Two exact grid bounds, each with a 1e-9 slack for rounding,
+decide most candidates with no search: a grid L-path from above drops near
+ones (_grid_path_within), and the grid gaps' least crossings from below
+decide far ones at distance inf (_grid_gap_bound), the distance a search
+would give them.  A Dijkstra search stopped at the cutoff
+(_graph_distance) settles the rest.  Far pairs come source by source
 from one generator: the probe lists them all, while a lambda sweep's
 verdict stops at the first, and a sweep's verdicts share one set of grid
 geometry (_grid_edges).
@@ -70,6 +70,12 @@ class SamplingSpec:
     exclusions: tuple = ()  # of (center: complex, radius: float)
 
     def __post_init__(self):
+        # grid_points scales by the width and the height
+        bounds = (self.umin, self.umax, self.vmin, self.vmax)
+        sides = (self.umax - self.umin, self.vmax - self.vmin)
+        if not all(map(math.isfinite, bounds + sides)):
+            raise ValueError(f"sampling rectangle {bounds}: its bounds,"
+                             " width and height must be finite")
         if self.umax <= self.umin or self.vmax <= self.vmin:
             raise ValueError("sampling rectangle is empty")
         if self.nx < 1 or self.ny < 1:
@@ -101,6 +107,16 @@ class SamplingSpec:
         return mask
 
 
+def _squares(grid):
+    """The (4, Q) vertex indices a, b, c, d of every grid square whose
+    corners a = (i, j), b = (i + 1, j), c = (i + 1, j + 1) and
+    d = (i, j + 1) are all vertices (grid[i, j] >= 0)."""
+    corners = np.stack(
+        [grid[:-1, :-1], grid[1:, :-1], grid[1:, 1:], grid[:-1, 1:]]
+    )
+    return corners[:, (corners >= 0).all(axis=0)]
+
+
 def _built(build):
     """A read-only property whose value build(mesh) is made on first read."""
     def get(mesh):
@@ -129,13 +145,14 @@ class SurfaceMesh:
 
     @_built
     def faces(self):
-        """(a, b, c) and (a, c, d) per grid square whose corners a = (i, j),
-        b = (i + 1, j), c = (i + 1, j + 1) and d = (i, j + 1) are vertices."""
-        v = self.grid
-        corners = np.stack([v[:-1, :-1], v[1:, :-1], v[1:, 1:], v[:-1, 1:]])
-        quad = corners[:, (corners >= 0).all(axis=0)].tolist()
+        """(a, b, c) and (a, c, d) per grid square of _squares(grid)."""
+        quad = _squares(self.grid).tolist()
         return [face for a, b, c, d in zip(*quad)
                 for face in ((a, b, c), (a, c, d))]
+
+    def face_count(self):
+        """len(faces), without building them."""
+        return 2 * _squares(self.grid).shape[1]
 
     @_built
     def normals(self):
@@ -239,7 +256,7 @@ class _MeshIntegrals(NamedTuple):
     edge_sums: np.ndarray  # (A, B) of _edge_sums per grid edge
 
 
-def _mesh_integrals(data, spec, tol=1e-10):
+def _mesh_integrals(data, spec):
     """Every quadrature and expression evaluation a mesh of data needs.
 
     The root is the included vertex nearest the basepoint, reached by the
@@ -300,11 +317,11 @@ def _mesh_integrals(data, spec, tol=1e-10):
     root_u = complex(points[root])
     if abs(root_u - data.basepoint) < 1e-13:
         triples = np.concatenate(
-            [np.zeros((1, 3), dtype=complex), period_triples(data, edges, tol)]
+            [np.zeros((1, 3), dtype=complex), period_triples(data, edges)]
         )
     else:
         route = straight_route(data, root_u)
-        triples = period_triples(data, [route, edges], tol)
+        triples = period_triples(data, [route, edges])
     # one level of the tree at a time: its parents, one level up, are summed
     sums = np.empty((len(points), 3), dtype=complex)
     sums[root] = triples[0]
@@ -375,17 +392,15 @@ def _assemble_mesh(integrals, lam, label):
     )
 
 
-def build_mesh(data, spec, tol=1e-10):
+def build_mesh(data, spec):
     """Discretize the immersion over the sampling rectangle: the included
     grid vertex nearest the basepoint by the route policy, the others by
     cumulative integration along a breadth-first tree of grid edges."""
-    return _assemble_mesh(_mesh_integrals(data, spec, tol), 1.0, data.label)
+    return _assemble_mesh(_mesh_integrals(data, spec), 1.0, data.label)
 
 
-def export_mesh(mesh, fmt="obj"):
-    """Serialize the mesh; OBJ with v/vn/f records, 9 significant digits."""
-    if fmt.lower() != "obj":
-        raise ValueError(f"unsupported mesh format: {fmt}")
+def export_mesh(mesh):
+    """The mesh as OBJ bytes: v/vn/f records, 9 significant digits."""
     if not len(mesh.u):
         raise ValueError("refusing to export an empty mesh")
     lines = ["v %.9g %.9g %.9g" % tuple(p) for p in mesh.xyz.tolist()]
@@ -457,34 +472,22 @@ def _spatial_hash_pairs(positions, cell):
     return list(zip(a[near].tolist(), b[near].tolist(), d[near].tolist()))
 
 
-def _csr_graph(mesh):
-    """The edge graph as (ptr, nbr, length, xyz): the neighbours of v and
-    the lengths of the edges to them are nbr[ptr[v]:ptr[v + 1]] and
-    length[ptr[v]:ptr[v + 1]], in the order of mesh.edge_ends, and xyz
-    holds the vertex positions."""
-    # edge k as the half-edges 2k (i -> j) and 2k + 1 (j -> i); a stable
-    # sort by the tail keeps each vertex's half-edges in edge order
-    half = np.stack([mesh.edge_ends, mesh.edge_ends[:, ::-1]], axis=1)
-    tail, head = half.reshape(-1, 2).T
-    order = np.argsort(tail, kind="stable")
-    ptr = np.searchsorted(tail[order], np.arange(len(mesh.u) + 1))
-    length = np.repeat(mesh.edge_lengths, 2)[order]
-    return ptr.tolist(), head[order].tolist(), length.tolist(), mesh.xyz
-
-
 def _grid_edges(mesh):
-    """(ij, lo, span, tail, head), the grid geometry, which no lambda
+    """(ij, lo, span, tail, head, edge), the grid geometry, which no lambda
     changes: the (V, 2) grid point (i, j) of every vertex; per edge the
     lesser (i, j) of its ends and its (|di|, |dj|), each (E, 2), a grid
     step spanning (1, 0) or (0, 1); and the half-edges tail -> head of
-    every edge both ways, sorted stably by tail."""
+    every edge both ways, with their edge's index, sorted stably by tail.
+    Edge k, from a to b in edge_ends, is the half-edges 2k (a -> b) and
+    2k + 1 (b -> a), so each vertex's half-edges come in edge order."""
     at = np.argwhere(mesh.grid >= 0)
     ij = np.zeros((len(mesh.u), 2), dtype=int)
     ij[mesh.grid[tuple(at.T)]] = at
     p, q = ij[mesh.edge_ends].transpose(1, 0, 2)
-    tail, head = np.concatenate([mesh.edge_ends, mesh.edge_ends[:, ::-1]]).T
+    tail, head = mesh.edge_ends.ravel(), mesh.edge_ends[:, ::-1].ravel()
     order = np.argsort(tail, kind="stable")
-    return ij, np.minimum(p, q), np.abs(q - p), tail[order], head[order]
+    lo, span = np.minimum(p, q), np.abs(q - p)
+    return ij, lo, span, tail[order], head[order], order // 2
 
 
 def _grid_path_within(mesh, grid_edges, a, b, limit):
@@ -499,7 +502,7 @@ def _grid_path_within(mesh, grid_edges, a, b, limit):
     edge, or one longer than limit, is blocked: keeping long edges out of
     the prefix sums keeps their rounding from swamping the differences.
     """
-    ij, lo, span, _, _ = grid_edges
+    ij, lo, span = grid_edges[:3]
     # steps[e][i, j] is the length of the grid edge from (i, j) to
     # (i + 1, j) for e = 0, or to (i, j + 1) for e = 1; inf where missing
     steps = np.full((2,) + mesh.grid.shape, np.inf)
@@ -529,10 +532,10 @@ def _grid_path_within(mesh, grid_edges, a, b, limit):
 
 def _grid_gap_bound(mesh, grid_edges, a, b, cutoff):
     """A lower bound on the edge-graph distance from vertex a[k] to b[k]
-    and to each of b[k]'s edge neighbours, the goals of a search for b[k]
-    (_graph_distance): where it is above cutoff / (1 - 1e-9), a search
-    from a[k] stopped at cutoff settles none of them and leaves b[k] at
-    inf.  grid_edges is _grid_edges(mesh).
+    and to each of b[k]'s edge neighbours, the vertices whose settling
+    gives b[k] a distance in a search (_graph_distance): where it is above
+    cutoff / (1 - 1e-9), a search from a[k] stopped at cutoff settles none
+    of them and leaves b[k] at inf.  grid_edges is _grid_edges(mesh).
 
     A path from grid point (i, j) to (i', j') crosses every gap between
     rows i and i' and every gap between columns j and j', each on an edge
@@ -544,7 +547,7 @@ def _grid_gap_bound(mesh, grid_edges, a, b, cutoff):
     that keeps a gap no edge crosses (inf) and very long edges out of the
     prefix sums.  nan, which no search relaxes, counts as no edge.
     """
-    ij, lo, span, tail, head = grid_edges
+    ij, lo, span, tail, head, _ = grid_edges
     share = mesh.edge_lengths / np.maximum(span.sum(axis=1), 1)
     prefix = []
     for axis, n in enumerate(mesh.grid.shape):
@@ -562,7 +565,7 @@ def _grid_gap_bound(mesh, grid_edges, a, b, cutoff):
         rows, columns = prefix
         return np.abs(rows[iy] - rows[ix]) + np.abs(columns[jy] - columns[jx])
 
-    # the goal set of b[k]: b[k] itself and the heads of its half-edges
+    # b[k] itself and the heads of its half-edges
     start = np.searchsorted(tail, b)
     count = np.searchsorted(tail, b, side="right") - start
     k = np.repeat(np.arange(len(b)), count)
@@ -572,54 +575,35 @@ def _grid_gap_bound(mesh, grid_edges, a, b, cutoff):
 
 
 def _graph_distance(graph, source, targets, cutoff):
-    """A* on a _csr_graph from source toward the targets, stopped once
-    every target is settled or the smallest heap key exceeds cutoff;
-    returns the targets' distances.
-
-    The goal set is the targets and their neighbours, and the heap key of
-    a vertex v reached at distance d is d + h(v), with h(v) = (1 - 1e-9)
-    times the least Euclidean distance from v to the goal set.  Every edge
-    is at least as long as its chord (_assemble_mesh), so h is a lower
-    bound on the distance left to any goal (admissible) and falls along an
-    edge by at most the edge's length (consistent): keys are popped in
-    order, a popped vertex is settled, and with h = 0 this is Dijkstra.
-    The 1e-9 slack keeps both properties safe from rounding.
+    """Dijkstra on graph = (ptr, head, length) from source, stopped once
+    every target is settled or the least distance on the heap exceeds
+    cutoff; returns the targets' distances.  The neighbours of v and the
+    lengths of the edges to them are head[ptr[v]:ptr[v + 1]] and
+    length[ptr[v]:ptr[v + 1]].
 
     A settled target's distance is final.  An unsettled one holds the
     least d(v) + length(v, b) over its settled neighbours v (inf if none),
     which is what Dijkstra run to exhaustion with the same cutoff holds:
-    each neighbour is a goal, so h(v) = 0, and it is settled exactly when
-    d(v) is within the cutoff.
+    a search that leaves a target unsettled has settled exactly the
+    vertices within the cutoff.
     """
-    ptr, nbr, length, xyz = graph
-    goals = set(targets)
-    for t in targets:
-        goals.update(nbr[ptr[t]:ptr[t + 1]])
-    # least squared distance to the goals, one goal at a time rather than
-    # one (V, goals, 3) broadcast
-    nearest = np.full(len(xyz), np.inf)
-    diff = np.empty_like(xyz)
-    for g in goals:
-        np.subtract(xyz, xyz[g], out=diff)
-        np.minimum(nearest, np.vecdot(diff, diff), out=nearest)
-    h = ((1.0 - 1e-9) * np.sqrt(nearest)).tolist()
-
+    ptr, head, length = graph
     dist = {source: 0.0}
     pending = set(targets)
-    heap = [(h[source], 0.0, source)]
+    heap = [(0.0, source)]
     while pending and heap and heap[0][0] <= cutoff:
-        _, d, v = heapq.heappop(heap)
+        d, v = heapq.heappop(heap)
         if d > dist[v]:
             continue
         pending.discard(v)
         if not pending:
             break
         for k in range(ptr[v], ptr[v + 1]):
-            w = nbr[k]
+            w = head[k]
             nd = d + length[k]
             if nd < dist.get(w, math.inf):
                 dist[w] = nd
-                heapq.heappush(heap, (nd + h[w], nd, w))
+                heapq.heappush(heap, (nd, w))
     return [dist.get(t, math.inf) for t in targets]
 
 
@@ -677,8 +661,8 @@ def _far_pairs(mesh, delta_ext, eff_int, grid_edges=None):
     path shows to be within eff_int (_grid_path_within) is dropped, and
     one that the grid gaps show to be beyond the search's cutoff
     (_grid_gap_bound) is far at intrinsic distance inf, the distance the
-    search would give it.  _graph_distance searches the rest, on a graph
-    built for the first of them.
+    search would give it.  _graph_distance searches the rest, on the
+    half-edges of grid_edges, laid out for the first of them.
     """
     candidates = _spatial_hash_pairs(mesh.xyz, delta_ext)
     if not candidates:
@@ -702,7 +686,10 @@ def _far_pairs(mesh, delta_ext, eff_int, grid_edges=None):
         searched = iter(())
         if targets:
             if graph is None:
-                graph = _csr_graph(mesh)
+                _, _, _, tail, head, edge = grid_edges
+                ptr = np.searchsorted(tail, np.arange(len(mesh.u) + 1))
+                graph = (ptr.tolist(), head.tolist(),
+                         mesh.edge_lengths[edge].tolist())
             searched = iter(_graph_distance(graph, a, targets, cutoff))
         for (_, b, d), far in run:
             intrinsic = math.inf if far else next(searched)

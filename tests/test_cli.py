@@ -4,8 +4,11 @@ import json
 import os
 import time
 
+import numpy as np
 import pytest
 
+from helikon import cli as cli_module
+from helikon import mesh as mesh_module
 from helikon.cli import COMMANDS, _report_json, main, run
 from helikon.errors import HelikonError
 from helikon.scene import load_scene
@@ -95,6 +98,20 @@ class TestReports:
         assert rep["results"]["vertices"] == 1600
         assert rep["results"]["faces"] == 2 * 39 * 39
 
+    def test_mesh_counts_faces_unbuilt(self, helicoid_scene, monkeypatch):
+        # the faces are counted from the grid, and their list never built
+        meshes = []
+
+        def capture(data, spec):
+            meshes.append(mesh_module.build_mesh(data, spec))
+            return meshes[-1]
+
+        monkeypatch.setattr(cli_module, "build_mesh", capture)
+        code, rep = run("mesh", helicoid_scene, NO_FLAGS)
+        (m,) = meshes
+        assert code == 0 and "faces" not in m._lists
+        assert rep["results"]["faces"] == len(m.faces)
+
     def test_sweep_catenoid(self, catenoid_scene):
         code, rep = run("sweep", catenoid_scene, NO_FLAGS)
         assert code == 0 and rep["verdict"] is True
@@ -173,6 +190,39 @@ class TestExitCodes:
         assert got == code
 
 
+class TestSearchTraffic:
+    """The grid bounds decide every far-pair candidate of the bundled
+    plane scenes: their probes and sweeps run no graph search, and report
+    what searching every candidate reports."""
+
+    @pytest.mark.parametrize("command", ["probe", "sweep"])
+    @pytest.mark.parametrize("scene_file", ["helicoid", "catenoid"])
+    def test_no_search(self, monkeypatch, scene_file, command):
+        scene = load_scene(scene_path(f"{scene_file}.scene"))
+        graph_distance = mesh_module._graph_distance
+        searches = []
+
+        def counted(graph, source, targets, cutoff):
+            searches.append(len(targets))
+            return graph_distance(graph, source, targets, cutoff)
+
+        monkeypatch.setattr(mesh_module, "_graph_distance", counted)
+        code, rep = run(command, scene, NO_FLAGS)
+        assert code == 0 and not searches
+        # with both grid bounds off, the search decides every candidate
+        # (the helicoid's probe has none)
+        monkeypatch.setattr(
+            mesh_module, "_grid_path_within",
+            lambda mesh, edges, a, b, limit: np.zeros(len(a), dtype=bool))
+        monkeypatch.setattr(
+            mesh_module, "_grid_gap_bound",
+            lambda mesh, edges, a, b, cutoff: np.zeros(len(a)))
+        assert _report_json(run(command, scene, NO_FLAGS)[1]) == \
+            _report_json(rep)
+        none = (scene_file, command) == ("helicoid", "probe")
+        assert bool(searches) != none
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, catenoid_scene):
         _, rep1 = run("periods", catenoid_scene, NO_FLAGS)
@@ -217,6 +267,28 @@ class TestMain:
         obj = tmp_path / "helicoid_mesh.obj"
         assert obj.exists()
         assert obj.read_bytes().startswith(b"v ")
+
+    @pytest.mark.parametrize(
+        "rect", ["-inf,1,-1,1", "-1e308,1e308,-1,1", "nan,1,-1,1"]
+    )
+    @pytest.mark.parametrize("command", ["mesh", "probe", "sweep"])
+    def test_non_finite_rect_exit_code(self, tmp_path, capsys, command,
+                                       rect):
+        # a bound or a width that is not finite once reached numpy: four
+        # RuntimeWarning lines, then "integrand non-finite near z = nan"
+        with open(scene_path("helicoid.scene")) as fh:
+            text = fh.read()
+        assert text.count("\nrect = ") == 1
+        head, tail = text.split("\nrect = ")
+        tail = tail[tail.index("\n"):]
+        bad = tmp_path / "rect.scene"
+        bad.write_text(f"{head}\nrect = {rect}{tail}")
+        code = main([command, "--scene", str(bad), "--no-json"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: mesh settings: sampling rectangle")
+        assert "must be finite" in err
 
     def test_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.scene"

@@ -28,7 +28,6 @@ from helikon.mesh import (
     SamplingSpec,
     SurfaceMesh,
     _assemble_mesh,
-    _csr_graph,
     _far_pairs,
     _graph_distance,
     _grid_edges,
@@ -106,6 +105,25 @@ class TestSamplingSpec:
     def test_bad_resolution(self):
         with pytest.raises(ValueError):
             SamplingSpec(0, 1, 0, 1, nx=0)
+
+    @pytest.mark.parametrize(
+        "rect",
+        [(-math.inf, 1, -1, 1), (-1, 1, -1, math.inf), (math.nan, 1, -1, 1),
+         (-1, 1, math.nan, 1)],
+    )
+    def test_non_finite_bound(self, rect):
+        # nan compares false, so it also passed the empty-rectangle test
+        with pytest.raises(ValueError, match="bounds, width and height"):
+            SamplingSpec(*rect)
+
+    @pytest.mark.parametrize(
+        "rect", [(-1e308, 1e308, -1, 1), (-1, 1, -1.7e308, 1.7e308)]
+    )
+    def test_overflowing_width_or_height(self, rect):
+        # finite bounds whose difference overflows to inf
+        with pytest.raises(ValueError, match="bounds, width and height"):
+            SamplingSpec(*rect)
+        SamplingSpec(-1e307, 1e307, -1e307, 1e307)  # finite sides
 
     def test_grid_corners(self):
         spec = SamplingSpec(-1, 1, -2, 2, nx=5, ny=9)
@@ -275,6 +293,8 @@ class TestBuildMesh:
         for lam in (1.0, 1.7):
             mesh = _assemble_mesh(integrals, lam, "")
             assert not mesh._lists
+            assert mesh.face_count() == len(faces)
+            assert not mesh._lists  # the count builds no faces
             assert mesh.faces == faces and mesh.faces is mesh.faces
             deformed = lopez_ros(helicoid(), lam)
             want = [gauss_normal(deformed, u) for u in mesh.u.tolist()]
@@ -427,12 +447,6 @@ class TestExport:
         lines += [f"f {a + 1}//{a + 1} {b + 1}//{b + 1} {c + 1}//{c + 1}"
                   for a, b, c in mesh.faces]
         assert export_mesh(mesh) == ("\n".join(lines) + "\n").encode("ascii")
-
-    def test_unknown_format_refused(self):
-        spec = SamplingSpec(-1, 1, -1, 1, nx=2, ny=2)
-        mesh = build_mesh(helicoid(), spec)
-        with pytest.raises(ValueError):
-            export_mesh(mesh, fmt="stl")
 
 
 class TestProbe:
@@ -699,6 +713,14 @@ def adjacency_lists(mesh):
     return adjacency
 
 
+def search_graph(mesh):
+    """The (ptr, head, length) graph that _far_pairs searches, laid out
+    from the half-edges of _grid_edges(mesh)."""
+    _, _, _, tail, head, edge = _grid_edges(mesh)
+    ptr = np.searchsorted(tail, np.arange(len(mesh.u) + 1))
+    return ptr.tolist(), head.tolist(), mesh.edge_lengths[edge].tolist()
+
+
 def walled(mesh):
     """mesh with infinitely long edges across Re u = 0 above Im u = -1: a
     wall with a gap below it."""
@@ -743,8 +765,8 @@ def random_grid_mesh(rng, nx, ny, excluded=0.1, infinite=0.05):
 
 
 class TestBoundedSearch:
-    """The probe's goal-directed search against searches run to
-    exhaustion."""
+    """The probe's Dijkstra search, stopped at its cutoff, against searches
+    run to exhaustion."""
 
     @pytest.mark.parametrize(
         "data, spec, delta_ext, delta_int, wall, far",
@@ -765,7 +787,7 @@ class TestBoundedSearch:
         if wall:
             mesh = walled(mesh)
         adjacency = adjacency_lists(mesh)
-        graph = _csr_graph(mesh)
+        graph = search_graph(mesh)
         for v, neighbours in enumerate(adjacency):
             lo, hi = graph[0][v], graph[0][v + 1]
             assert list(zip(graph[1][lo:hi], graph[2][lo:hi])) == neighbours
@@ -817,12 +839,11 @@ class TestBoundedSearch:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_grid_graphs(self, seed):
-        # edges as long as their chords make the search's lower bound
-        # tight, where rounding would first show
+        # excluded vertices, and edges of random and infinite lengths
         rng = np.random.default_rng(seed)
         mesh = random_grid_mesh(rng, 9, 12)
         adjacency = adjacency_lists(mesh)
-        graph = _csr_graph(mesh)
+        graph = search_graph(mesh)
         n = len(adjacency)
         for _ in range(8):
             source = int(rng.integers(n))
@@ -834,16 +855,32 @@ class TestBoundedSearch:
                 assert got == list(want)
 
     def test_stops_at_cutoff(self):
-        # a path graph 0 - 1 - 2 - 3 with unit edges, its vertices one apart
-        # on a line: the search from 0 pops nothing past the cutoff, so 3
-        # keeps its tentative value (or inf when the search stops before
-        # reaching it)
-        # in CSR form: the neighbours of v are nbr[ptr[v]:ptr[v + 1]]
-        xyz = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]])
-        graph = ([0, 1, 3, 5, 6], [1, 0, 2, 1, 3, 2], [1.0] * 6, xyz)
+        # a path graph 0 - 1 - 2 - 3 with unit edges: the search from 0
+        # pops nothing past the cutoff, so 3 keeps its tentative value (or
+        # inf when the search stops before reaching it)
+        # the neighbours of v are head[ptr[v]:ptr[v + 1]]
+        graph = ([0, 1, 3, 5, 6], [1, 0, 2, 1, 3, 2], [1.0] * 6)
         assert _graph_distance(graph, 0, [1, 3], 2.5) == [1.0, 3.0]
         assert _graph_distance(graph, 0, [3], 1.5) == [math.inf]
         assert _graph_distance(graph, 0, [2, 3], 10.0) == [2.0, 3.0]
+
+    def test_far_pairs_search_the_grid_half_edges(self, monkeypatch):
+        # with no gap bound every open pair is searched, each on the one
+        # graph that _far_pairs lays out from _grid_edges
+        spec = SamplingSpec(-2.2, 2.2, -2.2, 2.2, nx=24, ny=24)
+        mesh = walled(build_mesh(enneper(), spec))
+        graphs = []
+
+        def counted(graph, source, targets, cutoff):
+            graphs.append(graph)
+            return _graph_distance(graph, source, targets, cutoff)
+
+        monkeypatch.setattr(mesh_module, "_graph_distance", counted)
+        monkeypatch.setattr(mesh_module, "_grid_gap_bound",
+                            lambda mesh, edges, a, b, cutoff: np.zeros(len(a)))
+        assert list(_far_pairs(mesh, 0.3, INTRINSIC_SLACK * 0.5))
+        assert len(graphs) > 1 and all(g is graphs[0] for g in graphs)
+        assert graphs[0] == search_graph(mesh)
 
 
 class TestGridPathFilter:
@@ -917,7 +954,7 @@ class TestGridGapBound:
             a, b = np.array([(a, b) for a, b, _ in candidates]).T
         full = {v: exhaustive_dijkstra(adjacency, v) for v in set(a.tolist())}
         goal = goal_distance(adjacency, full, a, b)
-        graph = _csr_graph(mesh)
+        graph = search_graph(mesh)
         for cutoff in cutoffs:
             bound = _grid_gap_bound(mesh, _grid_edges(mesh), a, b, cutoff)
             assert (bound * (1.0 - 1e-9) <= goal).all()
