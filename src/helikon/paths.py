@@ -9,9 +9,11 @@ integrates many paths in one run and chooses a rule per path:
   generator() or CycleBasis), gets the nested periodic trapezoidal rule.  On
   such a contour a meromorphic integrand is periodic and smooth, so the rule
   converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).  It
-  takes N = 15 * 2**j equispaced nodes, each doubling reusing the previous
-  samples, and accepts a path when |T_2N - T_N| <= tol (the largest error
-  of the forms, for a vector integrand).  The cap is TRAPEZOID_CAP nodes.
+  takes N = 15 * 2**j equispaced nodes and accepts a path when |T_2N - T_N|
+  <= tol (the largest error of the forms, for a vector integrand).  The
+  first integrand call samples N = 15 and 30 together, which the first
+  test needs; each later doubling reuses the previous samples and calls
+  the integrand on its new nodes only.  The cap is TRAPEZOID_CAP nodes.
   A path falls back to Gauss-Kronrod when a generator's integrand differs
   at its two ends by more than tol (not periodic), when the doubling has
   not reached tol at the cap, or when a sample is non-finite (nan where
@@ -21,7 +23,8 @@ integrates many paths in one run and chooses a rule per path:
   pair per panel, run level-synchronously over the paths: each bisection
   level calls the integrand on the nodes of every active panel, in blocks
   of at most BLOCK_PANELS panels, accepts panels with one vector test and
-  bisects only the ones that fail.  The panel budget is 2**20 per path.
+  bisects only the ones that fail.  The panel budget, PANEL_BUDGET = 2**20,
+  holds per path and for each bisection level across the run.
 
 Either rule calls the integrand on at most 15 * BLOCK_PANELS points at once.
 An integrand maps a flat ndarray of points to an ndarray of values of the
@@ -365,60 +368,70 @@ def evaluate(f, z):
 
 def _trapezoid(f, geometry, seg, tol):
     """The nested periodic trapezoidal rule on the one-segment paths whose
-    segments are seg: N = 15 * 2**j nodes t = k / N, each level calling f
-    once (per 15 BLOCK_PANELS points) on the new nodes of every live path.
-    Returns (values, done), one row per path; a path that is not done goes
-    to Gauss-Kronrod."""
+    segments are seg: N = 15 * 2**j nodes t = k / N.  The first call of f
+    samples the nodes of N = 15 and 30 of every path and the far end t = 1
+    of every generator, since the first test |T_30 - T_15| <= tol needs
+    them all; each later level calls f once on the new nodes of every live
+    path (calls of at most 15 BLOCK_PANELS points, see evaluate).  Returns
+    (values, done), one row per path; a path that is not done goes to
+    Gauss-Kronrod."""
     n = seg.size
     done = np.zeros(n, dtype=bool)
     values = None
     live = np.arange(n)
     ends = np.flatnonzero(~geometry.arc[seg])  # the generators
     nodes = TRAPEZOID_NODES
-    t = np.arange(nodes) / nodes
+    # one row of new nodes per level the next call samples: first N = 15
+    # and the new nodes of N = 30, each k / 30
+    k = 2 * np.arange(nodes)
+    levels = np.stack([k, k + 1]) / (2 * nodes)
     total = estimate = None
     while True:
-        z, v = geometry.nodes(seg[live], np.broadcast_to(t, (live.size, t.size)))
-        z, v = z.ravel(), v.ravel()
-        owner = np.repeat(np.arange(live.size), t.size)
-        body = z.size
+        shape = (live.size, levels.shape[1])
+        blocks = [
+            geometry.nodes(seg[live], np.broadcast_to(t, shape)) for t in levels
+        ]
+        owner = [np.repeat(np.arange(live.size), shape[1])] * len(levels)
+        body = len(levels) * live.size * shape[1]
         if total is None:
-            # and the far end of every generator, t = 1
-            z_end, v_end = geometry.nodes(seg[ends], np.ones((ends.size, 1)))
-            z = np.concatenate([z, z_end.ravel()])
-            v = np.concatenate([v, v_end.ravel()])
-            owner = np.concatenate([owner, ends])
+            blocks.append(geometry.nodes(seg[ends], np.ones((ends.size, 1))))
+            owner.append(ends)
+        z = np.concatenate([zb.ravel() for zb, _ in blocks])
+        v = np.concatenate([vb.ravel() for _, vb in blocks])
+        owner = np.concatenate(owner)
         with np.errstate(all="ignore"):
             fv = evaluate(f, z) * v
             forms = fv.shape[:-1]
             form_axes = tuple(range(len(forms)))
             finite = np.isfinite(fv).all(axis=form_axes)
             keep = np.bincount(owner[~finite], minlength=live.size) == 0
-            rows = fv[..., :body].reshape(forms + (live.size, t.size))
-            # each path's new samples, summed in node order
-            new = np.moveaxis(rows.sum(axis=-1), -1, 0)
+            rows = fv[..., :body].reshape(forms + (len(levels),) + shape)
+            # each path's new samples of a level are a contiguous row in
+            # node order, summed along the row: a sum rounds the same
+            # whatever else the call sampled (a sum across strided rows
+            # would not)
+            new = np.moveaxis(rows.sum(axis=-1), (-2, -1), (0, 1))
         if not np.count_nonzero(keep):
             return values, done
         if values is None:
             values = np.zeros((n,) + forms, dtype=complex)
         if total is None:
             # a generator is periodic when f agrees at its two ends
-            jump = np.abs(fv[..., body:] - rows[..., ends, 0])
+            jump = np.abs(fv[..., body:] - rows[..., 0, ends, 0])
             keep[ends[jump.max(axis=form_axes) > tol]] = False
-            total, estimate = new, new / nodes
-        else:
-            total = total + new
-            nodes *= 2
-            previous, estimate = estimate, total / nodes
-            err = np.abs(estimate - previous).reshape(live.size, -1).max(axis=1)
-            ok = keep & (err <= tol)
-            values[live[ok]] = estimate[ok]
-            done[live[ok]] = True
-            keep &= ~ok
+            total, estimate = new[0], new[0] / nodes
+        total = total + new[-1]
+        nodes *= 2
+        previous, estimate = estimate, total / nodes
+        err = np.abs(estimate - previous).reshape(live.size, -1).max(axis=1)
+        ok = keep & (err <= tol)
+        values[live[ok]] = estimate[ok]
+        done[live[ok]] = True
+        keep &= ~ok
         if nodes >= TRAPEZOID_CAP or not np.count_nonzero(keep):
             return values, done
         live, total, estimate = live[keep], total[keep], estimate[keep]
-        t = (2 * np.arange(nodes) + 1) / (2 * nodes)
+        levels = (2 * np.arange(nodes)[None] + 1) / (2 * nodes)
 
 
 def _gk_panel(f, segments, idx, t0, t1):
@@ -481,7 +494,11 @@ def _gauss_kronrod(f, geometry, which, tol):
         if not np.count_nonzero(fail):
             break
         bisected += np.bincount(path_of[idx[fail]], minlength=n)
-        if np.count_nonzero(2 * bisected > PANEL_BUDGET):
+        # a path's own budget, and one level's across the run, which bounds
+        # the node arrays of a run of many paths that all keep bisecting
+        if np.count_nonzero(2 * bisected > PANEL_BUDGET) or (
+            2 * np.count_nonzero(fail) > PANEL_BUDGET
+        ):
             raise NoConvergence("panel budget exhausted")
         lo, hi = t0[fail], t1[fail]
         tm = 0.5 * (lo + hi)
@@ -513,9 +530,10 @@ def integrate_paths(f, paths, tol=1e-12):
     panel of a path with s segments is accepted when its error estimate is
     at most tol / s times its parameter length, or at most 1e-16, so the
     estimated absolute error of each path is below tol.  A path may bisect
-    PANEL_BUDGET / 2 panels.  Each segment's accepted panels are summed in
-    increasing parameter and a path's segments in order, so the result is
-    deterministic.
+    PANEL_BUDGET / 2 panels, and a bisection level may hold PANEL_BUDGET
+    panels across the run; beyond either it raises NoConvergence.  Each
+    segment's accepted panels are summed in increasing parameter and a
+    path's segments in order, so the result is deterministic.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

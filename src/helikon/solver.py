@@ -12,7 +12,8 @@ horizontal closure on both torus generators, four real equations whose
 Jacobian has full rank in the three real unknowns rho and c.  rho is the
 Lopez-Ros deformation g -> rho g and c enters dh linearly, so the residual
 and its Jacobian are algebra on the cycle integrals of the member rho = 1,
-c = 0, taken once (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).
+c = 0, taken in one quadrature run of six forms (Golub & Pereyra, SIAM J.
+Numer. Anal. 10, 1973).
 The helicoidal-end regularity, asymptotic_residual, holds on the whole
 family by construction and is checked after the solve, not solved for.
 """
@@ -22,7 +23,13 @@ import warnings
 import numpy as np
 
 from .divisor import TWO_PI_I, check_abel, exp_factor_coefficient
-from .errors import CoincidentPoints, HelikonError, SingularJacobian
+from .errors import (
+    CoincidentPoints,
+    HelikonError,
+    PathThroughPole,
+    PoleAt,
+    SingularJacobian,
+)
 from .expr import (
     Const,
     Elliptic,
@@ -35,17 +42,13 @@ from .expr import (
     div,
     eval_expr,
     mul,
+    reciprocal_values,
     sub,
 )
 from .lattice import Lattice
 from .paths import circle, generator, integrate_paths
-from .records import record, replace
-from .surface import (
-    WeierstrassData,
-    lopez_ros_triples,
-    period_triple,
-    period_triples,
-)
+from .records import record
+from .surface import WeierstrassData, lopez_ros_triples, period_triple
 
 # asymptotic_residual integrates on circles of this radius about the punctures
 END_RADIUS = 0.08
@@ -229,6 +232,26 @@ def _closure(triples):
     return np.column_stack([z.real, z.imag]).ravel()
 
 
+def _unit_triples(data, cycles, tol):
+    """The period triples of data's dh and of du, (g dh, dh/g, dh) and (g,
+    1/g, 1) integrated along every cycle: two arrays with one row per cycle,
+    from one quadrature run of the six forms, with one joint evaluation of
+    g and dh per integrand call and an error test joint over all six.
+    Raises PathThroughPole where a cycle meets a pole, as period_triples
+    does."""
+
+    def six_forms(u):
+        g, h = eval_expr((data.g, data.dh.coeff), u)
+        rg = reciprocal_values(g, u)
+        return np.stack([g * h, rg * h, h, g, rg, np.ones_like(h)])
+
+    try:
+        rows = integrate_paths(six_forms, cycles, tol).reshape(-1, 2, 3)
+    except PoleAt as exc:
+        raise PathThroughPole(str(exc)) from exc
+    return rows[:, 0], rows[:, 1]
+
+
 def standard_g1h_family(tau=1j, shift=None, E1=0.25 + 0.1j, quad_tol=1e-10):
     """The symmetric one-pair family solved by the bundled scene.
 
@@ -245,7 +268,8 @@ def standard_g1h_family(tau=1j, shift=None, E1=0.25 + 0.1j, quad_tol=1e-10):
     The member (rho, c) has g = rho g0 and dh = dh0 + c du, so its period
     triples are lopez_ros_triples(T0 + c T1, rho), where T0 and T1 are the
     unit member's triples of dh0 and of du on the generators, integrated
-    once here at quad_tol: the residual and its Jacobian are exact algebra.
+    here in one run of six forms at quad_tol (_unit_triples): the residual
+    and its Jacobian are exact algebra.
     """
     tau = complex(tau)
     E1 = complex(E1)
@@ -271,9 +295,7 @@ def standard_g1h_family(tau=1j, shift=None, E1=0.25 + 0.1j, quad_tol=1e-10):
         raise CoincidentPoints(
             f"punctures +-{E1} are {sep:.3g} apart modulo the lattice"
         )
-    du = FormExpr(Expr(Const(1.0), unit.domain))
-    t_dh = period_triples(unit, cycles, quad_tol)
-    t_du = period_triples(replace(unit, dh=du), cycles, quad_tol)
+    t_dh, t_du = _unit_triples(unit, cycles, quad_tol)
 
     def residual(params):
         if not params["rho"] >= MIN_RHO:

@@ -331,7 +331,9 @@ class InvolutionReport:
 def involution_report(data, inv, tol=1e-8, n_samples=20):
     """Check I*dh = -dh, I*(dg/g) = -dg/g, and g(I(p)) g(p) = g(p0)^2 on
     generic samples, drawn until n_samples (11 draws at most) pass a screen
-    by paths.evaluate, the one pole rule: none of g, g o I, dg/g, dh is nan."""
+    by paths.evaluate, the one pole rule: none of g, g o I, dg/g, dh is nan.
+    Each draw evaluates (g, dg/g, dh) jointly at the candidates and g at
+    their images, and the g values of the kept samples give c_dev."""
     domain = data.domain
     for p in domain.punctures:
         image = inv.apply(p)
@@ -340,20 +342,20 @@ def involution_report(data, inv, tol=1e-8, n_samples=20):
                 f"involution does not preserve punctures: I({p}) = {image}"
             )
     dgg = data.log_gauss_form()
+    forms = (data.g, dgg.coeff, data.dh.coeff)
     samples = np.zeros(0, dtype=complex)
+    g_samples = g_images = samples
     attempts = 0
     while samples.size < n_samples:
         cands = np.array(_generic_samples(
             domain, n_samples - samples.size, SAMPLE_SEED + attempts
         ))
-        values = [
-            evaluate(data.g, cands),
-            evaluate(data.g, inv.center - cands),
-            evaluate(dgg.coeff, cands),
-            evaluate(data.dh.coeff, cands),
-        ]
-        keep = ~np.isnan(values).any(axis=0)
+        values = evaluate(lambda u: np.stack(eval_expr(forms, u)), cands)
+        images = evaluate(data.g, inv.center - cands)
+        keep = ~(np.isnan(values).any(axis=0) | np.isnan(images))
         samples = np.concatenate([samples, cands[keep]])
+        g_samples = np.concatenate([g_samples, values[0, keep]])
+        g_images = np.concatenate([g_images, images[keep]])
         attempts += 1
         if attempts > 10:
             raise SampleAtPole("could not find pole-free generic samples")
@@ -361,8 +363,7 @@ def involution_report(data, inv, tol=1e-8, n_samples=20):
     dgg_dev = _sampled_form_deviation(dgg, inv, samples)
     g_p0 = finite_value(data.g, inv.p0)
     C = g_p0 * g_p0  # inf where the square overflows, never OverflowError
-    images = eval_expr(data.g, inv.center - samples)
-    c_dev = float(np.abs(images * eval_expr(data.g, samples) - C).max())
+    c_dev = float(np.abs(g_images * g_samples - C).max())
     return InvolutionReport(
         dh_odd=dh_dev < tol,
         dgg_odd=dgg_dev < tol,

@@ -5,7 +5,12 @@ conformal factor in batches, and builds its spanning tree a level at a
 time; the tests compare them with these one-point formulas and with a
 vertex-by-vertex walk.  The involution report screens its samples for
 poles with array calls; the tests compare its picks with the screen one
-point at a time (`screened_samples`).  Expression text is read by Python's
+point at a time (`screened_samples`), and its report with one that
+evaluates g, g o I, dg/g and dh apart and g again for c_dev
+(`four_call_involution_report`).  The periodic trapezoidal rule samples
+its first two levels in one call and runs many paths together; the tests
+compare it with the rule on one path, one level per call
+(`nested_trapezoid`).  Expression text is read by Python's
 own parser; the tests compare its trees with the recursive-descent parser
 below (`parse_expr`), which defines the grammar the scene files were
 written in.  Two checks that no command runs live here too: the exactness
@@ -19,8 +24,9 @@ from collections import deque
 
 import numpy as np
 
+from helikon import paths
 from helikon.divisor import locate_divisor
-from helikon.errors import ExprSyntaxError, PoleAt, SampleAtPole
+from helikon.errors import DomainError, ExprSyntaxError, PoleAt, SampleAtPole
 from helikon.expr import (
     _ELLIPTIC,
     Const,
@@ -40,8 +46,16 @@ from helikon.expr import (
     power,
     sub,
 )
+from helikon.paths import Line
 from helikon.records import record
-from helikon.surface import SAMPLE_SEED, _generic_samples, period_triples
+from helikon.surface import (
+    SAMPLE_SEED,
+    InvolutionReport,
+    _generic_samples,
+    _sampled_form_deviation,
+    finite_value,
+    period_triples,
+)
 
 
 def gauss_normal(data, p):
@@ -95,6 +109,91 @@ def screened_samples(data, inv, n_samples=20):
         if attempts > 10:
             raise SampleAtPole("could not find pole-free generic samples")
     return samples
+
+
+def four_call_involution_report(data, inv, tol=1e-8, n_samples=20):
+    """involution_report with g, g o I, dg/g and dh screened by four
+    separate paths.evaluate calls, and g evaluated again at the kept
+    samples and their images for c_dev."""
+    domain = data.domain
+    for p in domain.punctures:
+        image = inv.apply(p)
+        if not any(domain.same_point(image, q, 1e-8) for q in domain.punctures):
+            raise DomainError(
+                f"involution does not preserve punctures: I({p}) = {image}"
+            )
+    dgg = data.log_gauss_form()
+    samples = np.zeros(0, dtype=complex)
+    attempts = 0
+    while samples.size < n_samples:
+        cands = np.array(_generic_samples(
+            domain, n_samples - samples.size, SAMPLE_SEED + attempts
+        ))
+        values = [
+            paths.evaluate(data.g, cands),
+            paths.evaluate(data.g, inv.center - cands),
+            paths.evaluate(dgg.coeff, cands),
+            paths.evaluate(data.dh.coeff, cands),
+        ]
+        keep = ~np.isnan(values).any(axis=0)
+        samples = np.concatenate([samples, cands[keep]])
+        attempts += 1
+        if attempts > 10:
+            raise SampleAtPole("could not find pole-free generic samples")
+    dh_dev = _sampled_form_deviation(data.dh, inv, samples)
+    dgg_dev = _sampled_form_deviation(dgg, inv, samples)
+    g_p0 = finite_value(data.g, inv.p0)
+    C = g_p0 * g_p0
+    images = eval_expr(data.g, inv.center - samples)
+    c_dev = float(np.abs(images * eval_expr(data.g, samples) - C).max())
+    return InvolutionReport(
+        dh_odd=dh_dev < tol,
+        dgg_odd=dgg_dev < tol,
+        C=C,
+        max_dev=max(dh_dev, dgg_dev, c_dev),
+        dh_dev=dh_dev,
+        dgg_dev=dgg_dev,
+        c_dev=c_dev,
+    )
+
+
+def nested_trapezoid(f, path, tol):
+    """The nested periodic trapezoidal rule on one periodic path, one call
+    of f per level: N = 15, 30, 60, ... nodes t = k / N, each level's new
+    samples summed in node order, until |T_2N - T_N| <= tol (the largest
+    over the forms).  The first call also samples a generator's far end t =
+    1.  Returns (value, calls); value is None where the path falls back to
+    Gauss-Kronrod: a non-finite sample, a generator whose ends differ by
+    more than tol, or no convergence at paths.TRAPEZOID_CAP nodes."""
+    (seg,) = path.segments
+    calls = 0
+
+    def sample(t):
+        nonlocal calls
+        calls += 1
+        with np.errstate(all="ignore"):
+            return paths.evaluate(f, seg.point(t)) * seg.velocity(t)
+
+    n = paths.TRAPEZOID_NODES
+    generator = isinstance(seg, Line)
+    fv = sample(np.append(np.arange(n) / n, [1.0] if generator else []))
+    if not np.isfinite(fv).all():
+        return None, calls
+    if generator and np.abs(fv[..., n] - fv[..., 0]).max() > tol:
+        return None, calls
+    total = fv[..., :n].sum(axis=-1)
+    estimate = total / n
+    while n < paths.TRAPEZOID_CAP:
+        fv = sample((2 * np.arange(n) + 1) / (2 * n))
+        if not np.isfinite(fv).all():
+            return None, calls
+        with np.errstate(all="ignore"):
+            total = total + fv.sum(axis=-1)
+        n *= 2
+        previous, estimate = estimate, total / n
+        if np.abs(estimate - previous).max() <= tol:
+            return estimate, calls
+    return None, calls
 
 
 def breadth_first_tree(spec, basepoint):

@@ -1,6 +1,7 @@
 """Contour quadrature checks against closed-form integrals."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from helikon.paths import (
     rectangle,
 )
 from helikon.surface import WeierstrassData, period_triple
+
+from references import nested_trapezoid
 
 TWO_PI_I = 2j * math.pi
 
@@ -249,6 +252,23 @@ class TestEngine:
         with pytest.raises(NoConvergence):
             integrate_paths(runge, [polyline([0, 2]), path], 1e-12)
 
+    def test_budget_bounds_a_level_across_the_run(self, monkeypatch):
+        # every path stays within its own budget, but a bisection level of
+        # many paths together may hold at most PANEL_BUDGET panels
+        path = polyline([-1, 1])
+        _, panels = reference_integrate(runge, path, 1e-12)
+        bisections = (len(panels) - 1) // 2
+        widest = max(Counter(t1 - t0 for _, t0, t1 in panels).values())
+        want = integrate_path(runge, path, 1e-12)
+        monkeypatch.setattr(paths, "PANEL_BUDGET", 2 * bisections)
+        copies = 2 * bisections // widest
+        assert copies > 1
+        got = integrate_paths(runge, Lines([-1] * copies, [1] * copies), 1e-12)
+        assert got.tolist() == [want] * copies
+        more = Lines([-1] * (copies + 1), [1] * (copies + 1))
+        with pytest.raises(NoConvergence, match="panel budget exhausted"):
+            integrate_paths(runge, more, 1e-12)
+
     def test_vector_integrand_joint_error_test(self, monkeypatch):
         # two peaks on either side of 0: a form alone refines around its
         # own peak, the pair around both
@@ -423,22 +443,73 @@ class TestPeriodicRule:
             period_triple(data, circle(0, 1.0))
 
     def test_pole_on_one_path_leaves_the_others(self, monkeypatch):
-        # f raises PoleAt at the first trapezoid node of one circle, a point
-        # no Gauss-Kronrod node meets: that circle alone falls back
-        flagged = complex(circle(0.1 - 0.2j, 0.2).first)
-
-        def f(z):
-            if np.any(z == flagged):
-                raise PoleAt(f"pole at {flagged}")
-            return elliptic(z)
-
+        # f raises PoleAt at the first trapezoid node of one circle at N =
+        # 15, then at the first new node of N = 30, which the same call
+        # samples; no Gauss-Kronrod node meets either: that circle alone
+        # falls back
         runs = [circle(0.6 + 0.6j, 0.15), circle(0.1 - 0.2j, 0.2),
                 generator(BASE, 1)]
-        alone = [integrate_path(f, path, 1e-11) for path in runs]
+        for t in (0.0, 1 / 30):
+            flagged = complex(runs[1].segments[0].point(t))
+
+            def f(z):
+                if np.any(z == flagged):
+                    raise PoleAt(f"pole at {flagged}")
+                return elliptic(z)
+
+            alone = [integrate_path(f, path, 1e-11) for path in runs]
+            seen = engine_panels(monkeypatch)
+            assert integrate_paths(f, runs, 1e-11).tolist() == alone
+            assert {seg for seg, _, _ in seen} == {1}
+            monkeypatch.undo()
+            assert abs(
+                alone[1] - integrate_path(elliptic, runs[1], 1e-12)
+            ) < 1e-11
+
+    @pytest.mark.parametrize(
+        "f, path, tol, sizes",
+        [
+            (np.exp, circle(0.2, 0.5), 1e-12, [30]),
+            (lambda z: 1 / (z - 2), circle(0, 1.0), 1e-8, [30, 30]),
+            (elliptic, generator(BASE, 1), 1e-11, [31, 30]),
+        ],
+        ids=["N=30", "N=60", "generator-N=60"],
+    )
+    def test_first_call_samples_two_levels(self, f, path, tol, sizes,
+                                           monkeypatch):
+        # the test |T_30 - T_15| <= tol needs both levels, so one call
+        # samples them (and a generator's far end); a later level is one
+        # call on its new nodes
+        seen_sizes = []
+
+        def counted(z):
+            seen_sizes.append(z.size)
+            return f(z)
+
+        want, calls = nested_trapezoid(f, path, tol)
+        assert calls == len(sizes) + 1
         seen = engine_panels(monkeypatch)
-        assert integrate_paths(f, runs, 1e-11).tolist() == alone
-        assert {seg for seg, _, _ in seen} == {1}
-        assert abs(alone[1] - integrate_path(elliptic, runs[1], 1e-12)) < 1e-11
+        assert integrate_path(counted, path, tol) == want
+        assert seen_sizes == sizes and not seen
+
+    def test_matches_one_level_per_call(self, monkeypatch):
+        # circles and generators that stop at different N, in one run, for
+        # a scalar and a vector integrand: the value of the rule on each
+        # path alone, one level per call, bit for bit
+        runs = [
+            generator(BASE, 1), circle(0.1 + 0.2j, 0.2), generator(BASE, 1j),
+            circle(-0.3j, 0.05, -1), circle(0.3, 0.25),
+            circle(0.6 + 0.6j, 0.15),
+        ]
+        # both forms periodic, so that the generators keep the rule
+        pair = lambda z: np.stack([elliptic(z), elliptic(z) ** 2])
+        seen = engine_panels(monkeypatch)
+        for f in (elliptic, pair):
+            want = [nested_trapezoid(f, path, 1e-11) for path in runs]
+            assert len({calls for _, calls in want}) > 2
+            got = integrate_paths(f, runs, 1e-11)
+            assert got.tolist() == [value.tolist() for value, _ in want]
+        assert not seen
 
     def test_value_independent_of_run(self, monkeypatch):
         runs = [

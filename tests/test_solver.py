@@ -8,9 +8,15 @@ import pytest
 
 from helikon import cli, divisor, paths, solver, surface
 from helikon.divisor import residue
-from helikon.errors import AbelViolation, CoincidentPoints, SingularJacobian
-from helikon.expr import Plane, parse_expr
+from helikon.errors import (
+    AbelViolation,
+    CoincidentPoints,
+    PathThroughPole,
+    SingularJacobian,
+)
+from helikon.expr import Const, Expr, FormExpr, Plane, parse_expr
 from helikon.paths import circle, generator, polyline
+from helikon.records import replace
 from helikon.scene import load_scene
 from helikon.solver import (
     FamilySpec,
@@ -332,12 +338,29 @@ class TestPeriodProblem:
         runs = count_quadrature_runs(monkeypatch)
         fam = standard_g1h_family(tau=1j, shift=0.5)
         built = len(runs)
-        assert built <= 2
+        assert built == 1
         for rho, c in POINTS:
             x = fam.pack({"rho": rho, "c": c})
             fam.residual_vector(x)
             fam.jacobian_matrix(x)
         assert len(runs) == built
+
+    def test_six_forms_match_two_triple_runs(self):
+        # the triples of dh0 and of du from one run of six forms, against
+        # period_triples on the unit member and on it with dh = du
+        fam = standard_g1h_family(tau=1j, shift=0.5)
+        unit = fam.build(fam.pack({"rho": 1.0, "c": 0.0}))
+        cycles = [generator(BASE, 1), generator(BASE, 1j)]
+        t_dh, t_du = solver._unit_triples(unit, cycles, 1e-10)
+        du = FormExpr(Expr(Const(1.0), unit.domain))
+        assert np.abs(t_dh - period_triples(unit, cycles, 1e-10)).max() < 1e-12
+        want = period_triples(replace(unit, dh=du), cycles, 1e-10)
+        assert np.abs(t_du - want).max() < 1e-12
+        # a path whose middle node is g's pole E1 + shift = 0.75 + 0.1i
+        through = [polyline([0.625 + 0.1j, 0.875 + 0.1j])]
+        for run in (period_triples, solver._unit_triples):
+            with pytest.raises(PathThroughPole):
+                run(unit, through, 1e-10)
 
     def test_generator_triples_match_gauss_kronrod(self):
         # the marked generators take the periodic trapezoidal rule; the
@@ -360,12 +383,12 @@ class TestPeriodProblem:
         assert len(runs) == 1
 
     def test_candidate_solve_runs(self, monkeypatch):
-        # two runs build the family, one checks the end regularity
+        # one run builds the family, one checks the end regularity
         scene = load_scene(CANDIDATE_SCENE)
         runs = count_quadrature_runs(monkeypatch)
         code, report = cli.run("solve", scene, {"json": False})
         assert code == 0 and report["verdict"]
-        assert len(runs) <= 3
+        assert len(runs) == 2
         res = report["results"]
         assert abs(res["parameters"]["rho"] - ROOT_RHO) < 1e-10
         assert abs(res["parameters"]["c"] - ROOT_C) < 1e-10

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from helikon import expr as expr_module
 from helikon import surface as surface_module
 from helikon.errors import NonpositiveLambda, NotUnitModulusC
 from helikon.expr import (
@@ -45,6 +46,7 @@ from helikon.surface import (
 from references import (
     conformal_factor,
     exactness_check,
+    four_call_involution_report,
     gauss_normal,
     pole_zero_pairing,
     screened_samples,
@@ -318,6 +320,17 @@ def pole_at_sample():
     return data, s
 
 
+def involution_case(scene):
+    """(data, involution) of a bundled scene, of the helicoid (None) or of
+    pole_at_sample's data ("pole-at-sample")."""
+    if scene is None:
+        return helicoid(), Involution(0.0, PLANE)
+    if scene == "pole-at-sample":
+        return pole_at_sample()[0], Involution(0.0, PLANE)
+    sc = load_scene(os.path.join(SCENES, scene))
+    return sc.only_data(), sc.resolve_involution("I")
+
+
 class TestSymmetry:
     def test_generic_samples_keep_clear_on_skewed_lattice(self):
         # every sample lies at least 5e-2 from the puncture modulo the
@@ -332,16 +345,10 @@ class TestSymmetry:
         "scene", (None, "periodic-candidate.scene", "pole-at-sample")
     )
     def test_involution_report_matches_per_point(self, scene, monkeypatch):
-        if scene is None:
-            data, inv = helicoid(), Involution(0.0, PLANE)
-        elif scene == "pole-at-sample":
-            (data, s), inv = pole_at_sample(), Involution(0.0, PLANE)
-        else:
-            sc = load_scene(os.path.join(SCENES, scene))
-            data, inv = sc.only_data(), sc.resolve_involution("I")
+        data, inv = involution_case(scene)
         samples = screened_samples(data, inv)
         if scene == "pole-at-sample":
-            assert s not in samples
+            assert pole_at_sample()[1] not in samples
         else:
             assert samples == _generic_samples(data.domain, 20)
         seen = []
@@ -362,6 +369,30 @@ class TestSymmetry:
         # differences of values of size up to |want|
         for a, b in zip(got, want):
             assert abs(a - b) < 1e-14 * max(1.0, b)
+
+    @pytest.mark.parametrize(
+        "scene", (None, "periodic-candidate.scene", "pole-at-sample")
+    )
+    def test_involution_report_evaluates_each_point_set_once(
+        self, scene, monkeypatch
+    ):
+        # (g, dg/g, dh) at the samples in one call, g at their images in
+        # one, the two form deviations and g(p0): five evaluations where no
+        # sample meets a pole, and the report of the four-call screen
+        data, inv = involution_case(scene)
+        want = four_call_involution_report(data, inv)
+        calls = []
+        real = expr_module.eval_expr
+
+        def counted(e, u):
+            calls.append(1)
+            return real(e, u)
+
+        for module in (expr_module, surface_module):
+            monkeypatch.setattr(module, "eval_expr", counted)
+        assert involution_report(data, inv) == want
+        if scene != "pole-at-sample":
+            assert len(calls) == 5
 
     def test_helicoid_involution_report(self):
         data = helicoid()
